@@ -26,7 +26,7 @@
 //!                 viewable in Perfetto (ui.perfetto.dev) or
 //!                 chrome://tracing
 //!   --metrics FILE
-//!                 write the final metrics registry in Prometheus text
+//!                 write the run's final metrics in Prometheus text
 //!                 exposition format
 //!   --baseline FILE
 //!                 after running, diff this run's metrics against a
@@ -737,10 +737,9 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &metrics_path {
-        // Publish the bridge's live fold, including the events narrated
-        // since the flush above.
-        bridge.flush();
-        if let Err(e) = std::fs::write(p, tcqr_metrics::global().render_prometheus()) {
+        // The bridge's live fold covers every event of the run, the
+        // chrome-trace note above included.
+        if let Err(e) = std::fs::write(p, bridge.render_prometheus()) {
             eprintln!("cannot write metrics file {}: {e}", p.display());
             failed = true;
         }

@@ -40,7 +40,8 @@ pub fn all(scale: Scale) -> Vec<Table> {
 /// against the engine's measured error (Higham & Mary's point, §5).
 pub fn rounding_bounds() -> Table {
     use densemat::Op;
-    use tcqr_core::error_analysis::{det_tc_bound, gemm_relative_error, prob_tc_bound, U16};
+    use halfsim::bounds::{det_tc_bound, prob_tc_bound, U16};
+    use tcqr_core::error_analysis::gemm_relative_error;
     use tensor_engine::Phase;
 
     let mut t = Table::new(

@@ -1,35 +1,11 @@
-//! Cross-checks the attribution layer's error model against the numeric
-//! ground truth in `tcqr_core::error_analysis`. The obs crate deliberately
-//! depends only on tcqr-trace, so it restates the unit roundoffs and bound
-//! forms; these tests pin the two copies together so they cannot drift
-//! apart silently.
+//! Cross-checks the attribution layer's per-phase error budget against the
+//! per-GEMM bounds of `halfsim::bounds`, the ones the `ablation-bounds`
+//! experiment measures against the engine.
 
+use halfsim::bounds::{det_tc_bound, prob_tc_bound, U16};
 use std::sync::Arc;
-use tcqr_core::error_analysis;
 use tcqr_obs::{budget, ErrorBudget};
 use tcqr_trace::{MemSink, Tracer, Value};
-
-#[test]
-fn budget_constants_match_error_analysis() {
-    assert_eq!(budget::U16, error_analysis::U16);
-    assert_eq!(budget::U32, error_analysis::U32);
-    // fp64 unit roundoff = 2^-53, stated independently in obs.
-    assert_eq!(budget::U64_UNIT, 2.0f64.powi(-53));
-}
-
-#[test]
-fn budget_gamma_agrees_where_the_classical_bound_is_defined() {
-    for n in [1.0, 16.0, 256.0, 4096.0, 1.0e6] {
-        for u in [error_analysis::U16, error_analysis::U32] {
-            if n * u < 1.0 {
-                assert_eq!(budget::gamma(n, u), error_analysis::gamma(n, u));
-            }
-        }
-    }
-    // Where core's gamma would assert, obs saturates instead of panicking:
-    // post-hoc analysis must survive traces from absurdly deep products.
-    assert_eq!(budget::gamma(1.0e12, error_analysis::U16), f64::INFINITY);
-}
 
 #[test]
 fn tc_phase_bounds_match_the_paper_bounds_per_gemm() {
@@ -56,8 +32,8 @@ fn tc_phase_bounds_match_the_paper_bounds_per_gemm() {
     assert_eq!(p.phase, "update");
     assert_eq!((p.ops, p.gemms, p.rounded), (3, 3, 3 * k as u64));
 
-    let det = error_analysis::det_tc_bound(k, error_analysis::U16);
-    let prob = error_analysis::prob_tc_bound(k, error_analysis::U16, budget::LAMBDA);
+    let det = det_tc_bound(k, U16);
+    let prob = prob_tc_bound(k, U16, budget::LAMBDA);
     assert!((p.det_bound - 3.0 * det).abs() <= 1e-18 + 1e-12 * p.det_bound.abs());
     assert!((p.prob_bound - 3.0 * prob).abs() <= 1e-18 + 1e-12 * p.prob_bound.abs());
 }

@@ -9,13 +9,16 @@
 //! 2. every quantity present in both the baseline (one fold per experiment
 //!    id) and the Prometheus exposition (one live fold of the process)
 //!    agrees: the Prometheus value is the sum, max, or min of the per-id
-//!    baseline values, with counts bit-exact.
+//!    baseline values, with counts bit-exact, and the Chrome exporter's
+//!    `flops` and `fp16_rounding` counter tracks end on the fold's tallies.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use tcqr_bench::baseline;
+use tcqr_metrics::json::{self, Json};
+use tcqr_metrics::{chrome_trace_json, RunReport};
 use tcqr_trace::schema::{is_schema, Charge};
 use tcqr_trace::{parse_jsonl_lenient, Event, EventKind};
 
@@ -290,5 +293,30 @@ fn every_event_is_a_schema_event_a_charge_a_span_or_a_msg() {
     // per-experiment drains, so it sees at least every drained event.
     let drained = per_id(&base, "counts.events", Rule::Sum).unwrap();
     assert!(prom["tcqr_events_total"] >= drained);
+
+    // The Chrome exporter's counter tracks end on the fold's tallies.
+    let rep = RunReport::from_events(&events);
+    let doc = json::parse(&chrome_trace_json(&events)).unwrap();
+    let last = |track: &str| -> BTreeMap<String, f64> {
+        let rec = doc.as_arr().unwrap().iter().rfind(|r| {
+            r.get("ph").and_then(Json::as_str) == Some("C")
+                && r.get("name").and_then(Json::as_str) == Some(track)
+        });
+        let args = rec
+            .unwrap_or_else(|| panic!("no {track} sample"))
+            .get("args");
+        let obj = args.and_then(Json::as_obj).unwrap();
+        obj.iter()
+            .map(|(k, v)| (k.clone(), v.as_f64().unwrap()))
+            .collect()
+    };
+    assert_eq!(last("flops"), rep.class_flops);
+    let rounding = [
+        ("nan", rep.nan),
+        ("overflow", rep.overflow),
+        ("underflow", rep.underflow),
+    ];
+    let rounding = rounding.map(|(k, v)| (k.to_string(), v as f64)).into();
+    assert_eq!(last("fp16_rounding"), rounding);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,79 +1,17 @@
-//! Rounding-error bounds for the mixed-precision engine — the §3.6 / §5
-//! theory, executable.
-//!
-//! Two bound families for the TensorCore GEMM (fp16 inputs, fp32
-//! accumulation; Blanchard/Higham/Lopez/Mary/Pranesh 2019):
-//!
-//! - **deterministic**: every rounding conspires —
-//!   `|C - Ĉ| <= (2 u16 + k u32) |A||B|` elementwise;
-//! - **probabilistic** (Higham & Mary 2018): roundings act like independent
-//!   zero-mean perturbations, so the error concentrates like a random walk —
-//!   with probability ~`1 - 2 exp(-lambda^2 / 2)` the `k`-fold accumulation
-//!   contributes `lambda sqrt(k) u32` instead of `k u32`, and the input
-//!   rounding contributes `~2 u16` of *elementwise* relative error whose
-//!   cancellation in the sum shrinks the normwise constant by `~sqrt(k)`.
+//! Measured rounding error of an engine GEMM — the quantity the §3.6 / §5
+//! bounds of [`halfsim::bounds`] control.
 //!
 //! The paper's §5 notes that for half precision "the traditional
 //! deterministic analysis is too pessimistic to give any useful error
 //! bound"; the `ablation-bounds` experiment measures exactly how pessimistic
-//! against the real engine.
+//! against the real engine, and the tests below check every bound holds.
 
 use densemat::{Mat, MatRef};
 
-/// fp16 unit roundoff.
-pub const U16: f64 = 4.8828125e-4; // 2^-11
-/// bf16 unit roundoff.
-pub const UBF16: f64 = 3.90625e-3; // 2^-9
-/// fp32 unit roundoff.
-pub const U32: f64 = 5.960464477539063e-8; // 2^-24
-/// Effective unit roundoff of the error-corrected (Ootomo–Yokota hi/lo
-/// split) operand representation: `x ≈ hi + lo·2^-11` with
-/// `|x - (hi + lo·2^-11)| <= 2^-22 |x|` for in-range inputs.
-pub const UEC: f64 = 2.384185791015625e-7; // 2^-22
-
-/// Deterministic elementwise bound constant for a `k`-term TensorCore dot
-/// product: `|c - ĉ| <= det_tc_bound(k, u_in) * (|a|^T |b|)`.
-pub fn det_tc_bound(k: usize, u_in: f64) -> f64 {
-    let k = k as f64;
-    // Input roundings: (1+d_a)(1+d_b) ~ 1 + 2 u_in; accumulation: gamma_k.
-    2.0 * u_in + u_in * u_in + gamma(k, U32)
-}
-
-/// Deterministic elementwise bound constant for a `k`-term *error-corrected*
-/// TensorCore dot product (hi/lo split, three products, fp32 accumulation):
-/// `|c - ĉ| <= det_ec_bound(k) * (|a|^T |b|)`.
-///
-/// The split replaces the `2 u16` input-rounding term of [`det_tc_bound`]
-/// with `2 u_ec` ([`UEC`], the split's representation error), the dropped
-/// `lo·lo` cross product contributes at worst `u16^2` per term, and the
-/// three accumulated partial products round through fp32 for an extra two
-/// terms of `gamma` headroom (`k + 2` instead of `k`).
-pub fn det_ec_bound(k: usize) -> f64 {
-    let k = k as f64;
-    2.0 * UEC + UEC * UEC + U16 * U16 + gamma(k + 2.0, U32)
-}
-
-/// The classic `gamma_n = n u / (1 - n u)` factor.
-pub fn gamma(n: f64, u: f64) -> f64 {
-    let nu = n * u;
-    assert!(nu < 1.0, "gamma undefined for n u >= 1");
-    nu / (1.0 - nu)
-}
-
-/// Probabilistic bound constant (holds with probability at least
-/// `~1 - 4 exp(-lambda^2/2)` per entry under the independent-rounding
-/// model), for the normwise metric of [`gemm_relative_error`]: the
-/// input-rounding perturbations cancel like a random walk (a `1/sqrt(k)`
-/// factor against the `|||A||| |||B|||` normalization) and the `k`-fold
-/// fp32 accumulation contributes `lambda sqrt(k) u32` instead of `k u32`.
-pub fn prob_tc_bound(k: usize, u_in: f64, lambda: f64) -> f64 {
-    let sk = (k as f64).sqrt().max(1.0);
-    lambda * (2.0 * u_in / sk + sk * U32)
-}
-
 /// Normwise relative error of a computed product against an `f64` reference:
 /// `||C_ref - C|| / (|||A||| |||B|||)` in the Frobenius norm — the quantity
-/// the bounds above control (up to the norm equivalence constant).
+/// the bounds of [`halfsim::bounds`] control (up to the norm equivalence
+/// constant).
 pub fn gemm_relative_error(
     a: MatRef<'_, f64>,
     b: MatRef<'_, f64>,
@@ -108,6 +46,7 @@ mod tests {
     use super::*;
     use densemat::gen::{self, rng};
     use densemat::{Mat, Op};
+    use halfsim::bounds::{det_ec_bound, det_tc_bound, prob_tc_bound, U16};
     use tensor_engine::{GpuSim, Phase};
 
     fn measured_error_on(eng: &GpuSim, m: usize, k: usize, n: usize, seed: u64) -> f64 {
@@ -137,18 +76,6 @@ mod tests {
         let eng = GpuSim::default();
         eng.set_precision_override(Some(tensor_engine::PrecisionOverride::ErrorCorrected));
         measured_error_on(&eng, m, k, n, seed)
-    }
-
-    #[test]
-    fn gamma_basics() {
-        assert!(gamma(10.0, U32) > 9.9 * U32);
-        assert!(gamma(10.0, U32) < 10.1 * U32);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma undefined")]
-    fn gamma_rejects_nu_ge_one() {
-        let _ = gamma(1e12, U16);
     }
 
     #[test]

@@ -142,8 +142,8 @@ fn check_r_usable(
 /// One factorization attempt behind the §3.5 column-scaling safeguard,
 /// parameterized by the recovery ladder's knobs: `headroom` extra
 /// power-of-two scaling bits ([`crate::recovery::Rung::Rescale`]) and an
-/// optional re-orthogonalization pass ([`crate::recovery::Rung::Reortho`],
-/// also the base mode of [`cgls_qr_reortho`]).
+/// optional re-orthogonalization pass (the base mode of
+/// [`cgls_qr_reortho`]).
 fn rgsqrf_scaled_attempt(
     eng: &GpuSim,
     a: &Mat<f32>,
@@ -211,7 +211,7 @@ fn try_factor_scaled(
         eng,
         op,
         policy,
-        |att| rgsqrf_scaled_attempt(eng, a, cfg, att.headroom, reortho_base || att.reortho),
+        |att| rgsqrf_scaled_attempt(eng, a, cfg, att.headroom, reortho_base),
         factors_finite,
     )
 }

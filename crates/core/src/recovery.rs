@@ -22,8 +22,6 @@
 //! 5. [`Rung::EscalateF32`] — disable TensorCore entirely for the attempt.
 //!    No TC GEMMs means no injection sites, so this rung always runs clean —
 //!    the ladder's safety net.
-//! 6. [`Rung::Reortho`] — re-orthogonalize (§3.3's "twice is enough"),
-//!    for callers whose failure mode is accuracy rather than corruption.
 //!
 //! **The ladder is gated strictly on [`GpuSim::fault_armed`]**: with faults
 //! off, [`run_with_recovery`] makes exactly one attempt and returns it
@@ -49,8 +47,6 @@ pub enum Rung {
     EscalateBf16,
     /// Retry with TensorCore disabled (plain f32 — no injection sites).
     EscalateF32,
-    /// Retry with an extra re-orthogonalization pass.
-    Reortho,
 }
 
 impl Rung {
@@ -62,7 +58,6 @@ impl Rung {
             Rung::EscalateEc => "escalate-ec",
             Rung::EscalateBf16 => "escalate-bf16",
             Rung::EscalateF32 => "escalate-f32",
-            Rung::Reortho => "reortho",
         }
     }
 }
@@ -142,8 +137,6 @@ pub struct Attempt {
     /// Extra power-of-two column-scaling headroom bits accumulated from
     /// [`Rung::Rescale`] rungs (2 bits per rung).
     pub headroom: u32,
-    /// Whether a [`Rung::Reortho`] rung has fired.
-    pub reortho: bool,
 }
 
 impl Attempt {
@@ -152,7 +145,6 @@ impl Attempt {
             index: 0,
             rung: None,
             headroom: 0,
-            reortho: false,
         }
     }
 }
@@ -252,7 +244,6 @@ pub fn run_with_recovery<T>(
         match rung {
             Rung::Recompute => {}
             Rung::Rescale => attempt.headroom += 2,
-            Rung::Reortho => attempt.reortho = true,
             // The precision override is sticky for the rest of the ladder:
             // once ec/bf16/f32 was needed, dropping back down would just
             // fail again. The guard restores the caller's override on exit.
@@ -309,12 +300,11 @@ mod tests {
             Rung::EscalateEc,
             Rung::EscalateBf16,
             Rung::EscalateF32,
-            Rung::Reortho,
         ]
         .iter()
         .map(|r| r.as_str())
         .collect();
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 5);
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! one on every `f32` input; tests check all 2^32 of them. Other hosts run
 //! the software converters only.
 //!
+//! [`bounds`] holds the workspace's one copy of the unit roundoffs and the
+//! rounding-error bounds built from them.
+//!
 //! ```
 //! use halfsim::{round_f16, F16, Bf16};
 //!
@@ -39,6 +42,7 @@
 //! ```
 
 pub mod bf16;
+pub mod bounds;
 pub mod f16;
 pub mod format;
 #[cfg(target_arch = "x86_64")]

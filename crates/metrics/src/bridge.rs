@@ -1,8 +1,8 @@
 //! The [`TraceToMetrics`] sink: the live fold of the trace stream.
 //!
 //! The sink drives one [`RunReport`] over every event it sees, under a lock,
-//! and publishes it into a metrics [`Registry`] on `flush()`. The fold owns
-//! every aggregation rule, so the Prometheus series and the baseline keys
+//! and renders it as Prometheus text on demand. The fold owns every
+//! aggregation rule, so the Prometheus series and the baseline keys
 //! `tcqr-bench` renders from per-experiment folds of the same events agree
 //! by construction.
 
@@ -11,41 +11,29 @@ use std::sync::Mutex;
 use tcqr_trace::{Event, TraceSink};
 
 use crate::fold::RunReport;
-use crate::registry::Registry;
 
-/// A [`TraceSink`] that folds events into a [`RunReport`] and publishes it
-/// as the `tcqr_*` series of a metrics [`Registry`] on every `flush()`.
-/// The series and their aggregation rules are documented on
-/// [`RunReport::publish`]; [`help_for`] holds their descriptions.
+/// A [`TraceSink`] that folds events into a [`RunReport`] and renders it as
+/// the `tcqr_*` Prometheus series with [`TraceToMetrics::render_prometheus`].
+/// [`RunReport::observe`] owns the aggregation rules; [`help_for`] holds
+/// the series' descriptions.
 ///
 /// `reset()` is deliberately a **no-op**: `GpuSim::reset()` resets the
 /// installed global sink between experiment phases, and the whole point of
-/// the registry is to accumulate across a run. Call
-/// [`Registry::clear`] explicitly to start over.
-#[derive(Debug)]
+/// the fold is to accumulate across a run.
+#[derive(Debug, Default)]
 pub struct TraceToMetrics {
-    reg: &'static Registry,
     fold: Mutex<RunReport>,
 }
 
 impl TraceToMetrics {
-    /// Bridge into the [global registry](crate::registry::global).
+    /// A bridge with an empty fold.
     pub fn new() -> Self {
-        Self::with_registry(crate::registry::global())
+        Self::default()
     }
 
-    /// Bridge into a specific (leaked, hence `'static`) registry. Tests use
-    /// this to avoid cross-test interference on the global one.
-    pub fn with_registry(reg: &'static Registry) -> Self {
-        TraceToMetrics {
-            reg,
-            fold: Mutex::new(RunReport::default()),
-        }
-    }
-
-    /// The registry this bridge writes into.
-    pub fn registry(&self) -> &'static Registry {
-        self.reg
+    /// The fold so far, as Prometheus exposition text.
+    pub fn render_prometheus(&self) -> String {
+        self.fold().render_prometheus()
     }
 
     fn fold(&self) -> std::sync::MutexGuard<'_, RunReport> {
@@ -55,28 +43,17 @@ impl TraceToMetrics {
     }
 }
 
-impl Default for TraceToMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceSink for TraceToMetrics {
     fn record(&self, ev: &Event) {
         self.fold().observe(ev);
     }
 
-    /// No-op: the registry accumulates across engine resets (see type docs).
+    /// No-op: the fold accumulates across engine resets (see type docs).
     fn reset(&self) {}
-
-    /// Publish the fold into the registry.
-    fn flush(&self) {
-        self.fold().publish(self.reg);
-    }
 }
 
 /// One-line `# HELP` description for a metric family, covering every family
-/// [`RunReport::publish`] writes. `None` for
+/// [`RunReport::render_prometheus`] writes. `None` for
 /// unregistered families (the renderer falls back to a generic line so the
 /// exposition stays conformant either way).
 pub fn help_for(family: &str) -> Option<&'static str> {
@@ -208,9 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_publishes_the_live_fold_and_reset_is_a_no_op() {
-        let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
-        let bridge = Arc::new(TraceToMetrics::with_registry(reg));
+    fn render_reads_the_live_fold_and_reset_is_a_no_op() {
+        let bridge = Arc::new(TraceToMetrics::new());
+        assert!(
+            bridge.render_prometheus().is_empty(),
+            "nothing before events"
+        );
         let t = Tracer::new(bridge.clone());
         t.op(
             "gemm",
@@ -219,20 +199,16 @@ mod tests {
                 ("secs", Value::from(0.25)),
             ],
         );
-        assert!(
-            reg.get("tcqr_events_total").is_none(),
-            "nothing before flush"
-        );
         bridge.reset();
-        t.flush();
-        assert_eq!(reg.counter("tcqr_events_total").get(), 1);
-        assert_eq!(reg.counter("tcqr_gemm_calls_total").get(), 1);
-        assert_eq!(
-            reg.gauge("tcqr_modeled_seconds{phase=\"update\"}").get(),
-            0.25
-        );
-        // Publishing is absolute: a second flush does not double-count.
-        t.flush();
-        assert_eq!(reg.counter("tcqr_events_total").get(), 1);
+        let text = bridge.render_prometheus();
+        for line in [
+            "tcqr_events_total 1",
+            "tcqr_gemm_calls_total 1",
+            "tcqr_modeled_seconds{phase=\"update\"} 0.25",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} in\n{text}");
+        }
+        // Rendering is a read: a second render is the same text.
+        assert_eq!(bridge.render_prometheus(), text);
     }
 }

@@ -12,8 +12,11 @@
 //!   Perfetto is the *modeled* time spent inside the span;
 //! - op/info/warn events become `"i"` (instant) events carrying their fields
 //!   as `args`;
-//! - cumulative per-class flops and fp16 rounding totals become `"C"`
-//!   (counter) tracks, so the flops mix is a stacked area chart over the run.
+//! - cumulative per-class flops and fp16 rounding totals of the engine
+//!   charges become `"C"` (counter) tracks, so the flops mix is a stacked
+//!   area chart over the run. Both tracks read ops through
+//!   `tcqr_trace::schema::Charge`, as the fold does, so their last samples
+//!   equal the fold's `class_flops` and overflow/underflow/NaN tallies.
 //!
 //! Fleet events get their own process row (pid [`FLEET_PID`], named
 //! `tcqr fleet`): each `engine.segment` op becomes an `"X"` slice on the
@@ -28,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tcqr_trace::json::{parse, push_json_string, Json};
-use tcqr_trace::schema::{is_fleet_narration, EngineSegment};
+use tcqr_trace::schema::{is_fleet_narration, Charge, EngineSegment};
 use tcqr_trace::{Event, EventKind, TraceSink, Value};
 
 /// Microseconds added per sequence number to keep timestamps strictly
@@ -146,7 +149,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     let mut open: Vec<OpenSpan> = Vec::new();
     // Counter tracks.
     let mut flops: Vec<(String, f64)> = Vec::new();
-    let mut rounding = [0u64; 4]; // rounded, overflow, underflow, nan
+    let mut rounding = [0u64; 3]; // overflow, underflow, nan
     let mut last_ts = 0.0f64;
     // Fleet-row metadata, emitted lazily so traces without batch events
     // keep exactly the two main-process metadata records.
@@ -267,10 +270,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 );
             }
         }
-        if ev.kind == EventKind::Op {
-            // Counter tracks: cumulative flops per class, rounding totals.
-            if let (Some(class), Some(f)) = (ev.str_field("class"), ev.f64_field("flops"))
-            {
+        // Counter tracks: cumulative flops per class and fp16 rounding
+        // totals, read from engine charges only. Schema events restate
+        // tallies already charged (`error.budget`), so they add nothing.
+        if let Some(charge) = Charge::from_event(ev) {
+            if let (Some(class), Some(f)) = (charge.class, charge.flops) {
                 match flops.iter_mut().find(|(c, _)| c == class) {
                     Some((_, tot)) => *tot += f,
                     None => flops.push((class.to_string(), f)),
@@ -281,15 +285,14 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                     .collect();
                 push_record(&mut out, &mut first, 'C', "flops", ts, MAIN_PID, 1, "", &fields);
             }
-            if let Some(rounded) = ev.u64_field("rounded") {
-                rounding[0] += rounded;
-                rounding[1] += ev.u64_field("overflow").unwrap_or(0);
-                rounding[2] += ev.u64_field("underflow").unwrap_or(0);
-                rounding[3] += ev.u64_field("nan").unwrap_or(0);
+            if charge.rounded.is_some() {
+                rounding[0] += charge.overflow;
+                rounding[1] += charge.underflow;
+                rounding[2] += charge.nan;
                 let fields = vec![
-                    ("overflow".to_string(), Value::from(rounding[1])),
-                    ("underflow".to_string(), Value::from(rounding[2])),
-                    ("nan".to_string(), Value::from(rounding[3])),
+                    ("overflow".to_string(), Value::from(rounding[0])),
+                    ("underflow".to_string(), Value::from(rounding[1])),
+                    ("nan".to_string(), Value::from(rounding[2])),
                 ];
                 push_record(
                     &mut out, &mut first, 'C', "fp16_rounding", ts, MAIN_PID, 1, "", &fields,
@@ -518,7 +521,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tcqr_trace::{MemSink, Tracer, Value};
-    use tcqr_trace::schema::{FleetSummary, SloBreach};
+    use tcqr_trace::schema::{FleetSummary, PhaseBudget, SloBreach};
 
     /// A realistic little trace: nested spans with ops inside.
     fn sample_events() -> Vec<Event> {
@@ -564,6 +567,42 @@ mod tests {
         assert_eq!(stats.counter, 3);
         assert_eq!(stats.metadata, 2);
         assert_eq!(stats.total, 2 + 3 + 3 + 2);
+    }
+
+    #[test]
+    fn budget_events_do_not_restate_the_rounding_track() {
+        let sink = Arc::new(MemSink::new());
+        let tracer = Tracer::new(sink.clone());
+        let tallies = [("overflow", 3u64), ("underflow", 5), ("nan", 1)];
+        let mut fields = vec![
+            ("phase", Value::from("update")),
+            ("rounded", Value::from(512u64)),
+        ];
+        fields.extend(tallies.map(|(k, v)| (k, Value::from(v))));
+        tracer.op("gemm", &fields);
+        PhaseBudget {
+            phase: "update".into(),
+            ops: 1,
+            rounded: 512,
+            overflow: 3,
+            underflow: 5,
+            nan: 1,
+            ..Default::default()
+        }
+        .emit(&tracer);
+        let doc = parse(&chrome_trace_json(&sink.snapshot())).unwrap();
+        let last = doc
+            .as_arr()
+            .unwrap()
+            .iter()
+            .rfind(|r| r.get("name").and_then(Json::as_str) == Some("fp16_rounding"))
+            .expect("a rounding sample")
+            .get("args")
+            .unwrap()
+            .clone();
+        for (k, v) in tallies {
+            assert_eq!(last.get(k).and_then(Json::as_f64), Some(v as f64), "{k}");
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! argmax, count) for engine charges, solver spans, and the typed summary
 //! events of [`tcqr_trace::schema`]. Two renderings read the result:
 //! [`RunReport::metrics`] flattens it into the dotted keys of the baseline
-//! gate, and [`RunReport::publish`] writes the `tcqr_*` Prometheus series
-//! into a [`Registry`]. `tcqr-bench` folds each experiment's buffered events
-//! with [`RunReport::from_events`]; the [`TraceToMetrics`](crate::TraceToMetrics)
-//! sink folds the live stream of the whole process. The views therefore
-//! agree by construction: a Prometheus value is the sum, max, or argmax of
-//! the per-experiment values.
+//! gate, and [`RunReport::render_prometheus`] writes the `tcqr_*`
+//! Prometheus series as exposition text. `tcqr-bench` folds each
+//! experiment's buffered events with [`RunReport::from_events`]; the
+//! [`TraceToMetrics`](crate::TraceToMetrics) sink folds the live stream of
+//! the whole process. The views therefore agree by construction: a
+//! Prometheus value is the sum, max, or argmax of the per-experiment
+//! values.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use tcqr_trace::schema::{
 };
 use tcqr_trace::{parse_jsonl_lenient, Event, EventKind, JsonError, Value};
 
-use crate::registry::{labeled, Histogram, Registry};
+use crate::prometheus::{labeled, Exposition, Histogram};
 
 /// Op names that count as panel factorizations.
 const PANEL_OPS: &[&str] = &["sgeqrf", "dgeqrf", "caqr_panel"];
@@ -295,10 +296,14 @@ impl RunReport {
         if let Some(c) = Charge::from_event(ev) {
             if let (Some(phase), Some(secs)) = (c.phase, c.secs) {
                 add_to(&mut self.phase_secs, phase, secs);
-                if !self.op_secs.contains_key(phase) {
-                    self.op_secs.insert(phase.to_string(), Histogram::new());
+                match self.op_secs.get_mut(phase) {
+                    Some(h) => h.observe(secs),
+                    None => {
+                        let mut h = Histogram::new();
+                        h.observe(secs);
+                        self.op_secs.insert(phase.to_string(), h);
+                    }
                 }
-                self.op_secs[phase].observe(secs);
             }
             if let (Some(class), Some(flops)) = (c.class, c.flops) {
                 add_to(&mut self.class_flops, class, flops);
@@ -557,37 +562,34 @@ impl RunReport {
         ]
     }
 
-    /// Write the report into `reg` as the `tcqr_*` Prometheus series. Every
-    /// value is absolute, so publishing again overwrites; a series appears
-    /// once its source events did.
-    pub fn publish(&self, reg: &Registry) {
-        let counter = |name: &str, v: u64| reg.counter(name).set(v);
-        let gauge = |name: &str, v: f64| reg.gauge(name).set(v);
-        let nonzero = |name: &str, v: u64| {
+    /// Render the report as the `tcqr_*` series in the Prometheus text
+    /// exposition format. A series appears once its source events did.
+    pub fn render_prometheus(&self) -> String {
+        let mut out = Exposition::default();
+        let nonzero = |out: &mut Exposition, name: &str, v: u64| {
             if v > 0 {
-                counter(name, v)
+                out.counter(name, v)
             }
         };
-        nonzero("tcqr_events_total", self.events);
-        nonzero("tcqr_warnings_total", self.warn_events);
-        nonzero("tcqr_gemm_calls_total", self.gemm_calls);
-        nonzero("tcqr_panel_calls_total", self.panel_calls);
+        nonzero(&mut out, "tcqr_events_total", self.events);
+        nonzero(&mut out, "tcqr_warnings_total", self.warn_events);
+        nonzero(&mut out, "tcqr_gemm_calls_total", self.gemm_calls);
+        nonzero(&mut out, "tcqr_panel_calls_total", self.panel_calls);
         for (phase, secs) in &self.phase_secs {
-            gauge(&labeled("tcqr_modeled_seconds", &[("phase", phase)]), *secs);
+            out.gauge(labeled("tcqr_modeled_seconds", &[("phase", phase)]), *secs);
         }
         for (phase, h) in &self.op_secs {
-            reg.histogram(&labeled("tcqr_op_secs", &[("phase", phase)]))
-                .copy_from(h);
+            out.histogram(labeled("tcqr_op_secs", &[("phase", phase)]), h.clone());
         }
         for (class, flops) in &self.class_flops {
-            gauge(&labeled("tcqr_flops", &[("class", class)]), *flops);
+            out.gauge(labeled("tcqr_flops", &[("class", class)]), *flops);
         }
         if self.rounded > 0 {
-            counter("tcqr_rounded_total", self.rounded);
+            out.counter("tcqr_rounded_total", self.rounded);
             for (k, n) in &self.rounding()[1..] {
-                counter(&format!("tcqr_fp16_{k}_total"), *n);
-                gauge(
-                    &format!("tcqr_fp16_{k}_rate"),
+                out.counter(format!("tcqr_fp16_{k}_total"), *n);
+                out.gauge(
+                    format!("tcqr_fp16_{k}_rate"),
                     *n as f64 / self.rounded as f64,
                 );
             }
@@ -595,28 +597,29 @@ impl RunReport {
         for ((level, stage), v) in &self.ortho_last {
             let level = level.to_string();
             let labels = [("level", level.as_str()), ("stage", stage.as_str())];
-            gauge(&labeled("tcqr_orthogonality_error", &labels), *v);
+            out.gauge(labeled("tcqr_orthogonality_error", &labels), *v);
         }
         if self.ortho_samples > 0 {
             let max = self.ortho_max.unwrap_or(0.0).max(0.0);
-            gauge("tcqr_orthogonality_error_max", max);
+            out.gauge("tcqr_orthogonality_error_max", max);
         }
         if let Some(s) = &self.scaling {
-            gauge("tcqr_scaling_min_exp", s.min_exp as f64);
-            gauge("tcqr_scaling_max_exp", s.max_exp as f64);
-            gauge("tcqr_scaling_scaled_cols", s.scaled_cols as f64);
+            out.gauge("tcqr_scaling_min_exp", s.min_exp as f64);
+            out.gauge("tcqr_scaling_max_exp", s.max_exp as f64);
+            out.gauge("tcqr_scaling_scaled_cols", s.scaled_cols as f64);
         }
         let f = &self.fault;
-        nonzero("tcqr_fault_injected_total", f.injected);
-        nonzero("tcqr_fault_detected_total", f.detected);
+        nonzero(&mut out, "tcqr_fault_injected_total", f.injected);
+        nonzero(&mut out, "tcqr_fault_detected_total", f.detected);
         for (rung, n) in &f.retries_by_rung {
-            counter(
-                &labeled("tcqr_recovery_retries_total", &[("rung", rung)]),
+            out.counter(
+                labeled("tcqr_recovery_retries_total", &[("rung", rung)]),
                 *n,
             );
         }
         for (recovered, n) in [("true", f.recovered), ("false", f.exhausted)] {
             nonzero(
+                &mut out,
                 &labeled("tcqr_recovery_outcomes_total", &[("recovered", recovered)]),
                 n,
             );
@@ -628,61 +631,62 @@ impl RunReport {
             tally.0 += 1;
             tally.1 += s.close.stalled as u64;
             let iterations = s.close.iterations as f64;
-            gauge(&labeled("tcqr_solve_iterations", &labels), iterations);
+            out.gauge(labeled("tcqr_solve_iterations", &labels), iterations);
             if let Some(rel) = s.close.final_rel {
-                gauge(&labeled("tcqr_solve_final_rel", &labels), rel);
+                out.gauge(labeled("tcqr_solve_final_rel", &labels), rel);
             }
             if let Some(slope) = s.close.decay_slope {
-                gauge(&labeled("tcqr_residual_decay_slope", &labels), slope);
+                out.gauge(labeled("tcqr_residual_decay_slope", &labels), slope);
             }
         }
         for (solver, (solves, stalled)) in per_solver {
             let labels = [("solver", solver)];
-            counter(&labeled("tcqr_solves_total", &labels), solves);
-            nonzero(&labeled("tcqr_stalled_solves_total", &labels), stalled);
+            out.counter(labeled("tcqr_solves_total", &labels), solves);
+            nonzero(
+                &mut out,
+                &labeled("tcqr_stalled_solves_total", &labels),
+                stalled,
+            );
         }
         for (objective, (healthy, measured)) in &self.slo_last {
             let labels = [("objective", objective.as_str())];
-            gauge(&labeled("tcqr_slo_healthy", &labels), *healthy as u8 as f64);
-            gauge(&labeled("tcqr_slo_measured", &labels), *measured);
+            out.gauge(labeled("tcqr_slo_healthy", &labels), *healthy as u8 as f64);
+            out.gauge(labeled("tcqr_slo_measured", &labels), *measured);
         }
         for (family, tally) in [
             ("tcqr_slo_breaches_total", &self.slo_breach_events),
             ("tcqr_slo_recovered_total", &self.slo_recovered_events),
         ] {
             for (objective, n) in tally {
-                counter(&labeled(family, &[("objective", objective)]), *n);
+                out.counter(labeled(family, &[("objective", objective)]), *n);
             }
         }
         if self.critpath.count > 0 {
-            gauge(
+            out.gauge(
                 "tcqr_critpath_bottleneck_engine",
                 self.critpath.get("engine"),
             );
             for k in ["jobs", "length_secs", "slack_max_secs"] {
-                gauge(&format!("tcqr_critpath_{k}"), self.critpath.get(k));
+                out.gauge(format!("tcqr_critpath_{k}"), self.critpath.get(k));
             }
         }
         for (phase, b) in &self.budgets {
             let labels = [("phase", phase.as_str())];
-            gauge(
-                &labeled("tcqr_error_budget_det_bound", &labels),
-                b.det_bound,
-            );
-            gauge(
-                &labeled("tcqr_error_budget_prob_bound", &labels),
+            out.gauge(labeled("tcqr_error_budget_det_bound", &labels), b.det_bound);
+            out.gauge(
+                labeled("tcqr_error_budget_prob_bound", &labels),
                 b.prob_bound,
             );
-            gauge(
-                &labeled("tcqr_error_budget_rounded", &labels),
+            out.gauge(
+                labeled("tcqr_error_budget_rounded", &labels),
                 b.rounded as f64,
             );
         }
         if self.serve.count > 0 {
             for (k, v) in self.serve_entries() {
-                gauge(&format!("tcqr_serve_{k}"), v);
+                out.gauge(format!("tcqr_serve_{k}"), v);
             }
-            gauge("tcqr_serve_admission_enabled", self.serve.get("admission"));
+            out.gauge("tcqr_serve_admission_enabled", self.serve.get("admission"));
         }
         if self.fleet.count > 0 {
             for (k, series) in [
@@ -691,7 +695,7 @@ impl RunReport {
                 ("fault_injected", "fault_injected_total"),
                 ("fault_detected", "fault_detected_total"),
             ] {
-                counter(&format!("tcqr_batch_{series}"), self.fleet.get(k) as u64);
+                out.counter(format!("tcqr_batch_{series}"), self.fleet.get(k) as u64);
             }
             for k in [
                 "engines",
@@ -703,17 +707,17 @@ impl RunReport {
                 "queue_wait_p90_secs",
                 "queue_wait_p99_secs",
             ] {
-                gauge(&format!("tcqr_batch_{k}"), self.fleet.get(k));
+                out.gauge(format!("tcqr_batch_{k}"), self.fleet.get(k));
             }
-            let (waits, execs) = (Histogram::new(), Histogram::new());
+            let (mut waits, mut execs) = (Histogram::new(), Histogram::new());
             for s in &self.segments {
                 waits.observe(s.wait_secs);
                 execs.observe(s.end_secs - s.start_secs);
             }
-            reg.histogram("tcqr_batch_queue_wait_secs")
-                .copy_from(&waits);
-            reg.histogram("tcqr_batch_exec_secs").copy_from(&execs);
+            out.histogram("tcqr_batch_queue_wait_secs", waits);
+            out.histogram("tcqr_batch_exec_secs", execs);
         }
+        out.render()
     }
 }
 
@@ -758,12 +762,26 @@ mod tests {
         sink.snapshot()
     }
 
-    /// The fold of `emit`'s events, its baseline keys, and its registry.
-    fn fold(emit: impl FnOnce(&Tracer)) -> (RunReport, BTreeMap<String, f64>, Registry) {
+    /// The fold of `emit`'s events, its baseline keys, and its Prometheus
+    /// samples by series name.
+    fn fold(
+        emit: impl FnOnce(&Tracer),
+    ) -> (RunReport, BTreeMap<String, f64>, BTreeMap<String, f64>) {
         let rep = RunReport::from_events(&events(emit));
-        let reg = Registry::new();
-        rep.publish(&reg);
-        (rep.clone(), rep.metrics(), reg)
+        let prom = samples(&rep.render_prometheus());
+        let m = rep.metrics();
+        (rep, m, prom)
+    }
+
+    /// Read exposition text back as `series -> value`.
+    fn samples(text: &str) -> BTreeMap<String, f64> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                let (name, v) = l.rsplit_once(' ').expect("sample line");
+                (name.to_string(), v.parse().expect("sample value"))
+            })
+            .collect()
     }
 
     fn op(t: &Tracer, name: &str, phase: &str, class: &str, secs: f64, rounded: u64) {
@@ -829,7 +847,7 @@ mod tests {
 
     #[test]
     fn charges_solves_and_health_reach_both_views() {
-        let (rep, m, reg) = fold(sample);
+        let (rep, m, prom) = fold(sample);
         assert_eq!(rep.experiments, vec![("fig6".to_string(), Some(1.25))]);
         assert_eq!(
             rep.warnings,
@@ -859,38 +877,31 @@ mod tests {
             assert_eq!(m[key], v, "{key}");
         }
         // Only routed `gemm` ops count as GEMM calls, in both views.
-        assert_eq!(reg.counter("tcqr_gemm_calls_total").get(), 1);
-        assert_eq!(reg.counter("tcqr_events_total").get(), 14);
-        assert_eq!(reg.histogram("tcqr_op_secs{phase=\"update\"}").count(), 2);
-        assert_eq!(reg.gauge("tcqr_fp16_overflow_rate").get(), 0.1);
+        assert_eq!(prom["tcqr_gemm_calls_total"], 1.0);
+        assert_eq!(prom["tcqr_events_total"], 14.0);
+        assert_eq!(prom["tcqr_op_secs_count{phase=\"update\"}"], 2.0);
+        assert_eq!(prom["tcqr_fp16_overflow_rate"], 0.1);
         assert_eq!(
-            reg.gauge("tcqr_orthogonality_error{level=\"1\",stage=\"factor\"}")
-                .get(),
+            prom["tcqr_orthogonality_error{level=\"1\",stage=\"factor\"}"],
             1e-7
         );
-        assert_eq!(reg.gauge("tcqr_scaling_scaled_cols").get(), 7.0);
-        assert_eq!(
-            reg.gauge("tcqr_residual_decay_slope{solver=\"cgls\"}")
-                .get(),
-            -0.8
-        );
-        assert!(reg
-            .get("tcqr_stalled_solves_total{solver=\"cgls\"}")
-            .is_none());
+        assert_eq!(prom["tcqr_scaling_scaled_cols"], 7.0);
+        assert_eq!(prom["tcqr_residual_decay_slope{solver=\"cgls\"}"], -0.8);
+        assert!(!prom.contains_key("tcqr_stalled_solves_total{solver=\"cgls\"}"));
         // Optional families are absent, not zero, from an empty run.
-        let (_, m, reg) = fold(|_| {});
+        let (rep, m, _) = fold(|_| {});
         assert_eq!(m["solve.count"], 0.0);
         assert_eq!(
             m.len(),
             11,
             "secs/flops totals, counts, round, solve.count: {m:?}"
         );
-        assert!(reg.snapshot().is_empty());
+        assert!(rep.render_prometheus().is_empty());
     }
 
     #[test]
     fn fault_events_fold_into_tallies_not_charges_or_warnings() {
-        let (rep, m, reg) = fold(|t| {
+        let (rep, m, prom) = fold(|t| {
             FaultInjected::default().emit(t);
             FaultDetected::default().emit(t);
             RecoveryRetry {
@@ -914,15 +925,10 @@ mod tests {
         );
         assert!(rep.total_secs() == 0.0 && rep.warnings.is_empty());
         assert_eq!((m["fault.escaped"], m["fault.exhausted"]), (0.0, 1.0));
+        assert_eq!(prom["tcqr_recovery_retries_total{rung=\"recompute\"}"], 1.0);
         assert_eq!(
-            reg.counter("tcqr_recovery_retries_total{rung=\"recompute\"}")
-                .get(),
-            1
-        );
-        assert_eq!(
-            reg.counter("tcqr_recovery_outcomes_total{recovered=\"true\"}")
-                .get(),
-            2
+            prom["tcqr_recovery_outcomes_total{recovered=\"true\"}"],
+            2.0
         );
         let mut total = FaultSummary::default();
         total.absorb(f);
@@ -932,7 +938,7 @@ mod tests {
 
     #[test]
     fn batches_and_critpaths_sum_keep_maxima_and_recompute_ratios() {
-        let (rep, m, reg) = fold(|t| {
+        let (rep, m, prom) = fold(|t| {
             for (jobs, engines, makespan_secs, p90) in [(6, 2, 2.0, 0.5), (4, 3, 1.0, 0.25)] {
                 let (ok, busy_secs, queue_wait_p90_secs) = (jobs - 1, 3.0, p90);
                 FleetSummary {
@@ -990,24 +996,17 @@ mod tests {
         assert!(!m.contains_key("fleet.queue_wait_mean_secs"));
         // Narration restates already-charged time and rounding.
         assert_eq!((rep.total_secs(), rep.rounded), (0.0, 0));
-        assert_eq!(reg.counter("tcqr_batch_jobs_total").get(), 10);
-        assert_eq!(
-            reg.gauge("tcqr_batch_efficiency").get(),
-            m["fleet.efficiency"]
-        );
-        assert_eq!(reg.histogram("tcqr_batch_exec_secs").sum(), 3.0);
-        assert_eq!(reg.gauge("tcqr_critpath_bottleneck_engine").get(), 0.0);
-        assert_eq!(
-            reg.gauge("tcqr_error_budget_rounded{phase=\"update\"}")
-                .get(),
-            4096.0
-        );
-        assert!(reg.get("tcqr_rounded_total").is_none());
+        assert_eq!(prom["tcqr_batch_jobs_total"], 10.0);
+        assert_eq!(prom["tcqr_batch_efficiency"], m["fleet.efficiency"]);
+        assert_eq!(prom["tcqr_batch_exec_secs_sum"], 3.0);
+        assert_eq!(prom["tcqr_critpath_bottleneck_engine"], 0.0);
+        assert_eq!(prom["tcqr_error_budget_rounded{phase=\"update\"}"], 4096.0);
+        assert!(!prom.contains_key("tcqr_rounded_total"));
     }
 
     #[test]
     fn slo_services_and_campaigns_fold_into_both_views() {
-        let (rep, m, reg) = fold(|t| {
+        let (rep, m, prom) = fold(|t| {
             SloBreach {
                 objective: "q".into(),
                 ..Default::default()
@@ -1054,22 +1053,14 @@ mod tests {
             !m.contains_key("serve.deaths"),
             "calm services keep their keyset"
         );
-        assert_eq!(
-            reg.counter("tcqr_slo_breaches_total{objective=\"q\"}")
-                .get(),
-            1
-        );
-        assert_eq!(
-            reg.counter("tcqr_slo_recovered_total{objective=\"q\"}")
-                .get(),
-            1
-        );
-        assert_eq!(reg.gauge("tcqr_slo_measured{objective=\"b\"}").get(), 0.1);
-        assert_eq!(reg.gauge("tcqr_serve_admitted").get(), 14.0);
-        assert_eq!(reg.gauge("tcqr_serve_admission_enabled").get(), 1.0);
-        assert!(reg.get("tcqr_serve_deaths").is_none());
+        assert_eq!(prom["tcqr_slo_breaches_total{objective=\"q\"}"], 1.0);
+        assert_eq!(prom["tcqr_slo_recovered_total{objective=\"q\"}"], 1.0);
+        assert_eq!(prom["tcqr_slo_measured{objective=\"b\"}"], 0.1);
+        assert_eq!(prom["tcqr_serve_admitted"], 14.0);
+        assert_eq!(prom["tcqr_serve_admission_enabled"], 1.0);
+        assert!(!prom.contains_key("tcqr_serve_deaths"));
 
-        let (_, m, reg) = fold(|t| {
+        let (_, m, prom) = fold(|t| {
             ServeSummary {
                 deaths: 2,
                 failovers: 7,
@@ -1091,7 +1082,7 @@ mod tests {
             (m["chaos.campaigns"], m["chaos.engines"], m["chaos.killed"]),
             (1.0, 6.0, 2.0)
         );
-        assert_eq!(reg.gauge("tcqr_serve_failovers").get(), 7.0);
+        assert_eq!(prom["tcqr_serve_failovers"], 7.0);
     }
 
     #[test]

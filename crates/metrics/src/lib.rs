@@ -10,20 +10,17 @@
 //!   `observe` owns every aggregation rule for engine charges, solver spans,
 //!   and the typed summary events of `tcqr_trace::schema`; it renders both
 //!   the dotted keys of the baseline gate ([`RunReport::metrics`]) and the
-//!   `tcqr_*` Prometheus series ([`RunReport::publish`]).
-//! - **[`registry`]** — lock-cheap instruments ([`Counter`], [`Gauge`],
-//!   [`Histogram`] with log2 buckets) in a named [`Registry`], rendered to
-//!   the Prometheus text format by [`Registry::render_prometheus`]
-//!   (conformant exposition: `# HELP`/`# TYPE` per family via
-//!   [`bridge::help_for`], escaped label values via
-//!   [`registry::escape_label_value`]). A process-global registry
-//!   ([`registry::global`]) backs the default bridge.
+//!   `tcqr_*` Prometheus series ([`RunReport::render_prometheus`]).
+//! - **[`prometheus`]** — the text exposition format: the log2-bucketed
+//!   [`Histogram`] the fold owns, series names with escaped label values,
+//!   and the writer that gives every family a `# HELP` ([`help_for`]) and a
+//!   `# TYPE` line.
 //! - **[`bridge`]** — [`TraceToMetrics`], a `TraceSink` that drives one
-//!   [`RunReport`] over the live stream of the whole process and publishes
-//!   it into the registry on `flush()`. Per-experiment reports folded from
-//!   the same events therefore agree with the Prometheus view: a series
-//!   with a baseline counterpart is the sum, max, min, or argmax of the
-//!   per-experiment values.
+//!   [`RunReport`] over the live stream of the whole process and renders it
+//!   with [`TraceToMetrics::render_prometheus`]. Per-experiment reports
+//!   folded from the same events therefore agree with the Prometheus view: a
+//!   series with a baseline counterpart is the sum, max, min, or argmax of
+//!   the per-experiment values.
 //! - **[`chrome`]** — [`chrome_trace_json`] / [`ChromeTraceSink`], exporting
 //!   a trace as Chrome Trace Event JSON on a *virtual clock* built from the
 //!   engine's modeled seconds, loadable directly in
@@ -45,16 +42,16 @@
 //! ```
 //! use std::sync::Arc;
 //! use tcqr_trace::{Tracer, Value};
-//! use tcqr_metrics::{Registry, TraceToMetrics};
+//! use tcqr_metrics::TraceToMetrics;
 //!
-//! let reg: &'static Registry = Box::leak(Box::new(Registry::new()));
-//! let tracer = Tracer::new(Arc::new(TraceToMetrics::with_registry(reg)));
+//! let bridge = Arc::new(TraceToMetrics::new());
+//! let tracer = Tracer::new(bridge.clone());
 //! tracer.op("gemm", &[
 //!     ("phase", Value::from("update")),
 //!     ("secs", Value::from(1.5e-3)),
 //! ]);
-//! tracer.flush(); // publish the fold into the registry
-//! assert_eq!(reg.gauge("tcqr_modeled_seconds{phase=\"update\"}").get(), 1.5e-3);
+//! let text = bridge.render_prometheus();
+//! assert!(text.contains("tcqr_modeled_seconds{phase=\"update\"} 0.0015\n"));
 //! ```
 
 #![warn(missing_docs)]
@@ -62,7 +59,7 @@
 pub mod bridge;
 pub mod chrome;
 pub mod fold;
-pub mod registry;
+pub mod prometheus;
 
 pub use tcqr_trace::json;
 
@@ -71,6 +68,4 @@ pub use fold::{FaultSummary, Rollup, RunReport, SolveSummary};
 pub use chrome::{
     chrome_trace_json, validate_chrome_trace, ChromeStats, ChromeTraceSink,
 };
-pub use registry::{
-    escape_label_value, global, labeled, Counter, Gauge, Histogram, Metric, Registry,
-};
+pub use prometheus::Histogram;

@@ -1,8 +1,9 @@
 //! Parser-based conformance check for the Prometheus text exposition.
 //!
-//! Rather than substring-matching the rendered text, these tests run a small
-//! strict parser over `Registry::render_prometheus` output and assert the
-//! structural rules a real scraper relies on:
+//! Rather than substring-matching the rendered text, these tests fold a
+//! traced event stream, run a small strict parser over the
+//! `render_prometheus` output, and assert the structural rules a real
+//! scraper relies on:
 //!
 //! - every sample's family is announced by a `# HELP` line and then a
 //!   `# TYPE` line *before* its first sample, each exactly once;
@@ -15,8 +16,8 @@
 
 use std::sync::Arc;
 
-use tcqr_metrics::{labeled, Registry, TraceToMetrics};
-use tcqr_trace::{Tracer, Value};
+use tcqr_metrics::{RunReport, TraceToMetrics};
+use tcqr_trace::{MemSink, Tracer, Value};
 
 /// One parsed sample line.
 #[derive(Debug)]
@@ -183,7 +184,7 @@ fn family_of<'a>(sample: &'a str, declared: &[(String, String)]) -> &'a str {
     sample
 }
 
-/// Assert the structural rules over a rendered registry.
+/// Assert the structural rules over a rendered exposition.
 fn assert_conformant(text: &str) -> Exposition {
     let exp = parse_exposition(text).expect("exposition parses");
     // HELP and TYPE at most once per family, HELP first.
@@ -219,14 +220,17 @@ fn assert_conformant(text: &str) -> Exposition {
     exp
 }
 
-fn leak(reg: Registry) -> &'static Registry {
-    Box::leak(Box::new(reg))
+/// Fold the events `emit` traces and render them.
+fn render(emit: impl FnOnce(&Tracer)) -> String {
+    let sink = Arc::new(MemSink::new());
+    emit(&Tracer::new(sink.clone()));
+    RunReport::from_events(&sink.snapshot()).render_prometheus()
 }
 
 #[test]
 fn bridge_output_parses_and_declares_every_family() {
-    let reg = leak(Registry::new());
-    let tracer = Tracer::new(Arc::new(TraceToMetrics::with_registry(reg)));
+    let bridge = Arc::new(TraceToMetrics::new());
+    let tracer = Tracer::new(bridge.clone());
     tracer.op(
         "gemm",
         &[
@@ -249,9 +253,7 @@ fn bridge_output_parses_and_declares_every_family() {
         "slo.breach",
         &[("objective", Value::from("no-escapes")), ("value", Value::from(1.0))],
     );
-    // The bridge publishes its fold into the registry on flush.
-    tracer.flush();
-    let exp = assert_conformant(&reg.render_prometheus());
+    let exp = assert_conformant(&bridge.render_prometheus());
     assert!(!exp.samples.is_empty());
     let healthy = exp
         .samples
@@ -273,29 +275,43 @@ fn bridge_output_parses_and_declares_every_family() {
 
 #[test]
 fn hostile_label_values_round_trip_through_the_escaper() {
-    let reg = leak(Registry::new());
-    // A label value using every character class the exposition format makes
-    // special, as a solver error string might.
+    // An objective name using every character class the exposition format
+    // makes special, as a user-written SLO spec might.
     let nasty = "shape \"4x8\" rejected\\retry\nescalated";
-    reg.counter(&labeled("tcqr_solves_total", &[("solver", nasty)]))
-        .add(3);
-    let exp = assert_conformant(&reg.render_prometheus());
+    let text = render(|t| {
+        t.op(
+            "slo.objective",
+            &[
+                ("objective", Value::from(nasty)),
+                ("healthy", Value::from(false)),
+                ("measured", Value::from(3.0)),
+            ],
+        );
+    });
+    let exp = assert_conformant(&text);
     let s = exp
         .samples
         .iter()
-        .find(|s| s.name == "tcqr_solves_total")
+        .find(|s| s.name == "tcqr_slo_measured")
         .unwrap();
-    assert_eq!(s.labels, vec![("solver".to_string(), nasty.to_string())]);
+    assert_eq!(s.labels, vec![("objective".to_string(), nasty.to_string())]);
     assert_eq!(s.value, 3.0);
 }
 
 #[test]
 fn histogram_samples_map_back_to_their_declared_family() {
-    let reg = leak(Registry::new());
-    let h = reg.histogram(&labeled("tcqr_op_secs", &[("op", "gemm")]));
-    h.observe(0.75);
-    h.observe(3.0);
-    let exp = assert_conformant(&reg.render_prometheus());
+    let text = render(|t| {
+        for secs in [0.75, 3.0] {
+            t.op(
+                "gemm",
+                &[
+                    ("phase", Value::from("update")),
+                    ("secs", Value::from(secs)),
+                ],
+            );
+        }
+    });
+    let exp = assert_conformant(&text);
     assert!(exp
         .types
         .iter()
@@ -309,7 +325,7 @@ fn histogram_samples_map_back_to_their_declared_family() {
         .collect();
     assert!(buckets.len() >= 2);
     for b in &buckets {
-        assert!(b.labels.iter().any(|(k, v)| k == "op" && v == "gemm"));
+        assert!(b.labels.iter().any(|(k, v)| k == "phase" && v == "update"));
         assert!(b.labels.iter().any(|(k, _)| k == "le"));
     }
     let inf = buckets

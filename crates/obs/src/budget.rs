@@ -15,9 +15,9 @@
 //! GEMMs' modeled bound doubled", "panel roundings started overflowing" —
 //! instead of only moving a final residual.
 //!
-//! The unit-roundoff constants are deliberately duplicated from
-//! `tcqr_core::error_analysis` (this crate depends only on `tcqr-trace`
-//! by design); a cross-crate test in `tcqr-bench` asserts they stay equal.
+//! The unit roundoffs and bound forms are the workspace's one copy in
+//! `halfsim::bounds`, the same functions the `ablation-bounds` experiment
+//! measures against the engine.
 //!
 //! Like the rest of the attribution layer, budgets are post-hoc trace
 //! consumers: bound contributions are folded through the order-independent
@@ -27,50 +27,33 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use halfsim::bounds::{det_tc_bound, gamma, prob_tc_bound, U16, U32, U64};
 use tcqr_trace::json::{push_json_number, push_json_string};
 use tcqr_trace::schema::Charge;
 use tcqr_trace::{Event, Fingerprint, Tracer};
 
 use crate::diff::StableSum;
 
-/// Unit roundoff of IEEE fp16 (2^-11). Mirrors `tcqr_core::error_analysis::U16`.
-pub const U16: f64 = 4.8828125e-4;
-/// Unit roundoff of IEEE fp32 (2^-24). Mirrors `tcqr_core::error_analysis::U32`.
-pub const U32: f64 = 5.960464477539063e-8;
-/// Unit roundoff of IEEE fp64 (2^-53).
-pub const U64_UNIT: f64 = 1.1102230246251565e-16;
 /// Probabilistic-bound confidence multiplier: failure probability
 /// ≈ `4 exp(-λ²/2)` ≈ 6e-8 per entry at `λ = 6`.
 pub const LAMBDA: f64 = 6.0;
 
-/// `γ_n(u) = n·u / (1 - n·u)`, saturating to `+∞` once `n·u >= 1` (the
-/// classical bound is vacuous there; `+∞` keeps that visible instead of
-/// going negative).
-pub fn gamma(n: f64, u: f64) -> f64 {
-    let nu = n * u;
-    if nu >= 1.0 {
-        f64::INFINITY
-    } else {
-        nu / (1.0 - nu)
-    }
-}
-
 /// Deterministic per-product bound for a `k`-deep accumulation in `class`.
-fn det_bound(class: &str, k: f64) -> f64 {
+fn det_bound(class: &str, k: usize) -> f64 {
     match class {
-        "tc" => 2.0 * U16 + U16 * U16 + gamma(k, U32),
-        "fp32" => gamma(k, U32),
-        _ => gamma(k, U64_UNIT),
+        "tc" => det_tc_bound(k, U16),
+        "fp32" => gamma(k as f64, U32),
+        _ => gamma(k as f64, U64),
     }
 }
 
 /// Probabilistic (`λ = 6`) per-product bound for a `k`-deep accumulation.
-fn prob_bound(class: &str, k: f64) -> f64 {
-    let sk = k.max(1.0).sqrt();
+fn prob_bound(class: &str, k: usize) -> f64 {
+    let sk = (k as f64).sqrt();
     match class {
-        "tc" => LAMBDA * (2.0 * U16 / sk + sk * U32),
+        "tc" => prob_tc_bound(k, U16, LAMBDA),
         "fp32" => LAMBDA * sk * U32,
-        _ => LAMBDA * sk * U64_UNIT,
+        _ => LAMBDA * sk * U64,
     }
 }
 
@@ -112,7 +95,7 @@ impl ErrorBudget {
             a.nan = a.nan.saturating_add(c.nan);
             if let (Some(class), Some(k)) = (c.class, c.k) {
                 a.gemms += 1;
-                let k = (k as f64).max(1.0);
+                let k = k.max(1) as usize;
                 a.det.push(det_bound(class, k));
                 a.prob.push(prob_bound(class, k));
             }
@@ -407,18 +390,16 @@ mod tests {
 
     #[test]
     fn bounds_match_the_yang_et_al_forms() {
-        let k = 4096.0;
-        assert_eq!(det_bound("tc", k), 2.0 * U16 + U16 * U16 + gamma(k, U32));
+        let k = 4096;
+        let sk = (k as f64).sqrt();
         assert_eq!(
-            prob_bound("tc", k),
-            LAMBDA * (2.0 * U16 / k.sqrt() + k.sqrt() * U32)
+            det_bound("tc", k),
+            2.0 * U16 + U16 * U16 + gamma(k as f64, U32)
         );
-        assert_eq!(det_bound("fp32", k), gamma(k, U32));
+        assert_eq!(prob_bound("tc", k), LAMBDA * (2.0 * U16 / sk + sk * U32));
+        assert_eq!(det_bound("fp32", k), gamma(k as f64, U32));
         // The probabilistic bound beats the deterministic one at depth.
         assert!(prob_bound("tc", k) < det_bound("tc", k));
-        // γ saturates instead of going negative.
-        assert_eq!(gamma(1e12, U16), f64::INFINITY);
-        assert!(gamma(10.0, U32) > 9.9 * U32 && gamma(10.0, U32) < 10.1 * U32);
     }
 
     #[test]
@@ -428,14 +409,14 @@ mod tests {
         let panel = &b.phases[0];
         assert_eq!(panel.phase, "panel");
         assert_eq!((panel.ops, panel.gemms), (1, 1));
-        assert_eq!(panel.det_bound, det_bound("fp32", 64.0));
+        assert_eq!(panel.det_bound, det_bound("fp32", 64));
         let update = &b.phases[1];
         assert_eq!(update.phase, "update");
         // gemm + round_half ops, one gemm.
         assert_eq!((update.ops, update.gemms), (2, 1));
         assert_eq!(update.rounded, 4196);
         assert_eq!(update.overflow, 7);
-        assert_eq!(update.det_bound, det_bound("tc", 4096.0));
+        assert_eq!(update.det_bound, det_bound("tc", 4096));
         assert_eq!((update.overflow, update.rounded), (7, 4196));
         // Rollup events never feed a budget.
         assert!(b.phases.iter().all(|p| p.phase != "jobs"));

@@ -41,9 +41,10 @@
 //! different `--threads` schedules deliver in different orders. CI
 //! compares the rendered bytes directly.
 //!
-//! The crate depends only on `tcqr-trace` on purpose: metric export
-//! happens by emitting `slo.*` trace events that the existing
-//! `tcqr-metrics` bridge converts to `tcqr_slo_*` series, which keeps one
+//! The crate depends on `tcqr-trace` and on `halfsim` (for the one copy of
+//! the rounding-error bounds in `halfsim::bounds`), not on `tcqr-metrics`:
+//! metric export happens by emitting `slo.*` trace events that the
+//! `tcqr-metrics` fold renders as `tcqr_slo_*` series, which keeps one
 //! source of truth and avoids double counting.
 
 pub mod budget;

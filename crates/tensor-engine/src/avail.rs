@@ -32,8 +32,6 @@
 //! reorder *where and when* work runs, and the fleet layers prove the
 //! *what* stayed bit-identical against a healthy-pool oracle.
 
-use std::sync::Mutex;
-
 use crate::counters::Phase;
 use densemat::splitmix64;
 
@@ -271,44 +269,6 @@ impl AvailState {
 /// The phase availability stalls are charged to.
 pub(crate) const STALL_PHASE: Phase = Phase::Other;
 
-/// Process-global default availability plan, picked up by every
-/// [`crate::GpuSim`] constructed after it is set — the same pattern as
-/// [`crate::fault::set_global_plan`].
-static GLOBAL_AVAIL_PLAN: Mutex<Option<EngineFaultPlan>> = Mutex::new(None);
-
-/// Install (or clear, with `None`) the process-global availability plan.
-/// Only affects engines constructed afterwards.
-pub fn set_global_avail_plan(plan: Option<EngineFaultPlan>) {
-    *GLOBAL_AVAIL_PLAN.lock().unwrap() = plan;
-}
-
-/// The current process-global availability plan, if any.
-pub fn global_avail_plan() -> Option<EngineFaultPlan> {
-    GLOBAL_AVAIL_PLAN.lock().unwrap().clone()
-}
-
-/// RAII guard around [`set_global_avail_plan`]: installs `plan` on
-/// construction and clears the global slot on drop — including on panic, so
-/// a crashing campaign can't leak an armed plan into later tests. See
-/// [`crate::fault::GlobalPlanGuard`] for the data-fault twin.
-#[must_use = "dropping the guard immediately disarms the plan"]
-#[derive(Debug)]
-pub struct GlobalAvailGuard(());
-
-impl GlobalAvailGuard {
-    /// Arm the process-global availability plan for the guard's lifetime.
-    pub fn arm(plan: EngineFaultPlan) -> GlobalAvailGuard {
-        set_global_avail_plan(Some(plan));
-        GlobalAvailGuard(())
-    }
-}
-
-impl Drop for GlobalAvailGuard {
-    fn drop(&mut self) {
-        set_global_avail_plan(None);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,14 +317,5 @@ mod tests {
     fn disabled_plan_is_inactive() {
         assert!(!EngineFaultPlan::disabled().is_active());
         assert!(EngineFaultPlan::crash_at(0).is_active());
-    }
-
-    #[test]
-    fn global_guard_disarms_on_drop() {
-        {
-            let _g = GlobalAvailGuard::arm(EngineFaultPlan::crash_at(3));
-            assert!(global_avail_plan().is_some());
-        }
-        assert!(global_avail_plan().is_none());
     }
 }

@@ -326,8 +326,6 @@ impl GpuSim {
         let mode = trace_mode_of(&tracer);
         let plan = fault::global_plan();
         let armed = plan.as_ref().is_some_and(FaultPlan::is_active);
-        let avail_plan = avail::global_avail_plan();
-        let avail_armed = avail_plan.as_ref().is_some_and(EngineFaultPlan::is_active);
         let precision = encode_override(global_precision());
         GpuSim {
             cfg,
@@ -340,8 +338,8 @@ impl GpuSim {
             fault_armed: AtomicBool::new(armed),
             fault: Mutex::new(plan.map(FaultState::new)),
             precision_override: AtomicU8::new(precision),
-            avail_armed: AtomicBool::new(avail_armed),
-            avail: Mutex::new(avail_plan.map(AvailState::new)),
+            avail_armed: AtomicBool::new(false),
+            avail: Mutex::new(None),
             dead: AtomicBool::new(false),
         }
     }

@@ -47,10 +47,7 @@ pub mod halfmat;
 pub mod perf;
 mod workspace;
 
-pub use avail::{
-    AvailStats, EngineCrash, EngineFaultKind, EngineFaultPlan, GlobalAvailGuard,
-    PlannedEngineFault,
-};
+pub use avail::{AvailStats, EngineCrash, EngineFaultKind, EngineFaultPlan, PlannedEngineFault};
 pub use counters::{Counters, Ledger, Phase};
 pub use engine::{
     global_precision, set_global_precision, EngineConfig, GlobalPrecisionGuard, GpuSim, HalfKind,

@@ -10,34 +10,8 @@
 
 use densemat::gen::{for_each_seed, Rng};
 use densemat::{gemm, Mat, Op};
+use halfsim::bounds::det_ec_bound;
 use tensor_engine::{GpuSim, Phase, PrecisionOverride};
-
-/// Effective unit roundoff of the split representation, `2^-22`.
-///
-/// These constants mirror `tcqr_core::error_analysis` (`UEC`, `U16`,
-/// `U32`, `det_ec_bound`), which cannot be imported here without a
-/// dev-dependency cycle; `error_corrected_bound_holds_and_undercuts_plain_fp16`
-/// over there keeps the two in agreement.
-const UEC: f64 = 2.384185791015625e-7; // 2^-22
-/// Unit roundoff of IEEE binary16, `2^-11`.
-const U16: f64 = 4.8828125e-4;
-/// Unit roundoff of IEEE binary32, `2^-24`.
-const U32: f64 = 5.960464477539063e-8;
-
-/// `gamma_n = n u / (1 - n u)`.
-fn gamma(n: f64, u: f64) -> f64 {
-    let nu = n * u;
-    nu / (1.0 - nu)
-}
-
-/// Composed deterministic bound of the split scheme for a length-`k` dot
-/// product: operand representation error (`2 UEC + UEC^2`), the dropped
-/// `lo·lo` term (`U16^2 = 2^-22`), and the f32 accumulation
-/// (`gamma(k + 2)`).
-fn det_ec_bound(k: usize) -> f64 {
-    let k = k as f64;
-    2.0 * UEC + UEC * UEC + U16 * U16 + gamma(k + 2.0, U32)
-}
 
 /// Uniform in `(-scale, scale)`.
 fn mat(m: usize, n: usize, scale: f64, r: &mut Rng) -> Mat<f32> {

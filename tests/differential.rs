@@ -19,14 +19,13 @@ use tcqr_repro::densemat::gen::{self, rng, Spectrum};
 use tcqr_repro::densemat::lapack::Householder;
 use tcqr_repro::densemat::metrics::{orthogonality_error, qr_backward_error, rel_vec_error};
 use tcqr_repro::densemat::Mat;
+use tcqr_repro::halfsim::bounds::U16;
 use tcqr_repro::tcqr::lls::{try_cgls_qr_reortho, try_rgsqrf_scaled, RefineConfig};
 use tcqr_repro::tcqr::rgsqrf::RgsqrfConfig;
 use tcqr_repro::tcqr::{RecoveryPolicy, TcqrError};
 use tcqr_repro::tensor_engine::{GpuSim, PrecisionOverride};
 
 /// Unit roundoff of IEEE binary16 — the precision class of the factors.
-const F16_U: f64 = 4.8828125e-4;
-
 fn small_cfg() -> RgsqrfConfig {
     RgsqrfConfig {
         cutoff: 32,
@@ -99,8 +98,8 @@ fn corpus() -> Vec<Case> {
             a: gen::gaussian(m, n, &mut rng(100 + i as u64)),
             b: rhs(m, i as u64),
             expect: Expect::Accurate {
-                qr_tol: 50.0 * F16_U,
-                ortho_tol: 50.0 * F16_U,
+                qr_tol: 50.0 * U16,
+                ortho_tol: 50.0 * U16,
                 diag_tol: 0.05,
                 x_tol: 1e-8,
                 require_converged: true,
@@ -123,9 +122,9 @@ fn corpus() -> Vec<Case> {
             a: gen::rand_svd(m, n, Spectrum::Geometric { cond }, &mut rng(200 + i as u64)),
             b: rhs(m, 20 + i as u64),
             expect: Expect::Accurate {
-                qr_tol: 50.0 * F16_U,
-                ortho_tol: (100.0 * F16_U * cond).min(2.0),
-                diag_tol: (0.05 + 2e3 * F16_U * F16_U * cond).min(500.0),
+                qr_tol: 50.0 * U16,
+                ortho_tol: (100.0 * U16 * cond).min(2.0),
+                diag_tol: (0.05 + 2e3 * U16 * U16 * cond).min(500.0),
                 x_tol,
                 require_converged: cond <= 1e4,
             },
@@ -158,8 +157,8 @@ fn corpus() -> Vec<Case> {
             a: gen::badly_scaled(96, 24, span, &mut rng(400 + i as u64)),
             b: rhs(96, 40 + i as u64),
             expect: Expect::Accurate {
-                qr_tol: 50.0 * F16_U,
-                ortho_tol: 100.0 * F16_U,
+                qr_tol: 50.0 * U16,
+                ortho_tol: 100.0 * U16,
                 diag_tol: 0.05,
                 x_tol: 1e-8,
                 require_converged: true,
@@ -177,8 +176,8 @@ fn corpus() -> Vec<Case> {
             a,
             b: rhs(80, 45 + i),
             expect: Expect::Accurate {
-                qr_tol: 50.0 * F16_U,
-                ortho_tol: 100.0 * F16_U,
+                qr_tol: 50.0 * U16,
+                ortho_tol: 100.0 * U16,
                 diag_tol: 0.05,
                 x_tol: 1e-8,
                 require_converged: true,

@@ -5,12 +5,11 @@
 use tcqr_repro::densemat::gen::{self, rng, Spectrum};
 use tcqr_repro::densemat::metrics::{orthogonality_error, qr_backward_error};
 use tcqr_repro::densemat::Mat;
+use tcqr_repro::halfsim::bounds::U16;
 use tcqr_repro::tcqr::lls::rgsqrf_scaled;
 use tcqr_repro::tcqr::reortho::rgsqrf_reortho;
 use tcqr_repro::tcqr::rgsqrf::{rgsqrf, RgsqrfConfig};
 use tcqr_repro::tensor_engine::{EngineConfig, GpuSim};
-
-const F16_U: f64 = 4.8828125e-4;
 
 fn small_cfg() -> RgsqrfConfig {
     RgsqrfConfig {
@@ -45,7 +44,7 @@ fn backward_error_is_flat_in_cond_and_at_half_precision_scale() {
         errs.push(be);
     }
     for &e in &errs {
-        assert!(e < 20.0 * F16_U, "backward error {e} beyond fp16 scale");
+        assert!(e < 20.0 * U16, "backward error {e} beyond fp16 scale");
         assert!(e > 1e-8, "backward error {e} implausibly small for fp16");
     }
     let spread = errs.iter().cloned().fold(0.0f64, f64::max)
@@ -76,10 +75,10 @@ fn orthogonality_tracks_cond_and_reortho_flattens_it() {
     // Re-orthogonalized error stays near the engine's working precision and
     // does not track cond.
     for &e in &twice {
-        assert!(e < 30.0 * F16_U, "reortho orthogonality {e}");
+        assert!(e < 30.0 * U16, "reortho orthogonality {e}");
     }
     assert!(
-        twice[2] < 20.0 * twice[0].max(F16_U),
+        twice[2] < 20.0 * twice[0].max(U16),
         "reortho should decouple from cond: {twice:?}"
     );
 }
@@ -113,7 +112,7 @@ fn panel_choice_does_not_change_results_materially() {
         f_hh.q.convert::<f64>().as_ref(),
         f_hh.r.convert::<f64>().as_ref(),
     );
-    assert!(be1 < 20.0 * F16_U && be2 < 20.0 * F16_U, "{be1} vs {be2}");
+    assert!(be1 < 20.0 * U16 && be2 < 20.0 * U16, "{be1} vs {be2}");
     // Same R magnitudes up to fp16-level differences (Householder panels
     // choose LAPACK's sign convention, so compare absolute values).
     for j in 0..64 {
