@@ -183,10 +183,11 @@ pub fn result_fingerprint(r: &Result<JobOutput, TcqrError>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use densemat::gen::{rng, uniform_pm1};
     use tensor_engine::EngineConfig;
 
     fn small(m: usize, n: usize, seed: u64) -> Mat<f32> {
-        crate::jobgen::gaussian_f32(m, n, seed)
+        uniform_pm1(m, n, &mut rng(seed)).convert()
     }
 
     #[test]

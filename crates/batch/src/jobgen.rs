@@ -1,52 +1,25 @@
 //! Seeded synthetic workload generation for benches and tests.
 //!
-//! Deliberately self-contained: problems are derived from
-//! [`densemat::splitmix64`] rather than an external RNG crate, so the same
+//! Deliberately self-contained: problems are drawn from the splitmix64
+//! streams of [`densemat::gen`] rather than an external RNG crate, so the same
 //! seed produces bit-identical job mixes under every build configuration.
 //! That keeps the committed `batch.*` baseline values meaningful — the
 //! throughput numbers depend only on the seed, not on which RNG backend
 //! the build happened to link.
 
 use crate::job::{BatchJob, Job, LlsMethod};
+use densemat::gen::{rng, uniform_pm1};
 use densemat::{splitmix64, Mat};
 use tcqr_core::lowrank::QrKind;
 use tcqr_core::lu_ir::LuIrConfig;
 use tcqr_core::{RefineConfig, RgsqrfConfig};
 
-/// Uniform in `[-1, 1)` from the top 53 bits of a splitmix64 draw.
-fn uniform(state: &mut u64) -> f64 {
-    let u = (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    2.0 * u - 1.0
-}
-
-/// Seeded dense `m x n` matrix with entries uniform in `[-1, 1)`,
-/// column-major fill order (deterministic).
-pub fn gaussian_f32(m: usize, n: usize, seed: u64) -> Mat<f32> {
-    let mut state = seed;
-    let mut a: Mat<f32> = Mat::zeros(m, n);
-    for v in a.data_mut() {
-        *v = uniform(&mut state) as f32;
-    }
-    a
-}
-
-/// Seeded dense `m x n` matrix with entries uniform in `[-1, 1)` in `f64`.
-pub fn gaussian_f64(m: usize, n: usize, seed: u64) -> Mat<f64> {
-    let mut state = seed;
-    let mut a: Mat<f64> = Mat::zeros(m, n);
-    for v in a.data_mut() {
-        *v = uniform(&mut state);
-    }
-    a
-}
-
 /// Seeded diagonally dominant `n x n` system (always nonsingular and well
 /// conditioned, so LU-IR converges).
 pub fn diag_dominant_f64(n: usize, seed: u64) -> Mat<f64> {
-    let mut a = gaussian_f64(n, n, seed);
+    let mut a = uniform_pm1(n, n, &mut rng(seed));
     for i in 0..n {
-        let d = a.data()[i * n + i];
-        a.data_mut()[i * n + i] = d + n as f64;
+        a[(i, i)] += n as f64;
     }
     a
 }
@@ -98,33 +71,33 @@ pub fn job_at(cfg: &JobMixConfig, i: usize) -> BatchJob {
     let mat_seed = splitmix64(&mut state);
 
     let job = match i % 6 {
-        0 => Job::rgsqrf(gaussian_f32(m, n, mat_seed), qr_cfg),
+        0 => Job::rgsqrf(uniform_pm1(m, n, &mut rng(mat_seed)).convert(), qr_cfg),
         1 => Job::lls(
-            gaussian_f64(m, n, mat_seed),
-            gaussian_f64(m, 1, splitmix64(&mut state)).data().to_vec(),
+            uniform_pm1(m, n, &mut rng(mat_seed)),
+            uniform_pm1(m, 1, &mut rng(splitmix64(&mut state))).data().to_vec(),
             LlsMethod::Cgls,
             qr_cfg,
             refine,
         ),
         2 => Job::lls(
-            gaussian_f64(m, n, mat_seed),
-            gaussian_f64(m, 1, splitmix64(&mut state)).data().to_vec(),
+            uniform_pm1(m, n, &mut rng(mat_seed)),
+            uniform_pm1(m, 1, &mut rng(splitmix64(&mut state))).data().to_vec(),
             LlsMethod::Lsqr,
             qr_cfg,
             refine,
         ),
-        3 => Job::qr_svd(gaussian_f32(m, n, mat_seed), QrKind::Rgsqrf, qr_cfg),
+        3 => Job::qr_svd(uniform_pm1(m, n, &mut rng(mat_seed)).convert(), QrKind::Rgsqrf, qr_cfg),
         4 => Job::lu_ir(
             diag_dominant_f64(n, mat_seed),
-            gaussian_f64(n, 1, splitmix64(&mut state)).data().to_vec(),
+            uniform_pm1(n, 1, &mut rng(splitmix64(&mut state))).data().to_vec(),
             LuIrConfig {
                 block: 8,
                 ..LuIrConfig::default()
             },
         ),
         _ => Job::lls(
-            gaussian_f64(m, n, mat_seed),
-            gaussian_f64(m, 1, splitmix64(&mut state)).data().to_vec(),
+            uniform_pm1(m, n, &mut rng(mat_seed)),
+            uniform_pm1(m, 1, &mut rng(splitmix64(&mut state))).data().to_vec(),
             LlsMethod::Direct,
             qr_cfg,
             refine,
@@ -177,12 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn generators_match_their_seeds() {
-        let a = gaussian_f32(16, 4, 9);
-        let b = gaussian_f32(16, 4, 9);
-        assert_eq!(a.data(), b.data());
-        let c = gaussian_f32(16, 4, 10);
-        assert_ne!(a.data(), c.data());
+    fn diag_dominant_diagonal_dominates() {
         let d = diag_dominant_f64(8, 5);
         for i in 0..8 {
             assert!(d.data()[i * 8 + i].abs() > 4.0);

@@ -385,6 +385,7 @@ pub fn batch_solve(
 mod tests {
     use super::*;
     use crate::jobgen::{self, JobMixConfig};
+    use densemat::gen::{rng, uniform_pm1};
     use tensor_engine::EngineConfig;
 
     #[test]
@@ -428,7 +429,7 @@ mod tests {
             ..RgsqrfConfig::default()
         };
         let problems = (0..4)
-            .map(|i| (jobgen::gaussian_f32(40, 10, 100 + i), cfg))
+            .map(|i| (uniform_pm1(40, 10, &mut rng(100 + i)).convert(), cfg))
             .collect();
         let (factors, report) = batch_rgsqrf(&pool, problems);
         assert_eq!(factors.len(), 4);
@@ -589,9 +590,9 @@ mod tests {
     #[test]
     fn typed_errors_surface_per_job() {
         let pool = EnginePool::new(2, EngineConfig::default());
-        let good = Job::rgsqrf(jobgen::gaussian_f32(32, 8, 1), RgsqrfConfig::default());
+        let good = Job::rgsqrf(uniform_pm1(32, 8, &mut rng(1)).convert(), RgsqrfConfig::default());
         let bad = Job::rgsqrf(
-            jobgen::gaussian_f32(4, 8, 1), // wide: rejected
+            uniform_pm1(4, 8, &mut rng(1)).convert(), // wide: rejected
             RgsqrfConfig::default(),
         );
         let jobs = vec![BatchJob::from(good), BatchJob::from(bad)];

@@ -2,6 +2,7 @@
 //! detect every injected fault, recover every job, and never bleed one
 //! tenant's fault plan into a neighbor's engine.
 
+use densemat::gen::{rng, uniform_pm1};
 use tcqr_batch::job::result_fingerprint;
 use tcqr_batch::jobgen::{self, JobMixConfig};
 use tcqr_batch::{BatchScheduler, EnginePool};
@@ -58,7 +59,7 @@ fn tc_heavy_jobs(n_jobs: usize) -> Vec<tcqr_batch::BatchJob> {
     (0..n_jobs)
         .map(|i| {
             tcqr_batch::BatchJob::from(Job::rgsqrf(
-                jobgen::gaussian_f32(160, 48, 900 + i as u64),
+                uniform_pm1(160, 48, &mut rng(900 + i as u64)).convert(),
                 RgsqrfConfig {
                     cutoff: 16,
                     caqr_width: 8,

@@ -34,7 +34,7 @@
 //!   --write-baseline FILE
 //!                 record this run's metrics as a new baseline file
 //!   --health      enable the numerical-health monitors (per-level
-//!                 orthogonality sampling etc.; same as TCQR_HEALTH=1)
+//!                 orthogonality sampling etc.)
 //!   --precision MODE
 //!                 override the precision of every engine the experiments
 //!                 construct: `ec` (error-corrected tensor-core GEMM via
@@ -408,7 +408,7 @@ fn main() -> ExitCode {
         None => None,
     };
     if health {
-        tcqr_core::health::set_enabled(Some(true));
+        tcqr_core::health::set_enabled(true);
     }
     // Parse the campaign spec before any telemetry plumbing so a typo
     // fails fast; the plan is installed globally right before the

@@ -84,7 +84,7 @@ pub fn rounding_bounds() -> Table {
 /// Haidar et al.) vs this paper's QR + CGLS, on square systems.
 pub fn lu_vs_qr(scale: Scale) -> Table {
     use tcqr_core::lls::{cgls_qr, RefineConfig};
-    use tcqr_core::lu_ir::{cost_lu_ir, lu_ir_solve, LuIrConfig};
+    use tcqr_core::lu_ir::{cost_lu_ir, try_lu_ir_solve, LuIrConfig};
 
     let (_, n) = scale.lls_size();
     let n = n.max(96);
@@ -106,7 +106,8 @@ pub fn lu_vs_qr(scale: Scale) -> Table {
     let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 3) as f64 * 0.021).sin()).collect();
     for (i, &cond) in [1e2, 1e3, 1e4, 1e5].iter().enumerate() {
         let a = gen::rand_svd(n, n, Spectrum::Cluster2 { cond }, &mut rng(800 + i as u64));
-        let lu = lu_ir_solve(&GpuSim::default(), &a, &b, &LuIrConfig::default());
+        let policy = tcqr_core::RecoveryPolicy::default();
+        let lu = try_lu_ir_solve(&GpuSim::default(), &a, &b, &LuIrConfig::default(), &policy);
         let (lu_acc, lu_it) = match lu {
             Ok(out) => {
                 let acc = densemat::metrics::lls_accuracy(a.as_ref(), &out.x, &b);
@@ -225,6 +226,7 @@ pub fn cutoff_sweep() -> Table {
 /// (Ootomo & Yokota, the paper's §5) buys.
 pub fn mgs_vs_cgs(scale: Scale) -> Table {
     use tcqr_core::caqr::{tsqr, TsqrKernel};
+    use tcqr_trace::Tracer;
     let (m, _) = scale.qr_size();
     let n = 32;
     let mut t = Table::new(
@@ -245,7 +247,8 @@ pub fn mgs_vs_cgs(scale: Scale) -> Table {
         cgs_qr(qc.as_mut(), rc.as_mut());
         let mut qh = a.clone();
         let mut rh: Mat<f32> = Mat::zeros(n, n);
-        tsqr(qh.as_mut(), rh.as_mut(), 256, TsqrKernel::Householder);
+        tsqr(&Tracer::disabled(), qh.as_mut(), rh.as_mut(), 256, TsqrKernel::Householder)
+            .expect("256-row blocks fit a tall 32-column panel");
         t.row(vec![
             sci(cond),
             sci(orthogonality_error(qc.convert::<f64>().as_ref())),

@@ -39,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use super::Scale;
 use crate::table::{ms, Table};
+use densemat::gen::{rng, uniform_pm1};
 use tcqr_batch::fingerprint::Fingerprint;
 use tcqr_batch::job::result_fingerprint;
 use tcqr_batch::jobgen::{self, JobMixConfig};
@@ -384,7 +385,7 @@ pub fn chaos_with(p: &ChaosParams) -> Table {
     });
     let (pjob, gate) = plug();
     let t0 = svc.submit(pjob, Priority::High).expect("admitted");
-    let bad = |seed: u64| Job::rgsqrf(jobgen::gaussian_f32(4, 8, seed), RgsqrfConfig::default());
+    let bad = |seed: u64| Job::rgsqrf(uniform_pm1(4, 8, &mut rng(seed)).convert(), RgsqrfConfig::default());
     let b1 = svc.submit(bad(1), Priority::High).expect("admitted");
     let b2 = svc.submit(bad(2), Priority::High).expect("admitted");
     let good = svc

@@ -73,61 +73,18 @@ fn block_qr<T: Real>(kernel: TsqrKernel, q: MatMut<'_, T>, mut r: MatMut<'_, T>)
     }
 }
 
-/// Communication-avoiding tall-skinny QR with MGS blocks (the paper's
-/// panel). See [`tsqr`] for the kernel-generic version.
-pub fn caqr_tsqr<T: Real>(q: MatMut<'_, T>, r: MatMut<'_, T>, block_rows: usize) {
-    tsqr(q, r, block_rows, TsqrKernel::Mgs)
-}
-
-/// [`caqr_tsqr`] with trace spans per reduction level and per-block op
-/// events.
-pub fn caqr_tsqr_traced<T: Real>(
-    tracer: &Tracer,
-    q: MatMut<'_, T>,
-    r: MatMut<'_, T>,
-    block_rows: usize,
-) {
-    tsqr_traced(tracer, q, r, block_rows, TsqrKernel::Mgs)
-}
-
-/// Communication-avoiding tall-skinny QR with a selectable per-block kernel.
+/// Communication-avoiding tall-skinny QR with a selectable per-block kernel
+/// ([`TsqrKernel::Mgs`] is the paper's panel).
 ///
 /// `q` (`m x n`, `m >= n`) is overwritten by the orthonormal factor; `r`
 /// (at least `n x n`) receives the triangular factor. `block_rows` must be
 /// at least `2n` so each reduction level strictly shrinks the stacked R
 /// matrix (the paper uses 256 rows for 32-column panels — an 8x reduction
-/// per level, `log_8(m/256)` passes over the panel).
-pub fn tsqr<T: Real>(q: MatMut<'_, T>, r: MatMut<'_, T>, block_rows: usize, kernel: TsqrKernel) {
-    tsqr_traced(&Tracer::disabled(), q, r, block_rows, kernel)
-}
-
-/// [`tsqr`] with tracing: each reduction level opens a `caqr.tsqr` span
-/// (fields: level, rows, cols, block count) and each block factorization
-/// emits a `caqr.block` op event inside that span.
-pub fn tsqr_traced<T: Real>(
-    tracer: &Tracer,
-    q: MatMut<'_, T>,
-    r: MatMut<'_, T>,
-    block_rows: usize,
-    kernel: TsqrKernel,
-) {
-    try_tsqr_traced(tracer, q, r, block_rows, kernel).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`tsqr`] with the shape preconditions reported as a [`TcqrError`]
-/// instead of a panic.
-pub fn try_tsqr<T: Real>(
-    q: MatMut<'_, T>,
-    r: MatMut<'_, T>,
-    block_rows: usize,
-    kernel: TsqrKernel,
-) -> Result<(), TcqrError> {
-    try_tsqr_traced(&Tracer::disabled(), q, r, block_rows, kernel)
-}
-
-/// [`tsqr_traced`] with the shape preconditions reported as a [`TcqrError`]
-/// instead of a panic.
-pub fn try_tsqr_traced<T: Real>(
+/// per level, `log_8(m/256)` passes over the panel); a violated shape comes
+/// back as a [`TcqrError`]. Each reduction level opens a `caqr.tsqr` span
+/// on `tracer` (fields: level, rows, cols, block count) and each block
+/// factorization emits a `caqr.block` op event inside that span.
+pub fn tsqr<T: Real>(
     tracer: &Tracer,
     q: MatMut<'_, T>,
     r: MatMut<'_, T>,
@@ -231,7 +188,7 @@ mod tests {
         let mut q = a.clone();
         let n = a.ncols();
         let mut r = Mat::zeros(n, n);
-        caqr_tsqr(q.as_mut(), r.as_mut(), block_rows);
+        tsqr(&Tracer::disabled(), q.as_mut(), r.as_mut(), block_rows, TsqrKernel::Mgs).unwrap();
         (q, r)
     }
 
@@ -318,12 +275,12 @@ mod tests {
 
         let mut qh = a.clone();
         let mut rh: Mat<f32> = Mat::zeros(16, 16);
-        tsqr(qh.as_mut(), rh.as_mut(), 256, TsqrKernel::Householder);
+        tsqr(&Tracer::disabled(), qh.as_mut(), rh.as_mut(), 256, TsqrKernel::Householder).unwrap();
         let oh = orthogonality_error(qh.convert::<f64>().as_ref());
 
         let mut qm = a.clone();
         let mut rm: Mat<f32> = Mat::zeros(16, 16);
-        tsqr(qm.as_mut(), rm.as_mut(), 256, TsqrKernel::Mgs);
+        tsqr(&Tracer::disabled(), qm.as_mut(), rm.as_mut(), 256, TsqrKernel::Mgs).unwrap();
         let om = orthogonality_error(qm.convert::<f64>().as_ref());
 
         assert!(oh < 1e-4, "Householder TSQR orthogonality {oh}");
@@ -345,10 +302,10 @@ mod tests {
         let a = gen::gaussian(777, 8, &mut rng(10));
         let mut q1 = a.clone();
         let mut r1 = Mat::zeros(8, 8);
-        tsqr(q1.as_mut(), r1.as_mut(), 64, TsqrKernel::Householder);
+        tsqr(&Tracer::disabled(), q1.as_mut(), r1.as_mut(), 64, TsqrKernel::Householder).unwrap();
         let mut q2 = a.clone();
         let mut r2 = Mat::zeros(8, 8);
-        tsqr(q2.as_mut(), r2.as_mut(), 64, TsqrKernel::Mgs);
+        tsqr(&Tracer::disabled(), q2.as_mut(), r2.as_mut(), 64, TsqrKernel::Mgs).unwrap();
         for j in 0..8 {
             for i in 0..=j {
                 assert!(
@@ -365,7 +322,7 @@ mod tests {
         let a: Mat<f32> = a64.convert();
         let mut q = a.clone();
         let mut r: Mat<f32> = Mat::zeros(32, 32);
-        caqr_tsqr(q.as_mut(), r.as_mut(), 256);
+        tsqr(&Tracer::disabled(), q.as_mut(), r.as_mut(), 256, TsqrKernel::Mgs).unwrap();
         let be = qr_backward_error(
             a.convert::<f64>().as_ref(),
             q.convert::<f64>().as_ref(),
@@ -389,11 +346,11 @@ mod tests {
         let a = gen::gaussian(100, 16, &mut rng(11));
         let mut q = a.clone();
         let mut r = Mat::zeros(16, 16);
-        let err = try_tsqr(q.as_mut(), r.as_mut(), 16, TsqrKernel::Mgs).unwrap_err();
+        let err = tsqr(&Tracer::disabled(), q.as_mut(), r.as_mut(), 16, TsqrKernel::Mgs).unwrap_err();
         assert!(matches!(err, TcqrError::ShapeMismatch { op: "caqr_tsqr", .. }));
         assert!(err.to_string().contains("2x panel width"), "{err}");
-        // A legal call succeeds and produces the same factors as tsqr.
-        try_tsqr(q.as_mut(), r.as_mut(), 64, TsqrKernel::Mgs).unwrap();
+        // A legal call succeeds and produces the factors `run` checks.
+        tsqr(&Tracer::disabled(), q.as_mut(), r.as_mut(), 64, TsqrKernel::Mgs).unwrap();
         let (q2, r2) = run(&a, 64);
         assert_eq!(q, q2);
         assert_eq!(r, r2);

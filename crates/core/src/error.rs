@@ -79,6 +79,23 @@ impl TcqrError {
         }
     }
 
+    /// The least-squares shape contract: `a` is `m x n` with `m >= n` and
+    /// the right-hand side has length `m`.
+    pub(crate) fn check_lls_shape(
+        op: &'static str,
+        m: usize,
+        n: usize,
+        rhs_len: usize,
+    ) -> Result<(), TcqrError> {
+        if m < n || rhs_len != m {
+            return Err(TcqrError::shape(
+                op,
+                format!("shape mismatch (a is {m} x {n}, rhs length {rhs_len})"),
+            ));
+        }
+        Ok(())
+    }
+
     /// The public entry point the error originated from.
     pub fn op(&self) -> &'static str {
         match self {

@@ -18,11 +18,10 @@
 //!
 //! The orthogonality check costs an `O(m n^2)` f64 GEMM per sample — real
 //! money next to the factorization itself — so sampling is **off by
-//! default** and gated by [`enabled`]: set the `TCQR_HEALTH` environment
-//! variable (any value but `0`/empty) or call [`set_enabled`] to turn it
-//! on. The scaling and decay monitors are O(n) and always on.
+//! default** and gated by [`enabled`]; [`set_enabled`] (`repro --health`)
+//! turns it on. The scaling and decay monitors are O(n) and always on.
 
-use std::sync::atomic::{AtomicI8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use densemat::MatRef;
 use tcqr_trace::schema::{HealthOrthogonality, HealthScaling};
@@ -31,32 +30,17 @@ use tensor_engine::GpuSim;
 
 use crate::scaling::ColumnScaling;
 
-/// Programmatic override: -1 = follow the environment, 0 = off, 1 = on.
-static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether the expensive health monitors (orthogonality sampling) run.
-///
-/// Defaults to the `TCQR_HEALTH` environment variable (unset, empty, or
-/// `"0"` means off); [`set_enabled`] overrides it either way.
+/// Whether the expensive health monitors (orthogonality sampling) run; off
+/// until [`set_enabled`] turns them on.
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => std::env::var_os("TCQR_HEALTH").is_some_and(|v| !v.is_empty() && v != "0"),
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Force the expensive monitors on (`Some(true)`), off (`Some(false)`), or
-/// back to the `TCQR_HEALTH` environment default (`None`).
-pub fn set_enabled(on: Option<bool>) {
-    OVERRIDE.store(
-        match on {
-            None => -1,
-            Some(false) => 0,
-            Some(true) => 1,
-        },
-        Ordering::Relaxed,
-    );
+/// Turn the expensive monitors on or off for the whole process.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Measure `||I - Q^T Q||_max` of an f32 Q factor (promoted to f64, so the
@@ -109,7 +93,7 @@ pub fn emit_scaling(eng: &GpuSim, scaling: &ColumnScaling) {
 ///
 /// `solver` names the entry point (e.g. `"rgsqrf_scaled"`), `nan_cols` the
 /// column indices reported by
-/// [`crate::scaling::compute_column_scaling_checked`]. Emits one
+/// [`crate::scaling::compute_column_scaling`]. Emits one
 /// `scaling.nan_column` warning in the style of `engine.fp16_overflow` —
 /// the data was poisoned *before* the factorization, and every downstream
 /// GEMM will propagate it. No-op when `nan_cols` is empty.
@@ -217,7 +201,7 @@ mod tests {
             ..RgsqrfConfig::default()
         };
 
-        set_enabled(Some(false));
+        set_enabled(false);
         assert!(!enabled());
         let _ = rgsqrf(&eng, a.as_ref(), &cfg);
         let quiet = sink.drain();
@@ -226,10 +210,10 @@ mod tests {
             "disabled monitors must not emit"
         );
 
-        set_enabled(Some(true));
+        set_enabled(true);
         assert!(enabled());
         let _ = rgsqrf(&eng, a.as_ref(), &cfg);
-        set_enabled(None); // back to TCQR_HEALTH (not set under cargo test)
+        set_enabled(false);
 
         let events = sink.drain();
         let samples: Vec<_> = events

@@ -7,13 +7,13 @@
 //! - [`rgsqrf`] — recursive Gram-Schmidt QR (Algorithm 1), the factorization
 //!   that exposes enough locality for tensor cores;
 //! - [`caqr`] + [`mgs`] — the communication-avoiding Gram-Schmidt panel
-//!   (§3.1.3, Algorithm 2);
+//!   (§3.1.3, Algorithm 2), entered through [`caqr::tsqr`];
 //! - [`reortho`] — re-orthogonalization, "twice is enough" (§3.3);
 //! - [`scaling`] — exact power-of-two column scaling against FP16
 //!   overflow/underflow (§3.5);
 //! - [`health`] — numerical-health monitors: orthogonality-drift sampling,
 //!   scaling-exponent reporting, residual-decay slopes (off by default,
-//!   gated by `TCQR_HEALTH` / [`health::set_enabled`]);
+//!   switched on by [`health::set_enabled`]);
 //! - [`lls`] — least-squares solvers: RGSQRF direct, cuSOLVER-style
 //!   baselines, and the CGLS/LSQR refiners with R as right preconditioner
 //!   (Algorithm 3);
@@ -28,6 +28,11 @@
 //! - [`cholqr`] — the CholeskyQR/CholeskyQR2 related-work baseline (§5);
 //! - [`perf_est`] — the paper's analytic performance formulas (4)/(7) and
 //!   the Table 2 hybrid pipeline model.
+//!
+//! Each operation has one body and one way in: a solver's `try_*` function
+//! returns `Result<_, TcqrError>`, and its plain name (`cgls_qr`,
+//! `lu_ir_solve`, ...) is a one-line shell that panics with the error's
+//! message.
 //!
 //! ## Quick start
 //!

@@ -22,7 +22,7 @@
 use crate::error::TcqrError;
 use crate::recovery::{run_with_recovery, RecoveryPolicy};
 use crate::rgsqrf::{rgsqrf, QrFactors, RgsqrfConfig};
-use crate::scaling::{compute_column_scaling_with_headroom, scale_columns, unscale_r};
+use crate::scaling::{compute_column_scaling, scale_columns, unscale_r};
 use densemat::blas1::nrm2;
 use densemat::lapack::Householder;
 use densemat::tri::{potrf_upper, trsv_upper, NotPositiveDefinite};
@@ -69,6 +69,23 @@ pub struct RefineOutcome {
 }
 
 impl RefineOutcome {
+    /// Every refiner exit builds its outcome here.
+    pub(crate) fn new(
+        x: Vec<f64>,
+        iterations: usize,
+        converged: bool,
+        stalled: bool,
+        history: Vec<f64>,
+    ) -> Self {
+        RefineOutcome {
+            x,
+            iterations,
+            converged,
+            stalled,
+            history,
+        }
+    }
+
     /// Least-squares slope of `log10(history)` vs. iteration — the
     /// residual-decay rate (see [`crate::health::decay_slope`]). `None`
     /// with fewer than two usable history points.
@@ -99,12 +116,6 @@ fn warn_if_overflowed(eng: &GpuSim, solver: &'static str, before: u64) {
             ],
         );
     }
-}
-
-/// The recovery ladder's health check: a usable preconditioner factorization
-/// must be finite in both factors.
-fn factors_finite(f: &QrFactors) -> bool {
-    f.q.all_finite() && f.r.all_finite()
 }
 
 /// Corrupted factors kept by [`OnExhausted::KeepLast`](crate::recovery::OnExhausted::KeepLast)
@@ -151,7 +162,7 @@ fn rgsqrf_scaled_attempt(
     headroom: u32,
     reortho: bool,
 ) -> QrFactors {
-    let (scaling, nan_cols) = compute_column_scaling_with_headroom(a.as_ref(), headroom);
+    let (scaling, nan_cols) = compute_column_scaling(a.as_ref(), headroom);
     crate::health::warn_nan_columns(eng, "rgsqrf_scaled", &nan_cols);
     let span = eng.tracer().span(
         "rgsqrf_scaled",
@@ -212,7 +223,8 @@ fn try_factor_scaled(
         op,
         policy,
         |att| rgsqrf_scaled_attempt(eng, a, cfg, att.headroom, reortho_base),
-        factors_finite,
+        // A usable factorization is finite in both factors.
+        |f| f.q.all_finite() && f.r.all_finite(),
     )
 }
 
@@ -294,14 +306,8 @@ pub fn scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Vec<f32> {
 /// Typed-error variant of [`scusolve`]. The Householder factorization runs
 /// off-engine, so no recovery policy applies.
 pub fn try_scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Result<Vec<f32>, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || b.len() != m {
-        return Err(TcqrError::shape(
-            "scusolve",
-            format!("shape mismatch (a is {m} x {n}, rhs length {})", b.len()),
-        ));
-    }
+    let (m, n) = (a.nrows(), a.ncols());
+    TcqrError::check_lls_shape("scusolve", m, n, b.len())?;
     let h = Householder::factor(a.clone());
     eng.charge_sgeqrf(Phase::Panel, m, n);
     let x = h.solve_lls(b);
@@ -318,20 +324,103 @@ pub fn dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Vec<f64> {
 
 /// Typed-error variant of [`dcusolve`].
 pub fn try_dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Result<Vec<f64>, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || b.len() != m {
-        return Err(TcqrError::shape(
-            "dcusolve",
-            format!("shape mismatch (a is {m} x {n}, rhs length {})", b.len()),
-        ));
-    }
+    let (m, n) = (a.nrows(), a.ncols());
+    TcqrError::check_lls_shape("dcusolve", m, n, b.len())?;
     let h = Householder::factor(a.clone());
     eng.charge_dgeqrf(Phase::Panel, m, n);
     let x = h.solve_lls(b);
     eng.charge_ormqr(Phase::Solve, Class::Fp64, m, n, 1);
     eng.charge_trsv(Phase::Solve, Class::Fp64, n);
     Ok(x)
+}
+
+/// The front end every iterative LLS solver shares: check the shape, factor
+/// an f32 copy of `A` behind the §3.5 column scaling and the recovery
+/// ladder, check that R can precondition, warn on new fp16 overflow, and
+/// widen R to f64. `op` names the solver in errors and warnings. The
+/// ladder runs as `rgsqrf_scaled`; with `reortho` it runs the
+/// re-orthogonalized pipeline from the first attempt, as `op`.
+fn preconditioner(
+    eng: &GpuSim,
+    op: &'static str,
+    a: &Mat<f64>,
+    b: &[f64],
+    qr_cfg: &RgsqrfConfig,
+    policy: &RecoveryPolicy,
+    reortho: bool,
+) -> Result<Mat<f64>, TcqrError> {
+    TcqrError::check_lls_shape(op, a.nrows(), a.ncols(), b.len())?;
+    let a32: Mat<f32> = a.convert();
+    let overflow_before = eng.counters().round.overflow;
+    let f = if reortho {
+        try_factor_scaled(eng, &a32, qr_cfg, policy, op, true)?
+    } else {
+        try_rgsqrf_scaled(eng, &a32, qr_cfg, policy)?
+    };
+    check_r_usable(eng, op, &f.r, !a32.all_finite())?;
+    warn_if_overflowed(eng, op, overflow_before);
+    Ok(f.r.convert())
+}
+
+/// The span shell of the preconditioned refiners: `body` runs inside a
+/// `solver` span that closes with the outcome plus the residual-decay
+/// health summary (slope of log10(rel) per iteration, and whether the
+/// stagnation guard fired).
+fn solve_span(
+    eng: &GpuSim,
+    solver: &str,
+    a: &Mat<f64>,
+    refine: &RefineConfig,
+    body: impl FnOnce(&Tracer) -> RefineOutcome,
+) -> RefineOutcome {
+    let tracer = eng.tracer();
+    let span = SolveOpen {
+        m: a.nrows() as u64,
+        n: a.ncols() as u64,
+        tol: refine.tol,
+        max_iters: refine.max_iters as u64,
+    }
+    .open(&tracer, solver);
+    let out = body(&tracer);
+    SolveClose {
+        iterations: out.iterations as u64,
+        converged: out.converged,
+        final_rel: Some(out.history.last().copied().unwrap_or(0.0)),
+        stalled: out.stalled,
+        decay_slope: out.decay_slope(),
+    }
+    .close(span);
+    out
+}
+
+/// The CGLS/LSQR stagnation guard: a refiner at its roundoff floor (or on a
+/// damaged preconditioner) keeps iterating without shrinking its residual.
+/// It fires after five iterations in a row that miss the best residual so
+/// far by less than 0.1%.
+struct Stagnation {
+    best: f64,
+    strikes: usize,
+}
+
+impl Stagnation {
+    fn new() -> Self {
+        Stagnation {
+            best: f64::INFINITY,
+            strikes: 0,
+        }
+    }
+
+    /// Record this iteration's residual norm; true once the guard fires.
+    fn stalled(&mut self, norm: f64) -> bool {
+        if norm >= self.best * 0.999 {
+            self.strikes += 1;
+            self.strikes >= 5
+        } else {
+            self.best = norm;
+            self.strikes = 0;
+            false
+        }
+    }
 }
 
 /// Charge one CGLS/LSQR iteration's modeled device time: two GEMVs with A,
@@ -371,24 +460,8 @@ pub fn try_cgls_qr(
     refine: &RefineConfig,
     policy: &RecoveryPolicy,
 ) -> Result<RefineOutcome, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || b.len() != m {
-        return Err(TcqrError::shape(
-            "cgls_qr",
-            format!("shape mismatch (a is {m} x {n}, rhs length {})", b.len()),
-        ));
-    }
-
-    // Mixed-precision factorization (the preconditioner).
-    let a32: Mat<f32> = a.convert();
-    let overflow_before = eng.counters().round.overflow;
-    let f = try_rgsqrf_scaled(eng, &a32, qr_cfg, policy)?;
-    check_r_usable(eng, "cgls_qr", &f.r, !a32.all_finite())?;
-    warn_if_overflowed(eng, "cgls_qr", overflow_before);
-    let r64: Mat<f64> = f.r.convert();
-
-    Ok(cgls_preconditioned(eng, a, b, &r64, refine))
+    let r = preconditioner(eng, "cgls_qr", a, b, qr_cfg, policy, false)?;
+    Ok(cgls_preconditioned(eng, a, b, &r, refine))
 }
 
 /// CGLS on `min || (A R^{-1}) y - b ||` with `x = R^{-1} y` tracked
@@ -404,30 +477,9 @@ pub fn cgls_preconditioned(
     r_pre: &Mat<f64>,
     refine: &RefineConfig,
 ) -> RefineOutcome {
-    let tracer = eng.tracer();
-    let span = SolveOpen {
-        m: a.nrows() as u64,
-        n: a.ncols() as u64,
-        tol: refine.tol,
-        max_iters: refine.max_iters as u64,
-    }
-    .open(&tracer, "cgls");
-    let out = cgls_inner(eng, &tracer, a, b, r_pre, refine);
-    outcome(&out).close(span);
-    out
-}
-
-/// Span-close payload shared by the iterative refiners: the outcome plus
-/// the residual-decay health summary (slope of log10(rel) per iteration,
-/// and whether the stagnation guard fired).
-fn outcome(out: &RefineOutcome) -> SolveClose {
-    SolveClose {
-        iterations: out.iterations as u64,
-        converged: out.converged,
-        final_rel: Some(out.history.last().copied().unwrap_or(0.0)),
-        stalled: out.stalled,
-        decay_slope: out.decay_slope(),
-    }
+    solve_span(eng, "cgls", a, refine, |tracer| {
+        cgls_inner(eng, tracer, a, b, r_pre, refine)
+    })
 }
 
 fn cgls_inner(
@@ -451,21 +503,14 @@ fn cgls_inner(
 
     let norm_s0 = nrm2(&s);
     if norm_s0 == 0.0 {
-        return RefineOutcome {
-            x,
-            iterations: 0,
-            converged: true,
-            stalled: false,
-            history: vec![],
-        };
+        return RefineOutcome::new(x, 0, true, false, vec![]);
     }
     let mut gamma = norm_s0 * norm_s0;
     let mut p = s.clone();
     let mut t = vec![0.0f64; n];
     let mut q = vec![0.0f64; m];
     let mut history = Vec::new();
-    let mut best = f64::INFINITY;
-    let mut stalled = 0usize;
+    let mut guard = Stagnation::new();
 
     for it in 1..=refine.max_iters {
         // t = R^{-1} p ; q = A t
@@ -474,13 +519,7 @@ fn cgls_inner(
         gemv(1.0, Op::NoTrans, a.as_ref(), &t, 0.0, &mut q);
         let delta = densemat::blas1::dot(&q, &q);
         if delta == 0.0 || !delta.is_finite() {
-            return RefineOutcome {
-                x,
-                iterations: it - 1,
-                converged: false,
-                stalled: false,
-                history,
-            };
+            return RefineOutcome::new(x, it - 1, false, false, history);
         }
         let alpha = gamma / delta;
         densemat::blas1::axpy(alpha, &t, &mut x);
@@ -499,29 +538,10 @@ fn cgls_inner(
             &[("iter", Value::from(it)), ("rel", Value::from(rel))],
         );
         if rel <= refine.tol {
-            return RefineOutcome {
-                x,
-                iterations: it,
-                converged: true,
-                stalled: false,
-                history,
-            };
+            return RefineOutcome::new(x, it, true, false, history);
         }
-        // Stagnation guard: CG at roundoff level stops making progress.
-        if norm_s >= best * 0.999 {
-            stalled += 1;
-            if stalled >= 5 {
-                return RefineOutcome {
-                    x,
-                    iterations: it,
-                    converged: false,
-                    stalled: true,
-                    history,
-                };
-            }
-        } else {
-            best = norm_s;
-            stalled = 0;
+        if guard.stalled(norm_s) {
+            return RefineOutcome::new(x, it, false, true, history);
         }
 
         let gamma_new = norm_s * norm_s;
@@ -531,13 +551,7 @@ fn cgls_inner(
             *pi = si + beta * *pi;
         }
     }
-    RefineOutcome {
-        x,
-        iterations: refine.max_iters,
-        converged: false,
-        stalled: false,
-        history,
-    }
+    RefineOutcome::new(x, refine.max_iters, false, false, history)
 }
 
 /// Extension beyond the paper: CGLS preconditioned by the R factor of
@@ -575,22 +589,8 @@ pub fn try_cgls_qr_reortho(
     refine: &RefineConfig,
     policy: &RecoveryPolicy,
 ) -> Result<RefineOutcome, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || b.len() != m {
-        return Err(TcqrError::shape(
-            "cgls_qr_reortho",
-            format!("shape mismatch (a is {m} x {n}, rhs length {})", b.len()),
-        ));
-    }
-    let a32: Mat<f32> = a.convert();
-    let overflow_before = eng.counters().round.overflow;
-    let f = try_factor_scaled(eng, &a32, qr_cfg, policy, "cgls_qr_reortho", true)?;
-    check_r_usable(eng, "cgls_qr_reortho", &f.r, !a32.all_finite())?;
-    let _ = f.q; // Q is not needed; only R preconditions.
-    warn_if_overflowed(eng, "cgls_qr_reortho", overflow_before);
-    let r64: Mat<f64> = f.r.convert();
-    Ok(cgls_preconditioned(eng, a, b, &r64, refine))
+    let r = preconditioner(eng, "cgls_qr_reortho", a, b, qr_cfg, policy, true)?;
+    Ok(cgls_preconditioned(eng, a, b, &r, refine))
 }
 
 /// LSQR (Paige & Saunders 1982) with the RGSQRF `R` right preconditioner.
@@ -618,21 +618,8 @@ pub fn try_lsqr_qr(
     refine: &RefineConfig,
     policy: &RecoveryPolicy,
 ) -> Result<RefineOutcome, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || b.len() != m {
-        return Err(TcqrError::shape(
-            "lsqr_qr",
-            format!("shape mismatch (a is {m} x {n}, rhs length {})", b.len()),
-        ));
-    }
-    let a32: Mat<f32> = a.convert();
-    let overflow_before = eng.counters().round.overflow;
-    let f = try_rgsqrf_scaled(eng, &a32, qr_cfg, policy)?;
-    check_r_usable(eng, "lsqr_qr", &f.r, !a32.all_finite())?;
-    warn_if_overflowed(eng, "lsqr_qr", overflow_before);
-    let r64: Mat<f64> = f.r.convert();
-    Ok(lsqr_preconditioned(eng, a, b, &r64, refine))
+    let r = preconditioner(eng, "lsqr_qr", a, b, qr_cfg, policy, false)?;
+    Ok(lsqr_preconditioned(eng, a, b, &r, refine))
 }
 
 /// LSQR on `B = A R^{-1}`, accumulating `x = R^{-1} y` at the end.
@@ -646,17 +633,9 @@ pub fn lsqr_preconditioned(
     r_pre: &Mat<f64>,
     refine: &RefineConfig,
 ) -> RefineOutcome {
-    let tracer = eng.tracer();
-    let span = SolveOpen {
-        m: a.nrows() as u64,
-        n: a.ncols() as u64,
-        tol: refine.tol,
-        max_iters: refine.max_iters as u64,
-    }
-    .open(&tracer, "lsqr");
-    let out = lsqr_inner(eng, &tracer, a, b, r_pre, refine);
-    outcome(&out).close(span);
-    out
+    solve_span(eng, "lsqr", a, refine, |tracer| {
+        lsqr_inner(eng, tracer, a, b, r_pre, refine)
+    })
 }
 
 fn lsqr_inner(
@@ -685,13 +664,7 @@ fn lsqr_inner(
     let mut u = b.to_vec();
     let mut beta = nrm2(&u);
     if beta == 0.0 {
-        return RefineOutcome {
-            x: vec![0.0; n],
-            iterations: 0,
-            converged: true,
-            stalled: false,
-            history: vec![],
-        };
+        return RefineOutcome::new(vec![0.0; n], 0, true, false, vec![]);
     }
     densemat::blas1::scal(1.0 / beta, &mut u);
     // alpha_1 v_1 = B^T u_1
@@ -714,8 +687,7 @@ fn lsqr_inner(
     let mut iterations = 0;
     let mut tmp_m = vec![0.0f64; m];
     let mut tmp_n = vec![0.0f64; n];
-    let mut best = f64::INFINITY;
-    let mut strikes = 0usize;
+    let mut guard = Stagnation::new();
 
     for it in 1..=refine.max_iters {
         iterations = it;
@@ -768,18 +740,11 @@ fn lsqr_inner(
             converged = true;
             break;
         }
-        // Stagnation guard, mirroring CGLS: LSQR at roundoff level keeps
-        // rotating without shrinking the residual estimate. Without this
-        // guard a damaged preconditioner burns the full iteration cap.
-        if snorm >= best * 0.999 {
-            strikes += 1;
-            if strikes >= 5 {
-                stalled = true;
-                break;
-            }
-        } else {
-            best = snorm;
-            strikes = 0;
+        // Without the guard a damaged preconditioner burns the full
+        // iteration cap.
+        if guard.stalled(snorm) {
+            stalled = true;
+            break;
         }
     }
 
@@ -787,13 +752,7 @@ fn lsqr_inner(
     let mut x = y;
     trsv_upper(Op::NoTrans, r_pre.as_ref(), &mut x);
     eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-    RefineOutcome {
-        x,
-        iterations,
-        converged,
-        stalled,
-        history,
-    }
+    RefineOutcome::new(x, iterations, converged, stalled, history)
 }
 
 /// The normal equations method: Cholesky of `A^T A` (fast, but squares the
@@ -814,7 +773,7 @@ pub fn normal_equations<T: Real>(a: &Mat<T>, b: &[T]) -> Result<Vec<T>, NotPosit
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use densemat::gen::{self, rng};
     use densemat::metrics::{lls_accuracy, rel_vec_error};
@@ -1020,6 +979,89 @@ mod tests {
         assert!(err.to_string().contains("need m >= n"), "{err}");
         // Nothing was charged to the engine on any rejected call.
         assert_eq!(eng.clock(), 0.0);
+    }
+
+    /// Asserts one refiner exit: the counters, the flags, and the exact bits
+    /// of `x` (`None` for a NaN solution, whose payload bits are not
+    /// portable).
+    pub(crate) fn assert_exit(
+        label: &str,
+        out: &RefineOutcome,
+        iterations: usize,
+        converged: bool,
+        stalled: bool,
+        x: Option<[u64; 4]>,
+    ) {
+        assert_eq!(
+            (out.iterations, out.converged, out.stalled),
+            (iterations, converged, stalled),
+            "{label}: history {:?}",
+            out.history
+        );
+        assert_eq!(out.history.len(), iterations, "{label}");
+        match x {
+            Some(bits) => {
+                let got: Vec<u64> = out.x.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, bits, "{label}: x");
+            }
+            None => assert!(out.x.iter().all(|v| v.is_nan()), "{label}: x {:?}", out.x),
+        }
+    }
+
+    fn refine(tol: f64, max_iters: usize) -> RefineConfig {
+        RefineConfig { tol, max_iters }
+    }
+
+    /// Every way CGLS stops, on seeded 64 x 4 problems.
+    #[test]
+    fn cgls_stop_decisions() {
+        let run = |a: &Mat<f64>, b: &[f64], rc: RefineConfig| {
+            cgls_qr(&GpuSim::default(), a, b, &small_cfg(), &rc)
+        };
+        let (a, b) = problem(64, 4, 10.0, 1);
+        let converged = [0x4013cc3cae92f447, 0xc0209e9bc7221fe3, 0xc00488f3f1eeb288, 0xc0077a39bd23067c];
+        assert_exit("converged", &run(&a, &b, RefineConfig::default()), 2, true, false, Some(converged));
+        // tol 0 is out of reach: the residual floors at roundoff and the
+        // guard fires after five iterations without a 0.1% improvement.
+        let stalled = [0x4013cc3cae92f446, 0xc0209e9bc7221f8d, 0xc00488f3f1eeb29f, 0xc0077a39bd23061a];
+        assert_exit("stalled", &run(&a, &b, refine(0.0, 200)), 8, false, true, Some(stalled));
+        // A NaN in the preconditioner makes the first `delta` non-finite.
+        let mut r_nan = Mat::<f64>::identity(4, 4);
+        r_nan[(1, 1)] = f64::NAN;
+        let out = cgls_preconditioned(&GpuSim::default(), &a, &b, &r_nan, &RefineConfig::default());
+        assert_exit("breakdown", &out, 0, false, false, Some([0; 4]));
+        assert_exit("zero rhs", &run(&a, &[0.0; 64], RefineConfig::default()), 0, true, false, Some([0; 4]));
+        let (a, b) = problem(64, 4, 1e4, 3);
+        let capped = [0x4092f5c2e3f4fc0a, 0xc0763e58763d43f4, 0xc0a156e8d0b20ca8, 0x4087989b037062cf];
+        assert_exit("cap", &run(&a, &b, refine(1e-12, 2)), 2, false, false, Some(capped));
+    }
+
+    /// Every way LSQR stops, on seeded 64 x 4 problems.
+    #[test]
+    fn lsqr_stop_decisions() {
+        let run = |a: &Mat<f64>, b: &[f64], rc: RefineConfig| {
+            lsqr_qr(&GpuSim::default(), a, b, &small_cfg(), &rc)
+        };
+        let (a, b) = problem(64, 4, 10.0, 1);
+        let converged = [0x4013cc3cae92f44c, 0xc0209e9bc7221fe6, 0xc00488f3f1eeb28d, 0xc0077a39bd23067e];
+        assert_exit("converged", &run(&a, &b, RefineConfig::default()), 2, true, false, Some(converged));
+        // A NaN in the preconditioner: `nrm2` skips NaN entries, so the
+        // residual estimate reads 0 and LSQR reports convergence on a NaN
+        // solution (pinned as it is today).
+        let mut r_nan = Mat::<f64>::identity(4, 4);
+        r_nan[(1, 1)] = f64::NAN;
+        let out = lsqr_preconditioned(&GpuSim::default(), &a, &b, &r_nan, &refine(1e-12, 7));
+        assert_exit("non-finite", &out, 1, true, false, None);
+        assert_exit("zero rhs", &run(&a, &[0.0; 64], RefineConfig::default()), 0, true, false, Some([0; 4]));
+        let (a, b) = problem(64, 4, 1e4, 3);
+        let capped = [0x4092f5c2e3f50302, 0xc0763e58763d4bc3, 0xc0a156e8d0b213bf, 0x4087989b03706984];
+        assert_exit("cap", &run(&a, &b, refine(1e-12, 2)), 2, false, false, Some(capped));
+        // Unpreconditioned LSQR at cond 1e10 with tol 0: the estimate stops
+        // shrinking and the guard fires.
+        let (a, b) = problem(64, 4, 1e10, 3);
+        let out = lsqr_preconditioned(&GpuSim::default(), &a, &b, &Mat::identity(4, 4), &refine(0.0, 200));
+        let stalled = [0x41d10165c53c8119, 0xc1b33027a60782fe, 0xc1e12f92ddcd118f, 0x41c0c46a33bcc6fd];
+        assert_exit("stalled", &out, 18, false, true, Some(stalled));
     }
 
     #[test]

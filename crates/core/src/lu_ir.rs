@@ -18,7 +18,6 @@
 
 use crate::error::TcqrError;
 use crate::recovery::{run_with_recovery, RecoveryPolicy};
-use crate::rgsqrf::RgsqrfConfig;
 use densemat::lu::{apply_pivots, SingularLu};
 use densemat::tri::{trsm_left_unit_lower, trsv_unit_lower, trsv_upper};
 use densemat::{gemv, Mat, Op};
@@ -123,16 +122,12 @@ pub fn try_getrf_tc(
 
 /// Solve the square system `A x = b` by mixed-precision LU + classic
 /// iterative refinement on the engine.
-pub fn lu_ir_solve(
-    eng: &GpuSim,
-    a: &Mat<f64>,
-    b: &[f64],
-    cfg: &LuIrConfig,
-) -> Result<RefineOutcome, SingularLu> {
-    let n = a.nrows();
-    assert_eq!(a.ncols(), n, "lu_ir_solve: square system");
-    assert_eq!(b.len(), n, "lu_ir_solve: rhs length");
-    lu_ir_solve_inner(eng, a, b, cfg, &RecoveryPolicy::default()).unwrap_or_else(|e| panic!("{e}"))
+///
+/// Thin wrapper over [`try_lu_ir_solve`] with the default
+/// [`RecoveryPolicy`]; panics with the error's message on invalid shapes
+/// or a singular LU.
+pub fn lu_ir_solve(eng: &GpuSim, a: &Mat<f64>, b: &[f64], cfg: &LuIrConfig) -> RefineOutcome {
+    try_lu_ir_solve(eng, a, b, cfg, &RecoveryPolicy::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fault-tolerant [`lu_ir_solve`] with typed errors: shape violations and
@@ -158,25 +153,6 @@ pub fn try_lu_ir_solve(
             format!("rhs length {} does not match n = {n}", b.len()),
         ));
     }
-    match lu_ir_solve_inner(eng, a, b, cfg, policy)? {
-        Ok(out) => Ok(out),
-        Err(e) => Err(TcqrError::Singular {
-            op: "lu_ir_solve",
-            detail: e.to_string(),
-        }),
-    }
-}
-
-/// Shared body: the outer `Result` carries recovery-layer errors, the inner
-/// one a deterministic LU breakdown (which retrying cannot fix).
-fn lu_ir_solve_inner(
-    eng: &GpuSim,
-    a: &Mat<f64>,
-    b: &[f64],
-    cfg: &LuIrConfig,
-    policy: &RecoveryPolicy,
-) -> Result<Result<RefineOutcome, SingularLu>, TcqrError> {
-    let n = a.nrows();
 
     // Factor in mixed precision, behind the recovery ladder when a fault
     // campaign is armed (the TC trailing updates are injection targets).
@@ -195,10 +171,10 @@ fn lu_ir_solve_inner(
             Err(_) => true,
         },
     )?;
-    let (a32, piv) = match factored {
-        Ok(t) => t,
-        Err(e) => return Ok(Err(e)),
-    };
+    let (a32, piv) = factored.map_err(|e| TcqrError::Singular {
+        op: "lu_ir_solve",
+        detail: e.to_string(),
+    })?;
     // Corrupted factors kept by OnExhausted::KeepLast can carry a zero/NaN
     // U diagonal on which the triangular solves would panic; only reachable
     // while a campaign is armed.
@@ -234,13 +210,7 @@ fn lu_ir_solve_inner(
 
     let norm_b = densemat::blas1::nrm2(b);
     if norm_b == 0.0 {
-        return Ok(Ok(RefineOutcome {
-            x: vec![0.0; n],
-            iterations: 0,
-            converged: true,
-            stalled: false,
-            history: vec![],
-        }));
+        return Ok(RefineOutcome::new(vec![0.0; n], 0, true, false, vec![]));
     }
 
     let mut history = Vec::new();
@@ -262,39 +232,21 @@ fn lu_ir_solve_inner(
         let rel = norm_d / norm_x;
         history.push(rel);
         if rel <= cfg.tol {
-            return Ok(Ok(RefineOutcome {
-                x,
-                iterations: it,
-                converged: true,
-                stalled: false,
-                history,
-            }));
+            return Ok(RefineOutcome::new(x, it, true, false, history));
         }
         if rel >= best * 0.5 {
             // Refinement contracts by ~kappa * u_factor per step; a ratio
             // near 1 means divergence or stagnation.
             stalled += 1;
             if stalled >= 3 {
-                return Ok(Ok(RefineOutcome {
-                    x,
-                    iterations: it,
-                    converged: false,
-                    stalled: true,
-                    history,
-                }));
+                return Ok(RefineOutcome::new(x, it, false, true, history));
             }
         } else {
             stalled = 0;
         }
         best = best.min(rel);
     }
-    Ok(Ok(RefineOutcome {
-        x,
-        iterations: cfg.max_iters,
-        converged: false,
-        stalled: false,
-        history,
-    }))
+    Ok(RefineOutcome::new(x, cfg.max_iters, false, false, history))
 }
 
 /// Charge-only replay of [`lu_ir_solve`] for paper-scale comparisons.
@@ -326,23 +278,10 @@ pub fn cost_lu_ir(eng: &GpuSim, n: usize, block: usize, iterations: usize) {
     }
 }
 
-/// A square-system solve via this paper's machinery, for the head-to-head
-/// ablation: RGSQRF + CGLS treats `A x = b` as a (square) least squares
-/// problem. More flops than LU, but the orthogonal factorization keeps the
-/// preconditioner healthy to much larger condition numbers.
-pub fn qr_square_solve(
-    eng: &GpuSim,
-    a: &Mat<f64>,
-    b: &[f64],
-    qr_cfg: &RgsqrfConfig,
-    refine: &crate::lls::RefineConfig,
-) -> RefineOutcome {
-    crate::lls::cgls_qr(eng, a, b, qr_cfg, refine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rgsqrf::RgsqrfConfig;
     use densemat::gen::{self, rng, Spectrum};
     use densemat::metrics::rel_vec_error;
     use tensor_engine::EngineConfig;
@@ -385,7 +324,7 @@ mod tests {
     fn lu_ir_reaches_double_precision_on_easy_systems() {
         let eng = GpuSim::default();
         let (a, b, xtrue) = system(96, 50.0, 2);
-        let out = lu_ir_solve(&eng, &a, &b, &LuIrConfig::default()).unwrap();
+        let out = lu_ir_solve(&eng, &a, &b, &LuIrConfig::default());
         assert!(out.converged, "history {:?}", out.history);
         assert!(out.iterations < 30, "{} iterations", out.iterations);
         let err = rel_vec_error(&out.x, &xtrue);
@@ -396,9 +335,9 @@ mod tests {
     fn lu_ir_iterations_grow_with_cond() {
         let eng = GpuSim::default();
         let (a1, b1, _) = system(96, 5.0, 3);
-        let easy = lu_ir_solve(&eng, &a1, &b1, &LuIrConfig::default()).unwrap();
+        let easy = lu_ir_solve(&eng, &a1, &b1, &LuIrConfig::default());
         let (a2, b2, _) = system(96, 500.0, 4);
-        let hard = lu_ir_solve(&eng, &a2, &b2, &LuIrConfig::default()).unwrap();
+        let hard = lu_ir_solve(&eng, &a2, &b2, &LuIrConfig::default());
         assert!(
             hard.iterations >= easy.iterations,
             "easy {} vs hard {}",
@@ -417,8 +356,8 @@ mod tests {
         let cond = 1e5;
         let (a, b, xtrue) = system_spec(128, Spectrum::Cluster2 { cond }, 5);
         let eng = GpuSim::default();
-        let lu = lu_ir_solve(&eng, &a, &b, &LuIrConfig::default()).unwrap();
-        let qr = qr_square_solve(
+        let lu = lu_ir_solve(&eng, &a, &b, &LuIrConfig::default());
+        let qr = crate::lls::cgls_qr(
             &eng,
             &a,
             &b,
@@ -445,7 +384,7 @@ mod tests {
     fn cost_replay_matches_real_clock() {
         let (a, b, _) = system(96, 10.0, 6);
         let real = GpuSim::default();
-        let out = lu_ir_solve(&real, &a, &b, &LuIrConfig::default()).unwrap();
+        let out = lu_ir_solve(&real, &a, &b, &LuIrConfig::default());
         let replay = GpuSim::default();
         cost_lu_ir(&replay, 96, LuIrConfig::default().block, out.iterations);
         let (tr, tp) = (real.clock(), replay.clock());
@@ -456,12 +395,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "lu_ir_solve: LU factorization broke down at column")]
     fn singular_system_reported() {
         let eng = GpuSim::default();
         let mut a: Mat<f64> = Mat::zeros(8, 8);
         a[(0, 0)] = 1.0; // rank 1
         let b = vec![1.0; 8];
-        assert!(lu_ir_solve(&eng, &a, &b, &LuIrConfig::default()).is_err());
+        let _ = lu_ir_solve(&eng, &a, &b, &LuIrConfig::default());
+    }
+
+    /// Every way LU-IR stops, on seeded 4 x 4 systems. A singular LU, the
+    /// breakdown exit, is covered by `try_variants_report_typed_errors`.
+    #[test]
+    fn lu_ir_stop_decisions() {
+        use crate::lls::tests::assert_exit;
+        let run = |cond: f64, seed: u64, b: &[f64], max_iters: usize| {
+            let a = gen::rand_svd(4, 4, Spectrum::Cluster2 { cond }, &mut rng(seed));
+            let cfg = LuIrConfig {
+                max_iters,
+                ..LuIrConfig::default()
+            };
+            lu_ir_solve(&GpuSim::default(), &a, b, &cfg)
+        };
+        let b: Vec<f64> = (0..4).map(|i| (i as f64 * 0.31).cos()).collect();
+        let converged = [0xc0025e2d64fd0fff, 0x3fa92eec74ab5ba2, 0x3fe67d9b0a127806, 0x3ff03a3a1d6d059f];
+        assert_exit("converged", &run(10.0, 4, &b, 200), 2, true, false, Some(converged));
+        // At cond 1e6 the fp16 LU no longer contracts: three corrections
+        // in a row fail to halve the best one.
+        let stalled = [0xc0f99fb560770221, 0xc123f3d3d60f81fa, 0xc0e21f669c4ed60e, 0xc1146515a98a6b34];
+        assert_exit("stalled", &run(1e6, 6, &b, 200), 10, false, true, Some(stalled));
+        let capped = [0xc0f99fadbd5752bc, 0xc123f3cde3a662d8, 0xc0e21f613588063b, 0xc114650f956129a3];
+        assert_exit("cap", &run(1e6, 6, &b, 2), 2, false, false, Some(capped));
+        assert_exit("zero rhs", &run(1e6, 6, &[0.0; 4], 200), 0, true, false, Some([0; 4]));
+        // A NaN in b: `nrm2` skips NaN entries, so the correction reads 0
+        // and LU-IR reports convergence on a NaN solution (pinned as it is
+        // today).
+        let mut b_nan = b.clone();
+        b_nan[2] = f64::NAN;
+        assert_exit("non-finite", &run(1e6, 6, &b_nan, 3), 1, true, false, None);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use densemat::blas1::{dot, nrm2, scal};
 use densemat::{MatMut, Real};
-use tcqr_trace::{Tracer, Value};
 
 /// In-place modified Gram-Schmidt QR of a tall tile.
 ///
@@ -50,17 +49,6 @@ pub fn mgs_qr<T: Real>(mut q: MatMut<'_, T>, mut r: MatMut<'_, T>) {
             }
         }
     }
-}
-
-/// [`mgs_qr`] wrapped in an `mgs` trace span (fields: m, n), for callers
-/// that want tile factorizations visible in a trace.
-pub fn mgs_qr_traced<T: Real>(tracer: &Tracer, q: MatMut<'_, T>, r: MatMut<'_, T>) {
-    let span = tracer.span(
-        "mgs",
-        &[("m", Value::from(q.nrows())), ("n", Value::from(q.ncols()))],
-    );
-    mgs_qr(q, r);
-    drop(span);
 }
 
 /// Classical Gram-Schmidt QR of a tall tile (projections against the

@@ -19,7 +19,7 @@
 //! paper's hand-written CUDA kernel) or by a cuSOLVER-style `SGEQRF`
 //! ([`PanelKind::Sgeqrf`], Figure 6's right bars).
 
-use crate::caqr::{caqr_tsqr_traced, DEFAULT_BLOCK_ROWS};
+use crate::caqr::{tsqr, TsqrKernel, DEFAULT_BLOCK_ROWS};
 use crate::error::TcqrError;
 use densemat::{lapack, Mat, MatMut, MatRef, Op};
 use tcqr_trace::Value;
@@ -328,7 +328,8 @@ fn caqr_gs(
 ) {
     let n = q.ncols();
     if n <= cfg.caqr_width {
-        caqr_tsqr_traced(&eng.tracer(), q.rb(), r, cfg.caqr_block_rows);
+        tsqr(&eng.tracer(), q.rb(), r, cfg.caqr_block_rows, TsqrKernel::Mgs)
+            .expect("try_rgsqrf checked block_rows >= 2 x caqr_width and m >= n");
         if let Some(sh) = shadow.as_mut() {
             if j0 + n < sh.ncols() {
                 eng.cache_cols(Phase::Panel, sh, j0, q.as_ref());

@@ -87,37 +87,24 @@ fn pow2(e: i32) -> f32 {
 }
 
 /// Compute scaling that brings each column's max-magnitude entry to
-/// `[0.5, 1)` — squarely inside the FP16 range with headroom for the
-/// `sqrt(m)`-bounded growth of intermediate 2-norms.
-pub fn compute_column_scaling(a: MatRef<'_, f32>) -> ColumnScaling {
-    compute_column_scaling_checked(a).0
-}
-
-/// [`compute_column_scaling`], also reporting which columns contained a NaN.
+/// `[2^-(1+h), 2^-h)` for `headroom = h` — with `h = 0`, `[0.5, 1)`:
+/// squarely inside the FP16 range with room for the `sqrt(m)`-bounded
+/// growth of intermediate 2-norms. Also returns the columns that contained
+/// a NaN.
 ///
 /// A NaN would silently vanish in a plain `max` scan (`max` ignores NaN
 /// operands), producing a factor inferred from the column's other entries —
 /// disguising data that is already poisoned. Such columns get the identity
 /// factor instead and their indices are returned so engine-aware callers
 /// can raise a health warning (in the spirit of `engine.fp16_overflow`).
-pub fn compute_column_scaling_checked(a: MatRef<'_, f32>) -> (ColumnScaling, Vec<usize>) {
-    compute_column_scaling_with_headroom(a, 0)
-}
-
-/// [`compute_column_scaling_checked`] with `headroom` extra power-of-two
-/// bits: each column's max lands in `[2^-(1+h), 2^-h)` instead of
-/// `[0.5, 1)`.
 ///
 /// The recovery ladder's [`Rung::Rescale`](crate::recovery::Rung::Rescale)
-/// uses this to pull intermediates further from the fp16 overflow edge when
-/// a fault campaign (or genuinely adversarial data) keeps pushing results
-/// out of range — a dynamic generalization of the paper's fixed §3.5
-/// target. The factors stay exact powers of two, so un-scaling R remains
-/// bit-exact at any headroom.
-pub fn compute_column_scaling_with_headroom(
-    a: MatRef<'_, f32>,
-    headroom: u32,
-) -> (ColumnScaling, Vec<usize>) {
+/// raises `headroom` to pull intermediates further from the fp16 overflow
+/// edge when a fault campaign (or genuinely adversarial data) keeps pushing
+/// results out of range — a dynamic generalization of the paper's fixed
+/// §3.5 target. The factors stay exact powers of two, so un-scaling R
+/// remains bit-exact at any headroom.
+pub fn compute_column_scaling(a: MatRef<'_, f32>, headroom: u32) -> (ColumnScaling, Vec<usize>) {
     let mut nan_cols = Vec::new();
     let h = headroom.min(64) as i32;
     let scales = (0..a.ncols())
@@ -179,7 +166,7 @@ mod tests {
     #[test]
     fn scaling_factors_are_powers_of_two() {
         let a: Mat<f32> = gen::badly_scaled(50, 6, 10.0, &mut rng(1)).convert();
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         for &f in &s.scales {
             assert!(f > 0.0);
             let l = f.log2();
@@ -190,7 +177,7 @@ mod tests {
     #[test]
     fn scaled_columns_land_in_half_unit_interval() {
         let a: Mat<f32> = gen::badly_scaled(50, 8, 12.0, &mut rng(2)).convert();
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         let mut b = a.clone();
         scale_columns(b.as_mut(), &s);
         for j in 0..8 {
@@ -202,7 +189,7 @@ mod tests {
     #[test]
     fn scale_then_unscale_is_exact_identity() {
         let a: Mat<f32> = gen::gaussian(30, 5, &mut rng(3)).convert();
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         let mut b = a.clone();
         scale_columns(b.as_mut(), &s);
         unscale_r(b.as_mut(), &s);
@@ -224,7 +211,7 @@ mod tests {
             let mut a: Mat<f32> = Mat::zeros(4, 1);
             a.col_mut(0)[0] = -0.01;
             a.col_mut(0)[2] = amax;
-            let s = compute_column_scaling(a.as_ref());
+            let s = compute_column_scaling(a.as_ref(), 0).0;
             assert_eq!(s.scales[0], want, "factor for amax {amax}");
             let scaled = amax * s.scales[0];
             assert!(
@@ -241,7 +228,7 @@ mod tests {
         let mut a: Mat<f32> = Mat::zeros(4, 2);
         a.col_mut(0)[0] = 1.0e-40; // subnormal
         a.col_mut(1)[0] = f32::MAX;
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         for (j, &f) in s.scales.iter().enumerate() {
             assert!(f.is_finite() && f > 0.0, "col {j}: factor {f}");
             let scaled = a.col(j)[0] * f;
@@ -255,7 +242,7 @@ mod tests {
         // factor inferred from its finite entries and the poison GEMM'd on.
         let mut a: Mat<f32> = gen::badly_scaled(20, 4, 8.0, &mut rng(9)).convert();
         a.col_mut(1)[7] = f32::NAN;
-        let (s, nan_cols) = compute_column_scaling_checked(a.as_ref());
+        let (s, nan_cols) = compute_column_scaling(a.as_ref(), 0);
         assert_eq!(nan_cols, vec![1]);
         assert_eq!(s.scales[1], 1.0, "NaN column must not be scaled");
         // The clean columns are still brought into range.
@@ -264,8 +251,6 @@ mod tests {
             let scaled = amax * s.scales[j];
             assert!((0.5..1.0).contains(&scaled), "col {j}: {scaled}");
         }
-        // And the unchecked entry point agrees.
-        assert_eq!(compute_column_scaling(a.as_ref()), s);
     }
 
     #[test]
@@ -273,7 +258,7 @@ mod tests {
         let mut a: Mat<f32> = gen::gaussian(10, 3, &mut rng(4)).convert();
         a.col_mut(1).fill(0.0);
         a.col_mut(2)[0] = f32::INFINITY;
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         assert_eq!(s.scales[1], 1.0);
         assert_eq!(s.scales[2], 1.0);
     }
@@ -290,7 +275,7 @@ mod tests {
         assert_eq!(s.scaled_cols(), 2);
         // Computed scalings report the exponents that were applied.
         let a: Mat<f32> = gen::badly_scaled(40, 6, 9.0, &mut rng(7)).convert();
-        let c = compute_column_scaling(a.as_ref());
+        let c = compute_column_scaling(a.as_ref(), 0).0;
         if !c.is_identity() {
             let (lo, hi) = c.exponent_range().unwrap();
             assert!(lo <= hi);
@@ -301,7 +286,7 @@ mod tests {
     fn headroom_shifts_the_target_interval() {
         let a: Mat<f32> = gen::badly_scaled(40, 6, 10.0, &mut rng(11)).convert();
         for h in [0u32, 2, 4] {
-            let (s, nan_cols) = compute_column_scaling_with_headroom(a.as_ref(), h);
+            let (s, nan_cols) = compute_column_scaling(a.as_ref(), h);
             assert!(nan_cols.is_empty());
             let lo = 2f32.powi(-(h as i32) - 1);
             let hi = 2f32.powi(-(h as i32));
@@ -319,11 +304,6 @@ mod tests {
             unscale_r(b.as_mut(), &s);
             assert_eq!(a, b);
         }
-        // Zero headroom is the plain checked scaling.
-        assert_eq!(
-            compute_column_scaling_with_headroom(a.as_ref(), 0).0,
-            compute_column_scaling(a.as_ref())
-        );
     }
 
     #[test]
@@ -341,7 +321,7 @@ mod tests {
         // End-to-end invariant: QR(A P) then R P^{-1} factorizes A.
         let a64 = gen::badly_scaled(200, 16, 6.0, &mut rng(6));
         let a: Mat<f32> = a64.convert();
-        let s = compute_column_scaling(a.as_ref());
+        let s = compute_column_scaling(a.as_ref(), 0).0;
         let mut ap = a.clone();
         scale_columns(ap.as_mut(), &s);
 

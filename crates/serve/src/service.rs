@@ -903,13 +903,14 @@ pub fn interleave_execution_order(order: &[Vec<usize>]) -> Option<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcqr_batch::{jobgen, EngineHealth};
+    use densemat::gen::{rng, uniform_pm1};
+    use tcqr_batch::EngineHealth;
     use tcqr_core::{RgsqrfConfig, SolveOutput, Solver};
     use tensor_engine::{EngineFaultPlan, GpuSim};
     use tcqr_trace::schema::{EngineSegment, FleetSummary};
 
     fn qr_job(seed: u64) -> Job {
-        Job::rgsqrf(jobgen::gaussian_f32(32, 8, seed), RgsqrfConfig::default())
+        Job::rgsqrf(uniform_pm1(32, 8, &mut rng(seed)).convert(), RgsqrfConfig::default())
     }
 
     /// A job that blocks on a gate and touches no engine state: holds a
@@ -995,7 +996,7 @@ mod tests {
         });
         // Wide input: rejected by the solver with a typed error, not by
         // the service.
-        let bad = Job::rgsqrf(jobgen::gaussian_f32(4, 8, 3), RgsqrfConfig::default());
+        let bad = Job::rgsqrf(uniform_pm1(4, 8, &mut rng(3)).convert(), RgsqrfConfig::default());
         let t = handle.submit(bad, Priority::Low).unwrap();
         let res = t.wait().expect("worker alive");
         assert!(matches!(res, Err(TcqrError::ShapeMismatch { .. })));
@@ -1250,7 +1251,7 @@ mod tests {
         });
         let (p, g) = plug();
         let _t0 = handle.submit(p, Priority::Low).unwrap();
-        let bad = || Job::rgsqrf(jobgen::gaussian_f32(4, 8, 9), RgsqrfConfig::default());
+        let bad = || Job::rgsqrf(uniform_pm1(4, 8, &mut rng(9)).convert(), RgsqrfConfig::default());
         let t1 = handle.submit(bad(), Priority::Low).unwrap();
         let t2 = handle.submit(bad(), Priority::Low).unwrap();
         let t3 = handle.submit(qr_job(62), Priority::Low).unwrap();

@@ -6,6 +6,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use densemat::gen::{rng, uniform_pm1};
 use tcqr_batch::{
     jobgen::{self, JobMixConfig},
     result_fingerprint, BatchScheduler, EngineHealth, EnginePool, Job,
@@ -134,7 +135,7 @@ fn drain_under_load_loses_nothing_and_runs_nothing_twice() {
     let tickets: Vec<Ticket> = (0..N)
         .map(|i| {
             let job = Job::rgsqrf(
-                jobgen::gaussian_f32(48, 12, 500 + i as u64),
+                uniform_pm1(48, 12, &mut rng(500 + i as u64)).convert(),
                 RgsqrfConfig {
                     cutoff: 16,
                     ..RgsqrfConfig::default()
@@ -203,7 +204,7 @@ max_burn_rate = 1.0
     let mut rejected = 0u64;
     for i in 0..32u64 {
         let job = Job::rgsqrf(
-            jobgen::gaussian_f32(128, 32, 9000 + i),
+            uniform_pm1(128, 32, &mut rng(9000 + i)).convert(),
             RgsqrfConfig {
                 cutoff: 32,
                 caqr_width: 8,
@@ -307,7 +308,7 @@ fn a_panicking_job_resolves_typed_and_drain_returns() {
         let submit = |job: Job| handle.submit(job, Priority::High).expect("admitted");
         let plug = || Job::custom(Plug(gate.clone()));
         let plugs = [submit(plug()), submit(plug())];
-        let qr = |seed| Job::rgsqrf(jobgen::gaussian_f32(32, 8, seed), RgsqrfConfig::default());
+        let qr = |seed| Job::rgsqrf(uniform_pm1(32, 8, &mut rng(seed)).convert(), RgsqrfConfig::default());
         let (bad, t3, t4) = (submit(Job::custom(Panics)), submit(qr(3)), submit(qr(4)));
         assert_eq!((bad.engine(), t3.engine(), t4.engine()), (0, 1, 0));
         *gate.0.lock().unwrap() = true;
