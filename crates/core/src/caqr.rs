@@ -160,10 +160,14 @@ fn tsqr_level<T: Real>(
     // Steps 2-3: reduce the stacked R factors recursively.
     tsqr_level(tracer, stack.as_mut(), r, block_rows, kernel, level + 1);
 
-    // Step 4: batched Q updates, Q_i <- Q_i * Q2_i.
+    // Step 4: batched Q updates, Q_i <- Q_i * Q2_i, through one product
+    // buffer as tall as the tallest block (`beta = 0` clears it each time).
     let q2blocks = split_rows(stack.as_mut(), n);
+    let tallest = blocks.iter().map(|qb| qb.nrows()).max().unwrap_or(0);
+    let mut buf = vec![T::ZERO; tallest * n];
     for (qb, q2b) in blocks.iter_mut().zip(q2blocks) {
-        let mut tmp: Mat<T> = Mat::zeros(qb.nrows(), n);
+        let rows = qb.nrows();
+        let mut tmp = MatMut::from_col_major_slice_mut(&mut buf[..rows * n], rows, n);
         gemm(
             T::ONE,
             Op::NoTrans,
@@ -171,7 +175,7 @@ fn tsqr_level<T: Real>(
             Op::NoTrans,
             q2b.as_ref(),
             T::ZERO,
-            tmp.as_mut(),
+            tmp.rb(),
         );
         qb.copy_from(tmp.as_ref());
     }

@@ -9,8 +9,8 @@
 //! the paper's §3.6), and instead of Householder because every operation is
 //! a vector update that stays in the tile.
 
-use densemat::blas1::{dot, nrm2, scal};
-use densemat::{MatMut, Real};
+use densemat::blas1::{dots, nrm2, scal};
+use densemat::{gemv, ger, MatMut, Op, Real};
 
 /// In-place modified Gram-Schmidt QR of a tall tile.
 ///
@@ -29,6 +29,7 @@ pub fn mgs_qr<T: Real>(mut q: MatMut<'_, T>, mut r: MatMut<'_, T>) {
     for j in 0..n {
         r.col_mut(j)[..n].fill(T::ZERO);
     }
+    let mut row = vec![T::ZERO; n];
     for k in 0..n {
         // R[k,k] = ||q_k||; q_k /= R[k,k]
         let rkk = nrm2(q.col(k));
@@ -38,16 +39,17 @@ pub fn mgs_qr<T: Real>(mut q: MatMut<'_, T>, mut r: MatMut<'_, T>) {
         }
         scal(rkk.recip(), q.col_mut(k));
         // R[k, k+1..] = q_k^T Q[:, k+1..];  Q[:, k+1..] -= q_k R[k, k+1..]
-        let (head, mut tail) = q.rb().split_at_col_mut(k + 1);
+        let (head, tail) = q.rb().split_at_col_mut(k + 1);
         let qk = head.col(k);
-        for (offset, jj) in (k + 1..n).enumerate() {
-            let col = tail.col_mut(offset);
-            let rkj = dot(qk, col);
-            r.set(k, jj, rkj);
-            if rkj != T::ZERO {
-                densemat::blas1::axpy(-rkj, qk, col);
-            }
+        let row = &mut row[k + 1..];
+        dots(qk, tail.as_ref(), row);
+        for (jj, v) in (k + 1..n).zip(row.iter_mut()) {
+            r.set(k, jj, *v);
+            // Negated here rather than through `alpha = -1`, which would
+            // leave a NaN's sign unflipped.
+            *v = -*v;
         }
+        ger(T::ONE, qk, row, tail);
     }
 }
 
@@ -65,20 +67,19 @@ pub fn cgs_qr<T: Real>(mut q: MatMut<'_, T>, mut r: MatMut<'_, T>) {
     for j in 0..n {
         r.col_mut(j)[..n].fill(T::ZERO);
     }
+    let mut neg = vec![T::ZERO; n];
     for k in 0..n {
         // Project the ORIGINAL column k against all previous q's at once.
         let (head, mut tail) = q.rb().split_at_col_mut(k);
         let col = tail.col_mut(0);
-        for i in 0..k {
-            let rik = dot(head.col(i), col);
-            r.set(i, k, rik);
+        let rcol = &mut r.col_mut(k)[..k];
+        dots(col, head.as_ref(), rcol);
+        // -R[..k, k], negated as in `mgs_qr`.
+        let neg = &mut neg[..k];
+        for (v, &rik) in neg.iter_mut().zip(rcol.iter()) {
+            *v = -rik;
         }
-        for i in 0..k {
-            let rik = r.get(i, k);
-            if rik != T::ZERO {
-                densemat::blas1::axpy(-rik, head.col(i), col);
-            }
-        }
+        gemv(T::ONE, Op::NoTrans, head.as_ref(), neg, T::ONE, col);
         let rkk = nrm2(col);
         r.set(k, k, rkk);
         if rkk != T::ZERO {
@@ -90,9 +91,10 @@ pub fn cgs_qr<T: Real>(mut q: MatMut<'_, T>, mut r: MatMut<'_, T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use densemat::blas1::{axpy, dot};
     use densemat::gen::{self, rng};
     use densemat::metrics::{orthogonality_error, qr_backward_error};
-    use densemat::{Mat, Op};
+    use densemat::Mat;
 
     fn run_mgs(a: &Mat<f64>) -> (Mat<f64>, Mat<f64>) {
         let mut q = a.clone();
@@ -199,6 +201,115 @@ mod tests {
             let nr = densemat::blas1::nrm2(&r.col(j)[..10]);
             assert!((na - nr).abs() < 1e-12 * na);
         }
+    }
+
+    /// `mgs_qr` as a per-column `dot`/`axpy` loop: the spec `dots` + `ger`
+    /// must match bit for bit.
+    fn mgs_reference<T: Real>(q: &mut Mat<T>, r: &mut Mat<T>) {
+        let n = q.ncols();
+        r.data_mut().fill(T::ZERO);
+        for k in 0..n {
+            let rkk = nrm2(q.col(k));
+            r[(k, k)] = rkk;
+            if rkk == T::ZERO {
+                continue;
+            }
+            scal(rkk.recip(), q.col_mut(k));
+            let qk = q.col(k).to_vec();
+            for j in k + 1..n {
+                let rkj = dot(&qk, q.col(j));
+                r[(k, j)] = rkj;
+                if rkj != T::ZERO {
+                    axpy(-rkj, &qk, q.col_mut(j));
+                }
+            }
+        }
+    }
+
+    /// `cgs_qr` as a per-column `dot`/`axpy` loop.
+    fn cgs_reference<T: Real>(q: &mut Mat<T>, r: &mut Mat<T>) {
+        let n = q.ncols();
+        r.data_mut().fill(T::ZERO);
+        for k in 0..n {
+            for i in 0..k {
+                r[(i, k)] = dot(q.col(i), q.col(k));
+            }
+            for i in 0..k {
+                let rik = r[(i, k)];
+                if rik != T::ZERO {
+                    let qi = q.col(i).to_vec();
+                    axpy(-rik, &qi, q.col_mut(k));
+                }
+            }
+            let rkk = nrm2(q.col(k));
+            r[(k, k)] = rkk;
+            if rkk != T::ZERO {
+                scal(rkk.recip(), q.col_mut(k));
+            }
+        }
+    }
+
+    /// A seeded tile with a zero column, a duplicate column and one scaled
+    /// into the subnormal range, whose products underflow (to -0.0 among
+    /// others).
+    fn hard_tile<T: Real>(m: usize, n: usize, seed: u64) -> Mat<T> {
+        let mut a: Mat<T> = gen::gaussian(m, n, &mut rng(seed)).convert();
+        let tiny = T::from_f64(if T::NAME == "f32" { 1e-41 } else { 1e-315 });
+        for (j, dup, zero, small) in [(n / 2, 0, 1, 2), (n - 1, 1, 3, 5)] {
+            if n > small {
+                for v in a.col_mut(small) {
+                    *v *= tiny;
+                }
+            }
+            if n > zero {
+                a.col_mut(zero).fill(T::ZERO);
+            }
+            if j > dup {
+                let c = a.col(dup).to_vec();
+                a.col_mut(j).copy_from_slice(&c);
+            }
+        }
+        a
+    }
+
+    fn same_bits<T: Real>(what: &str, got: &Mat<T>, want: &Mat<T>) {
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(
+                g.to_f64().to_bits(),
+                w.to_f64().to_bits(),
+                "{what}: entry {i}: {g} vs {w}"
+            );
+        }
+    }
+
+    fn pin_to_reference<T: Real>() {
+        gen::for_each_seed(24, |rng| {
+            let seed = rng.next_u64();
+            let (m, n) = [(256, 32), (64, 8), (37, 9), (33, 17), (6, 6), (1, 1)][seed as usize % 6];
+            let a: Mat<T> = hard_tile(m, n, seed);
+            let what = format!("{} {m}x{n} seed {seed}", T::NAME);
+            for (name, fast, slow) in [
+                (
+                    "mgs",
+                    mgs_qr::<T> as fn(MatMut<'_, T>, MatMut<'_, T>),
+                    mgs_reference::<T> as fn(&mut Mat<T>, &mut Mat<T>),
+                ),
+                ("cgs", cgs_qr::<T>, cgs_reference::<T>),
+            ] {
+                let (mut q, mut r) = (a.clone(), Mat::zeros(n, n));
+                fast(q.as_mut(), r.as_mut());
+                let (mut q_ref, mut r_ref) = (a.clone(), Mat::zeros(n, n));
+                slow(&mut q_ref, &mut r_ref);
+                same_bits(&format!("{name} Q {what}"), &q, &q_ref);
+                same_bits(&format!("{name} R {what}"), &r, &r_ref);
+            }
+        });
+    }
+
+    #[test]
+    fn mgs_and_cgs_match_the_per_column_loops_bit_for_bit() {
+        pin_to_reference::<f32>();
+        pin_to_reference::<f64>();
     }
 
     #[test]

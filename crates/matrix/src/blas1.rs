@@ -5,7 +5,16 @@
 //! naive TensorCore substitution fails. `dot`, `axpy` and `nrm2` each run one
 //! `*_body`, compiled for AVX2+FMA when the host has it and as-is otherwise;
 //! both copies return the same bits (see `fma.rs`).
+//!
+//! [`dots`] is the multi-column form of `dot` that the level-2 kernels and
+//! the Gram-Schmidt panels run on: `out[j] == dot(x, cols.col(j))` bit for
+//! bit. Its portable copy is that loop. Its AVX2+FMA copy runs eight columns
+//! per pass over `x`, each column with its own vector of `dot`'s four lane
+//! partials, so eight independent FMA chains share every load of `x`: one
+//! chain is bound by FMA latency, and eight cover the latency of two FMA
+//! units.
 
+use crate::mat::MatRef;
 use crate::real::Real;
 
 /// Dot product `x . y`. Panics on length mismatch.
@@ -36,6 +45,26 @@ pub(crate) fn dot_body<T: Real>(x: &[T], y: &[T]) -> T {
         s0 = xi.mul_add(yi, s0);
     }
     (s0 + s1) + (s2 + s3)
+}
+
+/// `out[j] = dot(x, cols.col(j))` for every column of `cols`, with the same
+/// bits as that loop. Panics on shape mismatch.
+pub fn dots<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) {
+    assert_eq!(x.len(), cols.nrows(), "dots: length mismatch");
+    assert_eq!(out.len(), cols.ncols(), "dots: out length");
+    // SAFETY: `hw_fma` just confirmed AVX2 and FMA on this host.
+    #[cfg(target_arch = "x86_64")]
+    if crate::fma::hw_fma() && unsafe { x86::dots(x, cols, out) } {
+        return;
+    }
+    dots_body(x, cols, out)
+}
+
+/// [`dots`] as the per-column loop: the spec the AVX2+FMA copy matches.
+pub(crate) fn dots_body<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) {
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = dot_body(x, cols.col(j));
+    }
 }
 
 /// Euclidean norm `||x||_2`, with scaling to avoid overflow/underflow of the
@@ -97,6 +126,151 @@ pub fn iamax<T: Real>(x: &[T]) -> usize {
         }
     }
     best
+}
+
+/// The AVX2+FMA copy of [`dots`], in explicit vectors: written as arrays of
+/// scalar partials, LLVM transposes the columns' partials across vectors
+/// and gains nothing. One vector holds one column's four lane
+/// partials (`__m128` for f32, `__m256d` for f64), so lane `l` of a column
+/// accumulates rows `l, l + 4, ...` exactly as [`dot_body`]'s `s_l` does.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::mat::MatRef;
+    use crate::real::Real;
+    use core::any::TypeId;
+    use core::arch::x86_64::*;
+
+    /// [`super::dots`] for `f32` or `f64`; false (and `out` untouched) for
+    /// any other `T`. Shapes are checked by the caller.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    pub(super) unsafe fn dots<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) -> bool {
+        if TypeId::of::<T>() == TypeId::of::<f32>() {
+            // SAFETY: `T` is `f32`; the caller vouches for AVX2 and FMA.
+            unsafe { retyped(x, cols, out, dots_f32) };
+        } else if TypeId::of::<T>() == TypeId::of::<f64>() {
+            // SAFETY: `T` is `f64`; the caller vouches for AVX2 and FMA.
+            unsafe { retyped(x, cols, out, dots_f64) };
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Run `kernel` on the arguments viewed as `U`s.
+    ///
+    /// # Safety
+    /// `T` and `U` must be the same type, and `kernel`'s own safety
+    /// conditions must hold.
+    unsafe fn retyped<T: Real, U: Real>(
+        x: &[T],
+        cols: MatRef<'_, T>,
+        out: &mut [T],
+        kernel: unsafe fn(&[U], MatRef<'_, U>, &mut [U]),
+    ) {
+        // SAFETY: `T` is `U`, so each view keeps its pointer, length and
+        // layout and only changes its name for the element type.
+        unsafe {
+            let xu = core::slice::from_raw_parts(x.as_ptr().cast::<U>(), x.len());
+            let cu = MatRef::from_raw_parts(
+                cols.as_ptr().cast::<U>(),
+                cols.nrows(),
+                cols.ncols(),
+                cols.ld(),
+            );
+            let ou = core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<U>(), out.len());
+            kernel(xu, cu, ou)
+        }
+    }
+
+    /// `dots_f32`/`dots_f64`: groups of eight columns, then one group of
+    /// the remaining one to seven. The intrinsics work on four lanes of
+    /// `$t`.
+    macro_rules! dots_kernel {
+        ($name:ident, $t:ty, $zero:ident, $load:ident, $fmadd:ident, $store:ident) => {
+            /// # Safety
+            /// The host must support AVX2 and FMA; `x.len() == cols.nrows()`
+            /// and `out.len() == cols.ncols()`.
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn $name(x: &[$t], cols: MatRef<'_, $t>, out: &mut [$t]) {
+                /// `G` columns in one pass over `x`.
+                ///
+                /// # Safety
+                /// The host must support AVX2 and FMA; every column is as
+                /// long as `x`.
+                #[inline]
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn group<const G: usize>(x: &[$t], cols: [&[$t]; G], out: &mut [$t]) {
+                    let m = x.len();
+                    let body = m - m % 4;
+                    // SAFETY: every load reads four of the first `body <= m`
+                    // elements of `x` or of a column as long as `x`.
+                    unsafe {
+                        let mut acc = [$zero(); G];
+                        let mut i = 0;
+                        while i < body {
+                            let xv = $load(x.as_ptr().add(i));
+                            for (s, col) in acc.iter_mut().zip(&cols) {
+                                *s = $fmadd(xv, $load(col.as_ptr().add(i)), *s);
+                            }
+                            i += 4;
+                        }
+                        for ((o, s), col) in out.iter_mut().zip(acc).zip(&cols) {
+                            let mut p = [0.0 as $t; 4];
+                            $store(p.as_mut_ptr(), s);
+                            for (&xi, &yi) in x[body..].iter().zip(&col[body..m]) {
+                                p[0] = xi.mul_add(yi, p[0]);
+                            }
+                            *o = (p[0] + p[1]) + (p[2] + p[3]);
+                        }
+                    }
+                }
+                debug_assert!(x.len() == cols.nrows() && out.len() == cols.ncols());
+                let n = cols.ncols();
+                let full = n - n % 8;
+                // SAFETY: the caller vouches for AVX2 and FMA, and every
+                // column of `cols` has `cols.nrows() == x.len()` elements.
+                unsafe {
+                    let mut j = 0;
+                    while j < full {
+                        let c = core::array::from_fn(|g| cols.col(j + g));
+                        group::<8>(x, c, &mut out[j..j + 8]);
+                        j += 8;
+                    }
+                    let rest = &mut out[full..];
+                    let c = |g| cols.col(full + g);
+                    match n - full {
+                        7 => group::<7>(x, core::array::from_fn(c), rest),
+                        6 => group::<6>(x, core::array::from_fn(c), rest),
+                        5 => group::<5>(x, core::array::from_fn(c), rest),
+                        4 => group::<4>(x, core::array::from_fn(c), rest),
+                        3 => group::<3>(x, core::array::from_fn(c), rest),
+                        2 => group::<2>(x, core::array::from_fn(c), rest),
+                        1 => group::<1>(x, core::array::from_fn(c), rest),
+                        _ => {}
+                    }
+                }
+            }
+        };
+    }
+
+    dots_kernel!(
+        dots_f32,
+        f32,
+        _mm_setzero_ps,
+        _mm_loadu_ps,
+        _mm_fmadd_ps,
+        _mm_storeu_ps
+    );
+    dots_kernel!(
+        dots_f64,
+        f64,
+        _mm256_setzero_pd,
+        _mm256_loadu_pd,
+        _mm256_fmadd_pd,
+        _mm256_storeu_pd
+    );
 }
 
 #[cfg(test)]

@@ -519,6 +519,11 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
 }
 
 /// `y = alpha * op(A) * x + beta * y`.
+///
+/// After `y *= beta` (`beta == 0` clears it), NoTrans adds `a_j * (alpha *
+/// x_j)` onto every `y_i` in ascending `j`, one FMA each, skipping every `j`
+/// with `alpha * x_j == 0`; Trans sets `y_j = alpha * d_j + y_j` in one FMA,
+/// with `d_j` the [`dots`](crate::blas1::dots) of column `j` and `x`.
 pub fn gemv<T: Real>(
     alpha: T,
     op: Op,
@@ -537,29 +542,73 @@ pub fn gemv<T: Real>(
     }
     match op {
         Op::NoTrans => {
-            for (j, &xv) in x.iter().enumerate() {
-                let xj = alpha * xv;
-                if xj != T::ZERO {
-                    crate::blas1::axpy(xj, a.col(j), y);
-                }
-            }
+            fma_dispatch!(gemv_n_body::<T>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]));
+            gemv_n_body(alpha, a, x, y)
         }
         Op::Trans => {
-            for (j, yj) in y.iter_mut().enumerate() {
-                *yj = alpha.mul_add(crate::blas1::dot(a.col(j), x), *yj);
+            // The dots go through a stack buffer, a block of columns at a time.
+            let mut d = [T::ZERO; 64];
+            for (j0, yb) in (0..m).step_by(d.len()).zip(y.chunks_mut(d.len())) {
+                let d = &mut d[..yb.len()];
+                crate::blas1::dots(x, a.submatrix(0, j0, n, yb.len()), d);
+                for (yj, &dj) in yb.iter_mut().zip(d.iter()) {
+                    *yj = alpha.mul_add(dj, *yj);
+                }
             }
         }
     }
 }
 
-/// Rank-1 update `A += alpha * x * y^T`.
-pub fn ger<T: Real>(alpha: T, x: &[T], y: &[T], mut a: MatMut<'_, T>) {
+/// Columns a level-2 kernel takes per pass over its vector.
+const GROUP: usize = 4;
+
+/// `y += A * (alpha * x)` over the columns with `alpha * x_j != 0`, taken
+/// [`GROUP`] at a time so each pass over `y` applies four columns; every
+/// `y_i` still gets its FMAs in ascending `j`.
+#[inline(always)]
+fn gemv_n_body<T: Real>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]) {
+    let mut group: [(&[T], T); GROUP] = [(&[], T::ZERO); GROUP];
+    let mut len = 0;
+    for (j, &xv) in x.iter().enumerate() {
+        let xj = alpha * xv;
+        if xj != T::ZERO {
+            group[len] = (a.col(j), xj);
+            len += 1;
+            if len == GROUP {
+                let [(a0, x0), (a1, x1), (a2, x2), (a3, x3)] = group;
+                let cols = a0.iter().zip(a1).zip(a2.iter().zip(a3));
+                for (yi, ((&v0, &v1), (&v2, &v3))) in y.iter_mut().zip(cols) {
+                    let s = v0.mul_add(x0, *yi);
+                    let s = v1.mul_add(x1, s);
+                    let s = v2.mul_add(x2, s);
+                    *yi = v3.mul_add(x3, s);
+                }
+                len = 0;
+            }
+        }
+    }
+    for &(col, xj) in &group[..len] {
+        crate::blas1::axpy_body(xj, col, y);
+    }
+}
+
+/// Rank-1 update `A += alpha * x * y^T`: column `j` gets `x * (alpha * y_j)`,
+/// one FMA per entry, unless `alpha * y_j == 0`.
+pub fn ger<T: Real>(alpha: T, x: &[T], y: &[T], a: MatMut<'_, T>) {
     assert_eq!(x.len(), a.nrows(), "ger: x length");
     assert_eq!(y.len(), a.ncols(), "ger: y length");
+    fma_dispatch!(ger_body::<T>(alpha: T, x: &[T], y: &[T], a: MatMut<'_, T>));
+    ger_body(alpha, x, y, a)
+}
+
+/// [`ger`] column by column. Taking four columns per pass over `x` measured
+/// no faster: the update is bound by its stores, one per entry either way.
+#[inline(always)]
+fn ger_body<T: Real>(alpha: T, x: &[T], y: &[T], mut a: MatMut<'_, T>) {
     for (j, &yv) in y.iter().enumerate() {
         let yj = alpha * yv;
         if yj != T::ZERO {
-            crate::blas1::axpy(yj, x, a.col_mut(j));
+            crate::blas1::axpy_body(yj, x, a.col_mut(j));
         }
     }
 }
@@ -1000,6 +1049,102 @@ mod tests {
         }
     }
 
+    /// An `m x n` interior view's backing matrix (rows `1..=m`, columns
+    /// `1..=n`): column `j` is a [`blas1_input`] with `specials` on even
+    /// columns and only the subnormal and -0.0 on odd ones; column 5 is
+    /// zero and column 7 repeats column 1.
+    fn level2_input<T: Real>(m: usize, n: usize, seed: u64, specials: u32) -> Mat<T> {
+        let mut a: Mat<T> = filled(m + 3, n + 2, seed).convert();
+        for j in 0..n {
+            let bits = if j % 2 == 0 { specials } else { specials & 4 };
+            let col: Vec<T> = match j {
+                5 => vec![T::ZERO; m],
+                7 => blas1_input(m, seed + 1, specials & 4),
+                _ => blas1_input(m, seed + j as u64, bits),
+            };
+            a.col_mut(j + 1)[1..=m].copy_from_slice(&col);
+        }
+        a
+    }
+
+    /// A level-2 kernel's vector: a [`blas1_input`] with entries 2 and 6
+    /// set to +0.0 and -0.0, so the `alpha * x_j == 0` skips run.
+    fn level2_vec<T: Real>(len: usize, seed: u64, specials: u32) -> Vec<T> {
+        let mut v: Vec<T> = blas1_input(len, seed, specials);
+        for (at, z) in [(2, 0.0), (6, -0.0)] {
+            if at < len {
+                v[at] = T::from_f64(z);
+            }
+        }
+        v
+    }
+
+    /// `dots`, `gemv` and `ger` against the per-column loops they replace:
+    /// `dot_body` per column, `axpy_body` per non-skipped column in
+    /// ascending order, and one `alpha * d_j + y_j` FMA per Trans entry.
+    fn level2_oracle_for<T: Real>() {
+        use crate::blas1::{axpy_body, dot_body, dots};
+        for m in (0..=40).chain([1024]) {
+            for n in 0..=9 {
+                for specials in 0..8 {
+                    let what = format!("{} {m}x{n} specials={specials}", T::NAME);
+                    let abig: Mat<T> = level2_input(m, n, 30 + m as u64, specials);
+                    let a = abig.as_ref().submatrix(1, 1, m, n);
+                    let xm: Vec<T> = level2_vec(m, 40 + m as u64, specials);
+                    let xn: Vec<T> = level2_vec(n, 50 + n as u64, specials);
+
+                    let mut got = vec![T::from_f64(7.0); n];
+                    dots(&xm, a, &mut got);
+                    let want: Vec<T> = (0..n).map(|j| dot_body(&xm, a.col(j))).collect();
+                    assert_same_bits(&format!("dots {what}"), &got, &want);
+
+                    for (alpha, beta) in [(1.0, 0.0), (-1.0, 1.0), (0.5, -2.0)] {
+                        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                        let scaled = |y: &[T]| -> Vec<T> {
+                            y.iter()
+                                .map(|&v| match () {
+                                    _ if beta == T::ZERO => T::ZERO,
+                                    _ if beta == T::ONE => v,
+                                    _ => v * beta,
+                                })
+                                .collect()
+                        };
+                        let what = format!("{what} alpha={alpha} beta={beta}");
+                        let y0: Vec<T> = level2_vec(m, 60 + m as u64, specials & 4);
+                        let mut got = y0.clone();
+                        gemv(alpha, Op::NoTrans, a, &xn, beta, &mut got);
+                        let mut want = scaled(&y0);
+                        for (j, &xv) in xn.iter().enumerate() {
+                            if alpha * xv != T::ZERO {
+                                axpy_body(alpha * xv, a.col(j), &mut want);
+                            }
+                        }
+                        assert_same_bits(&format!("gemv N {what}"), &got, &want);
+
+                        let y0: Vec<T> = level2_vec(n, 70 + n as u64, specials & 4);
+                        let mut got = y0.clone();
+                        gemv(alpha, Op::Trans, a, &xm, beta, &mut got);
+                        let mut want = scaled(&y0);
+                        for (j, w) in want.iter_mut().enumerate() {
+                            *w = alpha.mul_add(dot_body(a.col(j), &xm), *w);
+                        }
+                        assert_same_bits(&format!("gemv T {what}"), &got, &want);
+
+                        let mut got = abig.clone();
+                        ger(alpha, &xm, &xn, got.as_mut().submatrix_mut(1, 1, m, n));
+                        let mut want = abig.clone();
+                        for (j, &yv) in xn.iter().enumerate() {
+                            if alpha * yv != T::ZERO {
+                                axpy_body(alpha * yv, &xm, &mut want.col_mut(j + 1)[1..=m]);
+                            }
+                        }
+                        assert_same_bits(&format!("ger {what}"), got.data(), want.data());
+                    }
+                }
+            }
+        }
+    }
+
     /// Wall rate of the small products a serve-mix job runs, against which
     /// kernel changes are judged shape by shape. For m in 128..=256 and a
     /// job width w in {32, 48, 64}: NN at m x w x w and at the recursion's
@@ -1061,5 +1206,7 @@ mod tests {
         gemm_oracle_for::<f64>();
         blas1_oracle_for::<f32>();
         blas1_oracle_for::<f64>();
+        level2_oracle_for::<f32>();
+        level2_oracle_for::<f64>();
     }
 }
