@@ -730,7 +730,9 @@ fn lsqr_inner(
 
         // ||B^T r_k|| = phi_bar * alpha * |c| — LSQR's standard estimate.
         let snorm = phi_bar * alpha * c.abs();
-        let rel = if s0 > 0.0 { snorm / s0 } else { 0.0 };
+        // s0 == 0 means B^T b == 0, solved by y = 0; a NaN s0 gives a NaN
+        // estimate, which stops the loop below.
+        let rel = if s0 == 0.0 { 0.0 } else { snorm / s0 };
         history.push(rel);
         tracer.op(
             "lsqr.iter",
@@ -738,6 +740,11 @@ fn lsqr_inner(
         );
         if rel <= refine.tol {
             converged = true;
+            break;
+        }
+        // A NaN in A, b or the preconditioner: the estimate can never
+        // reach the tolerance, so stop without converging.
+        if rel.is_nan() {
             break;
         }
         // Without the guard a damaged preconditioner burns the full
@@ -1045,13 +1052,12 @@ pub(crate) mod tests {
         let (a, b) = problem(64, 4, 10.0, 1);
         let converged = [0x4013cc3cae92f44c, 0xc0209e9bc7221fe6, 0xc00488f3f1eeb28d, 0xc0077a39bd23067e];
         assert_exit("converged", &run(&a, &b, RefineConfig::default()), 2, true, false, Some(converged));
-        // A NaN in the preconditioner: `nrm2` skips NaN entries, so the
-        // residual estimate reads 0 and LSQR reports convergence on a NaN
-        // solution (pinned as it is today).
+        // A NaN in the preconditioner makes `alpha` and the residual
+        // estimate NaN: LSQR stops after one iteration, not converged.
         let mut r_nan = Mat::<f64>::identity(4, 4);
         r_nan[(1, 1)] = f64::NAN;
         let out = lsqr_preconditioned(&GpuSim::default(), &a, &b, &r_nan, &refine(1e-12, 7));
-        assert_exit("non-finite", &out, 1, true, false, None);
+        assert_exit("non-finite", &out, 1, false, false, None);
         assert_exit("zero rhs", &run(&a, &[0.0; 64], RefineConfig::default()), 0, true, false, Some([0; 4]));
         let (a, b) = problem(64, 4, 1e4, 3);
         let capped = [0x4092f5c2e3f50302, 0xc0763e58763d4bc3, 0xc0a156e8d0b213bf, 0x4087989b03706984];

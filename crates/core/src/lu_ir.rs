@@ -234,6 +234,10 @@ pub fn try_lu_ir_solve(
         if rel <= cfg.tol {
             return Ok(RefineOutcome::new(x, it, true, false, history));
         }
+        // A NaN in b or A: the correction can never shrink.
+        if rel.is_nan() {
+            return Ok(RefineOutcome::new(x, it, false, false, history));
+        }
         if rel >= best * 0.5 {
             // Refinement contracts by ~kappa * u_factor per step; a ratio
             // near 1 means divergence or stagnation.
@@ -427,12 +431,11 @@ mod tests {
         let capped = [0xc0f99fadbd5752bc, 0xc123f3cde3a662d8, 0xc0e21f613588063b, 0xc114650f956129a3];
         assert_exit("cap", &run(1e6, 6, &b, 2), 2, false, false, Some(capped));
         assert_exit("zero rhs", &run(1e6, 6, &[0.0; 4], 200), 0, true, false, Some([0; 4]));
-        // A NaN in b: `nrm2` skips NaN entries, so the correction reads 0
-        // and LU-IR reports convergence on a NaN solution (pinned as it is
-        // today).
+        // A NaN in b makes the first correction's norm NaN: LU-IR stops
+        // there, not converged.
         let mut b_nan = b.clone();
         b_nan[2] = f64::NAN;
-        assert_exit("non-finite", &run(1e6, 6, &b_nan, 3), 1, true, false, None);
+        assert_exit("non-finite", &run(1e6, 6, &b_nan, 3), 1, false, false, None);
     }
 
     #[test]

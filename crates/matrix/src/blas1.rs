@@ -68,7 +68,8 @@ pub(crate) fn dots_body<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) {
 }
 
 /// Euclidean norm `||x||_2`, with scaling to avoid overflow/underflow of the
-/// intermediate sum of squares (LAPACK `xNRM2` semantics).
+/// intermediate sum of squares (LAPACK `xNRM2` semantics). NaN when any
+/// entry is NaN.
 pub fn nrm2<T: Real>(x: &[T]) -> T {
     fma_dispatch!(nrm2_body::<T>(x: &[T]) -> T);
     nrm2_body(x)
@@ -79,7 +80,10 @@ pub fn nrm2<T: Real>(x: &[T]) -> T {
 pub(crate) fn nrm2_body<T: Real>(x: &[T]) -> T {
     let amax = x.iter().fold(T::ZERO, |m, &v| m.maxv(v.abs()));
     if amax == T::ZERO || !amax.is_finite_v() {
-        return amax;
+        // The max scan skips NaN, so look for one before reading 0 or inf
+        // as the norm. Past this point a NaN reaches the sum of squares.
+        #[allow(clippy::eq_op)] // NaN is the one value not equal to itself
+        return x.iter().copied().find(|&v| v != v).unwrap_or(amax);
     }
     // Scale by a power of two near 1/amax so the squares stay in range and
     // the scaling itself is exact.
@@ -304,6 +308,24 @@ mod tests {
         let small = vec![1e-30f32; 4];
         let n = nrm2(&small);
         assert!((n - 2e-30).abs() / 2e-30 < 1e-6);
+    }
+
+    #[test]
+    fn nrm2_is_nan_when_any_entry_is() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for x in [
+            vec![nan],
+            vec![nan; 5],
+            vec![0.0, nan, 0.0],
+            vec![inf, nan],
+            vec![1.0, nan],
+        ] {
+            assert!(nrm2(&x).is_nan(), "{x:?}");
+            let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+            assert!(nrm2(&x32).is_nan(), "{x:?}");
+        }
+        assert_eq!(nrm2(&[inf, 1.0]), inf);
     }
 
     #[test]
