@@ -8,6 +8,12 @@
 //! orthogonality grows only linearly with the condition number (Björck 1994,
 //! the paper's §3.6), and instead of Householder because every operation is
 //! a vector update that stays in the tile.
+//!
+//! Step `k` runs three densemat kernels, each with a run-time AVX2+FMA copy:
+//! `nrm2` for `R[k,k]`, `dots` for the row `R[k, k+1..]` (eight columns per
+//! pass over `q_k`) and `ger` for the rank-1 update of the trailing columns.
+//! `cgs_qr` runs `dots` and `gemv` NoTrans. Both return the bits of the
+//! per-column `dot`/`axpy` loops they replace.
 
 use densemat::blas1::{dots, nrm2, scal};
 use densemat::{gemv, ger, MatMut, Op, Real};

@@ -1,15 +1,20 @@
 //! Runtime choice of the AVX2+FMA copy of the hot kernels.
 //!
 //! Each hot kernel that loops over [`Real::mul_add`](crate::Real::mul_add)
-//! (gemm's leaves, `dot`, `axpy`, `nrm2`, `trmm_left_upper`, `fro_norm`) is
-//! one `#[inline(always)]` body compiled twice: as-is, where on the default
-//! x86-64 target every `mul_add` is an out-of-line call into the runtime's
-//! `fma`/`fmaf`, and inside a `#[target_feature(enable = "avx2,fma")]`
-//! wrapper, where it becomes `vfmadd` and the loops vectorize. Both round
+//! (gemm's leaves, `dot`, `axpy`, `nrm2`, `gemv` NoTrans, `ger`,
+//! `trmm_left_upper`, `fro_norm`) is one `#[inline(always)]` body compiled
+//! twice: as-is, where on the default x86-64 target every `mul_add` is an
+//! out-of-line call into the runtime's `fma`/`fmaf`, and inside a
+//! `#[target_feature(enable = "avx2,fma")]` wrapper, where it becomes
+//! `vfmadd` and the loops vectorize. Both round
 //! each fused product-sum once, and Rust never reassociates or contracts
 //! floating point, so the two copies return the same bits. Off x86-64,
 //! `mul_add` is already a native instruction and only the portable copy
 //! exists.
+//!
+//! `dots` (and `gemv` Trans, which runs on it) is the one kernel whose
+//! AVX2+FMA copy is written in explicit vectors rather than compiled from
+//! the portable body (see `blas1.rs`); it too returns the portable bits.
 
 /// True when the host runs AVX2 and FMA (std caches the probe).
 #[cfg(target_arch = "x86_64")]

@@ -559,22 +559,19 @@ pub fn gemv<T: Real>(
     }
 }
 
-/// Columns a level-2 kernel takes per pass over its vector.
-const GROUP: usize = 4;
-
-/// `y += A * (alpha * x)` over the columns with `alpha * x_j != 0`, taken
-/// [`GROUP`] at a time so each pass over `y` applies four columns; every
-/// `y_i` still gets its FMAs in ascending `j`.
+/// `y += A * (alpha * x)` over the columns with `alpha * x_j != 0`, four
+/// at a time so each pass over `y` loads and stores it once per four FMAs;
+/// every `y_i` still gets its FMAs in ascending `j`.
 #[inline(always)]
 fn gemv_n_body<T: Real>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]) {
-    let mut group: [(&[T], T); GROUP] = [(&[], T::ZERO); GROUP];
+    let mut group: [(&[T], T); 4] = [(&[], T::ZERO); 4];
     let mut len = 0;
     for (j, &xv) in x.iter().enumerate() {
         let xj = alpha * xv;
         if xj != T::ZERO {
             group[len] = (a.col(j), xj);
             len += 1;
-            if len == GROUP {
+            if len == 4 {
                 let [(a0, x0), (a1, x1), (a2, x2), (a3, x3)] = group;
                 let cols = a0.iter().zip(a1).zip(a2.iter().zip(a3));
                 for (yi, ((&v0, &v1), (&v2, &v3))) in y.iter_mut().zip(cols) {
