@@ -82,8 +82,8 @@ pub(crate) fn nrm2_body<T: Real>(x: &[T]) -> T {
     if amax == T::ZERO || !amax.is_finite_v() {
         // The max scan skips NaN, so look for one before reading 0 or inf
         // as the norm. Past this point a NaN reaches the sum of squares.
-        #[allow(clippy::eq_op)] // NaN is the one value not equal to itself
-        return x.iter().copied().find(|&v| v != v).unwrap_or(amax);
+        let nan = x.iter().copied().find(|v| v.partial_cmp(v).is_none());
+        return nan.unwrap_or(amax);
     }
     // Scale by a power of two near 1/amax so the squares stay in range and
     // the scaling itself is exact.

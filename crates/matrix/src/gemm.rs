@@ -1097,14 +1097,10 @@ mod tests {
 
                     for (alpha, beta) in [(1.0, 0.0), (-1.0, 1.0), (0.5, -2.0)] {
                         let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                        // `y *= beta`, with `beta == 0` clearing it.
                         let scaled = |y: &[T]| -> Vec<T> {
-                            y.iter()
-                                .map(|&v| match () {
-                                    _ if beta == T::ZERO => T::ZERO,
-                                    _ if beta == T::ONE => v,
-                                    _ => v * beta,
-                                })
-                                .collect()
+                            let scale = |v: T| if beta == T::ZERO { T::ZERO } else { v * beta };
+                            y.iter().map(|&v| scale(v)).collect()
                         };
                         let what = format!("{what} alpha={alpha} beta={beta}");
                         let y0: Vec<T> = level2_vec(m, 60 + m as u64, specials & 4);
