@@ -52,7 +52,8 @@ pub(crate) fn dot_body<T: Real>(x: &[T], y: &[T]) -> T {
 pub fn dots<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) {
     assert_eq!(x.len(), cols.nrows(), "dots: length mismatch");
     assert_eq!(out.len(), cols.ncols(), "dots: out length");
-    // SAFETY: `hw_fma` just confirmed AVX2 and FMA on this host.
+    // SAFETY: `hw_fma` just confirmed AVX2 and FMA on this host, and the
+    // asserts above fixed the shapes.
     #[cfg(target_arch = "x86_64")]
     if crate::fma::hw_fma() && unsafe { x86::dots(x, cols, out) } {
         return;
@@ -145,16 +146,19 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// [`super::dots`] for `f32` or `f64`; false (and `out` untouched) for
-    /// any other `T`. Shapes are checked by the caller.
+    /// any other `T`.
     ///
     /// # Safety
-    /// The host must support AVX2 and FMA.
+    /// The host must support AVX2 and FMA; `x.len() == cols.nrows()` and
+    /// `out.len() == cols.ncols()`.
     pub(super) unsafe fn dots<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) -> bool {
         if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // SAFETY: `T` is `f32`; the caller vouches for AVX2 and FMA.
+            // SAFETY: `T` is `f32`; the caller vouches for the host and the
+            // shapes.
             unsafe { retyped(x, cols, out, dots_f32) };
         } else if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // SAFETY: `T` is `f64`; the caller vouches for AVX2 and FMA.
+            // SAFETY: `T` is `f64`; the caller vouches for the host and the
+            // shapes.
             unsafe { retyped(x, cols, out, dots_f64) };
         } else {
             return false;
