@@ -21,7 +21,8 @@
 
 use crate::error::TcqrError;
 use crate::recovery::{run_with_recovery, RecoveryPolicy};
-use crate::rgsqrf::{rgsqrf, QrFactors, RgsqrfConfig};
+use crate::reortho::reorthogonalize;
+use crate::rgsqrf::{factor_in_place, QrFactors, RgsqrfConfig};
 use crate::scaling::{compute_column_scaling, scale_columns, unscale_r};
 use densemat::blas1::nrm2;
 use densemat::lapack::Householder;
@@ -120,34 +121,35 @@ fn warn_if_overflowed(eng: &GpuSim, solver: &'static str, before: u64) {
 
 /// Corrupted factors kept by [`OnExhausted::KeepLast`](crate::recovery::OnExhausted::KeepLast)
 /// can carry a zero/NaN R diagonal, on which the downstream triangular
-/// solve would panic. Checked while a campaign is armed, and also when the
-/// *input* itself was non-finite (`input_poisoned`) — a NaN column poisons
-/// R legitimately and must surface as a typed error rather than reach the
-/// triangular solve. With faults off and finite input, a legitimately
-/// overflowed R keeps its historical stall-don't-error behavior (see
-/// [`warn_if_overflowed`]).
+/// solve would panic. A bad diagonal is an error while a campaign is armed,
+/// and also when the *input* itself was non-finite (`input_poisoned`) — a
+/// NaN column poisons R legitimately and must surface as a typed error
+/// rather than reach the triangular solve. With faults off and finite
+/// input, a legitimately overflowed R keeps its historical
+/// stall-don't-error behavior (see [`warn_if_overflowed`]).
+///
+/// The diagonal is read first: `input_poisoned` scans all of the input, so
+/// it runs only when some diagonal entry is bad.
 fn check_r_usable(
     eng: &GpuSim,
     op: &'static str,
     r: &Mat<f32>,
-    input_poisoned: bool,
+    input_poisoned: impl FnOnce() -> bool,
 ) -> Result<(), TcqrError> {
-    if !eng.fault_armed() && !input_poisoned {
+    let Some(j) = (0..r.ncols()).find(|&j| !r[(j, j)].is_finite() || r[(j, j)] == 0.0) else {
+        return Ok(());
+    };
+    if !eng.fault_armed() && !input_poisoned() {
         return Ok(());
     }
-    for j in 0..r.ncols() {
-        let d = r[(j, j)];
-        if !d.is_finite() || d == 0.0 {
-            return Err(TcqrError::NonFinite {
-                op,
-                detail: format!(
-                    "R diagonal entry {j} is {d} after fault recovery; \
-                     the triangular solve cannot proceed"
-                ),
-            });
-        }
-    }
-    Ok(())
+    let d = r[(j, j)];
+    Err(TcqrError::NonFinite {
+        op,
+        detail: format!(
+            "R diagonal entry {j} is {d} after fault recovery; \
+             the triangular solve cannot proceed"
+        ),
+    })
 }
 
 /// One factorization attempt behind the §3.5 column-scaling safeguard,
@@ -155,51 +157,50 @@ fn check_r_usable(
 /// power-of-two scaling bits ([`crate::recovery::Rung::Rescale`]) and an
 /// optional re-orthogonalization pass (the base mode of
 /// [`cgls_qr_reortho`]).
+///
+/// `source` builds the attempt's one f32 working matrix: it is scanned,
+/// scaled in place and factored in place into Q, so a retry starts from a
+/// fresh copy of the input and no second copy exists beside it.
 fn rgsqrf_scaled_attempt(
     eng: &GpuSim,
-    a: &Mat<f32>,
+    source: &impl Fn() -> Mat<f32>,
     cfg: &RgsqrfConfig,
     headroom: u32,
     reortho: bool,
 ) -> QrFactors {
-    let (scaling, nan_cols) = compute_column_scaling(a.as_ref(), headroom);
+    let mut work = source();
+    let (m, n) = (work.nrows(), work.ncols());
+    // Read only by the debug check below; release builds skip the scan.
+    let input_finite = cfg!(debug_assertions) && work.all_finite();
+    let (scaling, nan_cols) = compute_column_scaling(work.as_ref(), headroom);
     crate::health::warn_nan_columns(eng, "rgsqrf_scaled", &nan_cols);
     let span = eng.tracer().span(
         "rgsqrf_scaled",
         &[
-            ("m", Value::from(a.nrows())),
-            ("n", Value::from(a.ncols())),
+            ("m", Value::from(m)),
+            ("n", Value::from(n)),
             ("scaled", Value::from(!scaling.is_identity())),
         ],
     );
-    let factor = |input: densemat::MatRef<'_, f32>| {
-        if reortho {
-            crate::reortho::rgsqrf_reortho(eng, input, cfg)
-        } else {
-            rgsqrf(eng, input, cfg)
-        }
-    };
-    let factors = if scaling.is_identity() {
-        factor(a.as_ref())
-    } else {
-        let mut ap = a.clone();
-        scale_columns(ap.as_mut(), &scaling);
+    if !scaling.is_identity() {
+        scale_columns(work.as_mut(), &scaling);
         crate::health::emit_scaling(eng, &scaling);
         // Two passes over the matrix (scan + scale): bandwidth-bound.
-        eng.charge_gemv(Phase::Other, Class::Fp32, a.nrows(), a.ncols());
-        let mut f = factor(ap.as_ref());
-        unscale_r(f.r.as_mut(), &scaling);
-        f
-    };
-    // Guard against an exactly-zero R diagonal downstream (rank deficiency).
+        eng.charge_gemv(Phase::Other, Class::Fp32, m, n);
+    }
+    let mut factors = factor_in_place(eng, work, cfg);
+    if reortho {
+        reorthogonalize(eng, &mut factors, cfg);
+    }
+    unscale_r(factors.r.as_mut(), &scaling);
+    // Scaled finite input cannot overflow, so its R diagonal is finite.
     // With an armed fault campaign a non-finite diagonal is expected mid-
-    // ladder — the recovery loop, not this guard, handles it there. NaN
-    // columns in the *input* (already detected and warned above) poison R
+    // ladder — the recovery loop, not this guard, handles it there. A NaN
+    // or infinite *input* entry (NaN columns are warned above) poisons R
     // legitimately: the caller sees the damage in the factors, not a panic.
-    let n = factors.r.ncols();
     for j in 0..n {
         debug_assert!(
-            eng.fault_armed() || !nan_cols.is_empty() || factors.r[(j, j)].is_finite(),
+            eng.fault_armed() || !input_finite || factors.r[(j, j)].is_finite(),
             "non-finite R diagonal at {j}"
         );
     }
@@ -208,21 +209,25 @@ fn rgsqrf_scaled_attempt(
 }
 
 /// Shared recovery harness for every solver that factors through the scaled
-/// RGSQRF path. `reortho_base` forces the re-orthogonalized pipeline from
-/// the first attempt (the [`cgls_qr_reortho`] mode).
+/// RGSQRF path: checks the `m x n` shape and `cfg` under `op` before the
+/// first attempt, then runs each attempt on a working matrix from
+/// `source`. `reortho_base` forces the re-orthogonalized pipeline from the
+/// first attempt (the [`cgls_qr_reortho`] mode).
 fn try_factor_scaled(
     eng: &GpuSim,
-    a: &Mat<f32>,
+    op: &'static str,
+    (m, n): (usize, usize),
+    source: impl Fn() -> Mat<f32>,
     cfg: &RgsqrfConfig,
     policy: &RecoveryPolicy,
-    op: &'static str,
     reortho_base: bool,
 ) -> Result<QrFactors, TcqrError> {
+    cfg.check(op, m, n)?;
     run_with_recovery(
         eng,
         op,
         policy,
-        |att| rgsqrf_scaled_attempt(eng, a, cfg, att.headroom, reortho_base),
+        |att| rgsqrf_scaled_attempt(eng, &source, cfg, att.headroom, reortho_base),
         // A usable factorization is finite in both factors.
         |f| f.q.all_finite() && f.r.all_finite(),
     )
@@ -241,22 +246,26 @@ pub fn rgsqrf_scaled(eng: &GpuSim, a: &Mat<f32>, cfg: &RgsqrfConfig) -> QrFactor
 /// Fault-tolerant [`rgsqrf_scaled`]: when a fault campaign is armed on the
 /// engine, detected corruptions retry up `policy`'s escalation ladder; with
 /// faults off this is a single attempt, bit-identical to the historical
-/// behavior.
+/// behavior. The shape and `cfg` are checked before anything runs.
+///
+/// Each attempt clones `a` once into its working matrix, which becomes the
+/// returned Q; `a` itself is only read.
 pub fn try_rgsqrf_scaled(
     eng: &GpuSim,
     a: &Mat<f32>,
     cfg: &RgsqrfConfig,
     policy: &RecoveryPolicy,
 ) -> Result<QrFactors, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n || n == 0 {
-        return Err(TcqrError::shape(
-            "rgsqrf_scaled",
-            format!("need m >= n >= 1 (got {m} x {n})"),
-        ));
-    }
-    try_factor_scaled(eng, a, cfg, policy, "rgsqrf_scaled", false)
+    let shape = (a.nrows(), a.ncols());
+    try_factor_scaled(
+        eng,
+        "rgsqrf_scaled",
+        shape,
+        || a.clone(),
+        cfg,
+        policy,
+        false,
+    )
 }
 
 /// "RGSQRF Direct Solver": `x = R \ (Q^T b)` from the mixed-precision QR.
@@ -288,7 +297,9 @@ pub fn try_rgsqrf_direct(
         ));
     }
     let f = try_rgsqrf_scaled(eng, a, cfg, policy)?;
-    check_r_usable(eng, "rgsqrf_direct", &f.r, !a.all_finite() || b.iter().any(|v| !v.is_finite()))?;
+    check_r_usable(eng, "rgsqrf_direct", &f.r, || {
+        !a.all_finite() || b.iter().any(|v| !v.is_finite())
+    })?;
     let mut x = vec![0.0f32; n];
     gemv(1.0, Op::Trans, f.q.as_ref(), b, 0.0, &mut x);
     eng.charge_gemv(Phase::Solve, Class::Fp32, m, n);
@@ -334,12 +345,15 @@ pub fn try_dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Result<Vec<f64>, T
     Ok(x)
 }
 
-/// The front end every iterative LLS solver shares: check the shape, factor
-/// an f32 copy of `A` behind the §3.5 column scaling and the recovery
-/// ladder, check that R can precondition, warn on new fp16 overflow, and
-/// widen R to f64. `op` names the solver in errors and warnings. The
-/// ladder runs as `rgsqrf_scaled`; with `reortho` it runs the
+/// The front end every iterative LLS solver shares: check the shape and
+/// `qr_cfg`, factor an f32 copy of `A` behind the §3.5 column scaling and
+/// the recovery ladder, check that R can precondition, warn on new fp16
+/// overflow, and widen R to f64. `op` names the solver in errors and
+/// warnings. The ladder runs as `rgsqrf_scaled`; with `reortho` it runs the
 /// re-orthogonalized pipeline from the first attempt, as `op`.
+///
+/// Each attempt converts `A` to f32 straight into its one working matrix
+/// (scaled and factored in place); no f32 copy of `A` outlives an attempt.
 fn preconditioner(
     eng: &GpuSim,
     op: &'static str,
@@ -349,15 +363,23 @@ fn preconditioner(
     policy: &RecoveryPolicy,
     reortho: bool,
 ) -> Result<Mat<f64>, TcqrError> {
-    TcqrError::check_lls_shape(op, a.nrows(), a.ncols(), b.len())?;
-    let a32: Mat<f32> = a.convert();
+    let shape = (a.nrows(), a.ncols());
+    TcqrError::check_lls_shape(op, shape.0, shape.1, b.len())?;
     let overflow_before = eng.counters().round.overflow;
-    let f = if reortho {
-        try_factor_scaled(eng, &a32, qr_cfg, policy, op, true)?
-    } else {
-        try_rgsqrf_scaled(eng, &a32, qr_cfg, policy)?
-    };
-    check_r_usable(eng, op, &f.r, !a32.all_finite())?;
+    let ladder_op = if reortho { op } else { "rgsqrf_scaled" };
+    let f = try_factor_scaled(
+        eng,
+        ladder_op,
+        shape,
+        || a.convert(),
+        qr_cfg,
+        policy,
+        reortho,
+    )?;
+    // Exactly `!a.convert::<f32>().all_finite()`, without the copy.
+    check_r_usable(eng, op, &f.r, || {
+        a.data().iter().any(|&x| !(x as f32).is_finite())
+    })?;
     warn_if_overflowed(eng, op, overflow_before);
     Ok(f.r.convert())
 }
@@ -984,8 +1006,256 @@ pub(crate) mod tests {
         let wide: Mat<f32> = gen::gaussian(8, 16, &mut rng(14)).convert();
         let err = try_rgsqrf_scaled(&eng, &wide, &small_cfg(), &policy).unwrap_err();
         assert!(err.to_string().contains("need m >= n"), "{err}");
+
+        // A configuration RGSQRF cannot run is an error from every entry,
+        // checked before the first attempt.
+        let bad_cfgs = [
+            (
+                RgsqrfConfig {
+                    cutoff: 0,
+                    ..small_cfg()
+                },
+                "cutoff and CAQR width",
+            ),
+            (
+                RgsqrfConfig {
+                    caqr_width: 0,
+                    ..small_cfg()
+                },
+                "cutoff and CAQR width",
+            ),
+            (
+                RgsqrfConfig {
+                    caqr_block_rows: 15,
+                    ..small_cfg()
+                },
+                "2x CAQR width",
+            ),
+        ];
+        for (cfg, msg) in &bad_cfgs {
+            let errs = [
+                try_rgsqrf_scaled(&eng, &a32, cfg, &policy).map(drop),
+                try_cgls_qr(&eng, &a, &b, cfg, &refine, &policy).map(drop),
+                try_lsqr_qr(&eng, &a, &b, cfg, &refine, &policy).map(drop),
+                try_cgls_qr_reortho(&eng, &a, &b, cfg, &refine, &policy).map(drop),
+                try_rgsqrf_direct(&eng, &a32, &[0.0f32; 64], cfg, &policy).map(drop),
+            ];
+            for err in errs {
+                let err = err.unwrap_err();
+                assert!(matches!(err, TcqrError::ShapeMismatch { .. }), "{err}");
+                assert!(err.to_string().contains(msg), "{cfg:?}: {err}");
+            }
+        }
         // Nothing was charged to the engine on any rejected call.
         assert_eq!(eng.clock(), 0.0);
+    }
+
+    /// The scaled front end as it was composed before each attempt got one
+    /// working matrix: the caller's f32 copy, a clone to scale, a second
+    /// copy inside `rgsqrf`, then `unscale_r`.
+    fn oracle_scaled(
+        eng: &GpuSim,
+        a: &Mat<f32>,
+        cfg: &RgsqrfConfig,
+        policy: &RecoveryPolicy,
+    ) -> Result<QrFactors, TcqrError> {
+        let attempt = |att: &crate::recovery::Attempt| {
+            let (scaling, _) = compute_column_scaling(a.as_ref(), att.headroom);
+            if scaling.is_identity() {
+                return crate::rgsqrf::rgsqrf(eng, a.as_ref(), cfg);
+            }
+            let mut ap = a.clone();
+            scale_columns(ap.as_mut(), &scaling);
+            eng.charge_gemv(Phase::Other, Class::Fp32, a.nrows(), a.ncols());
+            let mut f = crate::rgsqrf::rgsqrf(eng, ap.as_ref(), cfg);
+            unscale_r(f.r.as_mut(), &scaling);
+            f
+        };
+        run_with_recovery(eng, "rgsqrf_scaled", policy, attempt, |f| {
+            f.q.all_finite() && f.r.all_finite()
+        })
+    }
+
+    /// [`oracle_scaled`] behind the old CGLS front end: convert, factor,
+    /// then the eager input scan of the R-diagonal check.
+    fn oracle_cgls(
+        eng: &GpuSim,
+        a: &Mat<f64>,
+        b: &[f64],
+        cfg: &RgsqrfConfig,
+        policy: &RecoveryPolicy,
+    ) -> Result<RefineOutcome, TcqrError> {
+        let a32: Mat<f32> = a.convert();
+        let f = oracle_scaled(eng, &a32, cfg, policy)?;
+        if eng.fault_armed() || !a32.all_finite() {
+            for j in 0..f.r.ncols() {
+                let d = f.r[(j, j)];
+                if !d.is_finite() || d == 0.0 {
+                    return Err(TcqrError::NonFinite {
+                        op: "cgls_qr",
+                        detail: format!(
+                            "R diagonal entry {j} is {d} after fault recovery; \
+                             the triangular solve cannot proceed"
+                        ),
+                    });
+                }
+            }
+        }
+        Ok(cgls_preconditioned(
+            eng,
+            a,
+            b,
+            &f.r.convert(),
+            &RefineConfig::default(),
+        ))
+    }
+
+    fn bits(m: &Mat<f32>) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Clock, work counters and fault tallies of an engine, exactly.
+    fn engine_state(eng: &GpuSim) -> (u64, String, String) {
+        let c = eng.counters();
+        (
+            eng.clock().to_bits(),
+            format!("{c:?}"),
+            format!("{:?}", eng.fault_stats()),
+        )
+    }
+
+    /// `try_rgsqrf_scaled` and `try_cgls_qr` match the old composition bit
+    /// for bit: Q, R, x, errors, the engine clock and its counters. Each
+    /// input runs unarmed and under two armed plans, one that forces a
+    /// single retry and one that climbs the whole ladder (through the
+    /// rescale rung), so every retry rebuilds its working matrix.
+    #[test]
+    fn scaled_front_end_matches_the_copying_composition_bit_for_bit() {
+        use std::sync::Arc;
+        use tcqr_trace::MemSink;
+        use tensor_engine::{EngineConfig, FaultKind, FaultPlan};
+        let (m, n) = (96, 48);
+        let cfg = small_cfg();
+        let b: Vec<f64> = (0..m)
+            .map(|i| ((i * 37 + 11) as f64 * 0.01).sin())
+            .collect();
+        let in_range = {
+            // Every column's largest entry in [0.5, 1): identity scaling.
+            let mut a = gen::uniform_pm1(m, n, &mut rng(21));
+            for j in 0..n {
+                a[(j, j)] = 0.75;
+            }
+            a
+        };
+        let scaled = gen::badly_scaled(m, n, 8.0, &mut rng(22));
+        let with = |edit: &dyn Fn(&mut Mat<f64>)| {
+            let mut a = scaled.clone();
+            edit(&mut a);
+            a
+        };
+        let cases = [
+            ("identity scaling", in_range),
+            ("scaled", scaled.clone()),
+            ("NaN column", with(&|a| a[(5, 3)] = f64::NAN)),
+            (
+                "+-inf entries",
+                with(&|a| {
+                    a[(0, 2)] = f64::INFINITY;
+                    a[(9, 7)] = f64::NEG_INFINITY;
+                }),
+            ),
+            ("f64 overflowing f32", with(&|a| a[(4, 1)] = -1e39)),
+            // Column maxima 2^-130 and 2^-140, below f32's normal range.
+            (
+                "subnormal column maxima",
+                with(&|a| {
+                    for (j, e) in [(0, -130), (6, -140)] {
+                        let amax = a.col(j).iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                        for i in 0..m {
+                            a[(i, j)] *= 2f64.powi(e) / amax;
+                        }
+                    }
+                }),
+            ),
+        ];
+        let plans: [(&str, Option<u64>); 3] = [
+            ("unarmed", None),
+            ("one retry", Some(1)),
+            ("full ladder", Some(1000)),
+        ];
+        let policy = RecoveryPolicy::default();
+        for (label, a) in &cases {
+            let a32: Mat<f32> = a.convert();
+            for (mode, budget) in plans {
+                // Two like engines, each with the count of recovery retries
+                // its tracer has seen.
+                let engines = || {
+                    [(); 2].map(|_| {
+                        let sink = Arc::new(MemSink::new());
+                        let eng =
+                            GpuSim::with_tracer(EngineConfig::default(), Tracer::new(sink.clone()));
+                        if let Some(max_faults) = budget {
+                            let mut plan = FaultPlan::new(7, vec![FaultKind::NanColumn]);
+                            plan.period = 1;
+                            plan.max_faults = max_faults;
+                            eng.set_fault_plan(Some(plan));
+                        }
+                        let retries = move || {
+                            sink.drain()
+                                .iter()
+                                .filter(|e| e.name == "recovery.retry")
+                                .count()
+                        };
+                        (eng, retries)
+                    })
+                };
+                let ctx = format!("{label}, {mode}");
+
+                let [(got_eng, got_retries), (want_eng, want_retries)] = engines();
+                let got = try_rgsqrf_scaled(&got_eng, &a32, &cfg, &policy);
+                let want = oracle_scaled(&want_eng, &a32, &cfg, &policy);
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => {
+                        assert_eq!(bits(&g.q), bits(&w.q), "{ctx}: Q");
+                        assert_eq!(bits(&g.r), bits(&w.r), "{ctx}: R");
+                    }
+                    (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                    _ => panic!("{ctx}: {:?} vs {:?}", got.map(drop), want.map(drop)),
+                }
+                assert_eq!(
+                    engine_state(&got_eng),
+                    engine_state(&want_eng),
+                    "{ctx}: engine"
+                );
+                let retries = got_retries();
+                assert_eq!(retries, want_retries(), "{ctx}: retries");
+                assert_eq!(retries > 0, budget.is_some(), "{ctx}: {retries} retries");
+
+                let [(got_eng, got_retries), (want_eng, want_retries)] = engines();
+                let got = try_cgls_qr(&got_eng, a, &b, &cfg, &RefineConfig::default(), &policy);
+                let want = oracle_cgls(&want_eng, a, &b, &cfg, &policy);
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => {
+                        let x =
+                            |o: &RefineOutcome| o.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(x(g), x(w), "{ctx}: x");
+                        assert_eq!(
+                            (g.iterations, g.converged, g.stalled),
+                            (w.iterations, w.converged, w.stalled),
+                            "{ctx}"
+                        );
+                    }
+                    (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                    _ => panic!("{ctx}: {:?} vs {:?}", got.map(drop), want.map(drop)),
+                }
+                assert_eq!(
+                    engine_state(&got_eng),
+                    engine_state(&want_eng),
+                    "{ctx}: cgls engine"
+                );
+                assert_eq!(got_retries(), want_retries(), "{ctx}: cgls retries");
+            }
+        }
     }
 
     /// Asserts one refiner exit: the counters, the flags, and the exact bits

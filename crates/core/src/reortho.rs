@@ -9,14 +9,18 @@
 //! `RGSQRF-Reortho` (Figures 4 and 5): `Q = Q2 R2`, then the corrected
 //! factors are `Q <- Q2` and `R <- R2 R`.
 
-use crate::rgsqrf::{rgsqrf, QrFactors, RgsqrfConfig};
+use crate::rgsqrf::{factor_in_place, rgsqrf, QrFactors, RgsqrfConfig};
 use densemat::tri::trmm_left_upper;
-use densemat::{MatRef, Op};
+use densemat::{Mat, MatRef, Op};
 use tcqr_trace::Value;
 use tensor_engine::{Class, GpuSim, Phase};
 
 /// Re-orthogonalize existing factors in place: `(Q, R) <- (Q2, R2 R)`.
+///
+/// The second pass factors Q in its own buffer, which then holds Q2.
 pub fn reorthogonalize(eng: &GpuSim, factors: &mut QrFactors, cfg: &RgsqrfConfig) {
+    cfg.check("rgsqrf", factors.q.nrows(), factors.q.ncols())
+        .unwrap_or_else(|e| panic!("{e}"));
     let _span = eng.tracer().span(
         "reortho",
         &[
@@ -26,7 +30,8 @@ pub fn reorthogonalize(eng: &GpuSim, factors: &mut QrFactors, cfg: &RgsqrfConfig
     );
     // Each rgsqrf pass keeps its own rounded-Q operand cache internally, so
     // the reortho pipeline rounds every Q panel once per pass, not per GEMM.
-    let second = rgsqrf(eng, factors.q.as_ref(), cfg);
+    let q = std::mem::replace(&mut factors.q, Mat::zeros(0, 0));
+    let second = factor_in_place(eng, q, cfg);
     // R <- R2 * R: triangular-triangular product, n^3/3 useful flops;
     // charge it as a (cheap) FP32 GEMM of that size.
     let n = factors.r.ncols();

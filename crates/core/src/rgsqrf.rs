@@ -78,6 +78,28 @@ impl RgsqrfConfig {
             ..RgsqrfConfig::default()
         }
     }
+
+    /// RGSQRF's preconditions, reported under `op`: `m >= n >= 1`, and a
+    /// configuration whose recursion and CAQR blocking terminate. Every
+    /// path into [`factor_in_place`] runs this first.
+    pub(crate) fn check(&self, op: &'static str, m: usize, n: usize) -> Result<(), TcqrError> {
+        if !(m >= n && n >= 1) {
+            return Err(TcqrError::shape(
+                op,
+                format!("need m >= n >= 1 (got {m} x {n})"),
+            ));
+        }
+        if self.cutoff < 1 || self.caqr_width < 1 {
+            return Err(TcqrError::shape(op, "cutoff and CAQR width must be >= 1"));
+        }
+        if self.caqr_block_rows < 2 * self.caqr_width {
+            return Err(TcqrError::shape(
+                op,
+                "CAQR block rows must be >= 2x CAQR width",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Explicit QR factors in single precision.
@@ -105,27 +127,17 @@ pub fn try_rgsqrf(
     a: MatRef<'_, f32>,
     cfg: &RgsqrfConfig,
 ) -> Result<QrFactors, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if !(m >= n && n >= 1) {
-        return Err(TcqrError::shape(
-            "rgsqrf",
-            format!("need m >= n >= 1 (got {m} x {n})"),
-        ));
-    }
-    if cfg.cutoff < 1 || cfg.caqr_width < 1 {
-        return Err(TcqrError::shape(
-            "rgsqrf",
-            "cutoff and CAQR width must be >= 1",
-        ));
-    }
-    if cfg.caqr_block_rows < 2 * cfg.caqr_width {
-        return Err(TcqrError::shape(
-            "rgsqrf",
-            "CAQR block rows must be >= 2x CAQR width",
-        ));
-    }
-    let mut q = a.to_owned();
+    cfg.check("rgsqrf", a.nrows(), a.ncols())?;
+    Ok(factor_in_place(eng, a.to_owned(), cfg))
+}
+
+/// The in-place core of [`try_rgsqrf`]: `q` holds A on entry and becomes Q.
+/// The caller has run [`RgsqrfConfig::check`] on `q`'s shape: an unchecked
+/// `cutoff: 0` would recurse without end.
+pub(crate) fn factor_in_place(eng: &GpuSim, mut q: Mat<f32>, cfg: &RgsqrfConfig) -> QrFactors {
+    let m = q.nrows();
+    let n = q.ncols();
+    debug_assert!(cfg.check("rgsqrf", m, n).is_ok(), "unchecked RGSQRF input");
     let mut r = Mat::zeros(n, n);
     let span = eng.tracer().span(
         "rgsqrf",
@@ -149,7 +161,7 @@ pub fn try_rgsqrf(
     };
     recurse(eng, cfg, q.as_mut(), r.as_mut(), 0, &mut shadow, 0);
     drop(span);
-    Ok(QrFactors { q, r })
+    QrFactors { q, r }
 }
 
 /// One level of Algorithm 1 on views (`q` doubles as A-in / Q-out storage).
@@ -329,7 +341,7 @@ fn caqr_gs(
     let n = q.ncols();
     if n <= cfg.caqr_width {
         tsqr(&eng.tracer(), q.rb(), r, cfg.caqr_block_rows, TsqrKernel::Mgs)
-            .expect("try_rgsqrf checked block_rows >= 2 x caqr_width and m >= n");
+            .expect("RgsqrfConfig::check ensured block_rows >= 2 x caqr_width and m >= n");
         if let Some(sh) = shadow.as_mut() {
             if j0 + n < sh.ncols() {
                 eng.cache_cols(Phase::Panel, sh, j0, q.as_ref());

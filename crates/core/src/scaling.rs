@@ -109,15 +109,7 @@ pub fn compute_column_scaling(a: MatRef<'_, f32>, headroom: u32) -> (ColumnScali
     let h = headroom.min(64) as i32;
     let scales = (0..a.ncols())
         .map(|j| {
-            let mut amax = 0.0f32;
-            let mut has_nan = false;
-            for &x in a.col(j) {
-                if x.is_nan() {
-                    has_nan = true;
-                } else {
-                    amax = amax.max(x.abs());
-                }
-            }
+            let (amax, has_nan) = col_amax(a.col(j));
             if has_nan {
                 nan_cols.push(j);
                 1.0
@@ -131,6 +123,34 @@ pub fn compute_column_scaling(a: MatRef<'_, f32>, headroom: u32) -> (ColumnScali
         })
         .collect();
     (ColumnScaling { scales }, nan_cols)
+}
+
+/// Largest `|x|` over the non-NaN entries of `col`, and whether any entry
+/// is NaN.
+///
+/// Eight lane maxima and one NaN flag, then the scalar tail: a loop the
+/// compiler vectorizes. `x.abs()` maps `-0.0` to `+0.0` and a NaN never
+/// wins the `>` compare, so the lanes hold non-negative non-NaN values,
+/// whose max does not depend on the order they are visited in.
+fn col_amax(col: &[f32]) -> (f32, bool) {
+    const LANES: usize = 8;
+    let mut lanes = [0.0f32; LANES];
+    let mut has_nan = false;
+    let chunks = col.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            let v = x.abs();
+            has_nan |= v.is_nan();
+            *m = if v > *m { v } else { *m };
+        }
+    }
+    let mut amax = 0.0f32;
+    for v in lanes.into_iter().chain(tail.iter().map(|x| x.abs())) {
+        has_nan |= v.is_nan();
+        amax = if v > amax { v } else { amax };
+    }
+    (amax, has_nan)
 }
 
 /// Apply the scaling in place: `A <- A P`.
@@ -261,6 +281,69 @@ mod tests {
         let s = compute_column_scaling(a.as_ref(), 0).0;
         assert_eq!(s.scales[1], 1.0);
         assert_eq!(s.scales[2], 1.0);
+    }
+
+    /// The scan as one scalar loop, kept here as the reference for the
+    /// lane form.
+    fn reference_scaling(a: MatRef<'_, f32>, headroom: u32) -> (Vec<u32>, Vec<usize>) {
+        let mut nan_cols = Vec::new();
+        let mut scales = Vec::new();
+        for j in 0..a.ncols() {
+            let mut amax = 0.0f32;
+            let mut has_nan = false;
+            for &x in a.col(j) {
+                if x.is_nan() {
+                    has_nan = true;
+                } else {
+                    amax = amax.max(x.abs());
+                }
+            }
+            let s = if has_nan {
+                nan_cols.push(j);
+                1.0
+            } else if amax == 0.0 || !amax.is_finite() {
+                1.0
+            } else {
+                pow2(-(floor_log2(amax) + 1 + headroom as i32))
+            };
+            scales.push(s.to_bits());
+        }
+        (scales, nan_cols)
+    }
+
+    #[test]
+    fn lane_scan_matches_the_scalar_loop() {
+        let sub = f32::from_bits(0x0003_1234); // subnormal
+        for m in (0..=17).chain([1024]) {
+            let base = |i: usize| ((i * 7919 % 1000) as f32 - 500.0) * 1e-3;
+            let mut cols: Vec<Vec<f32>> = Vec::new();
+            let mut col = |f: &dyn Fn(usize, &mut f32)| {
+                let mut c: Vec<f32> = (0..m).map(base).collect();
+                c.iter_mut().enumerate().for_each(|(i, x)| f(i, x));
+                cols.push(c);
+            };
+            col(&|_, _| {});
+            col(&|i, x| *x = if i == 0 { f32::NAN } else { *x });
+            col(&|i, x| *x = if i + 1 == m { f32::NAN } else { *x });
+            col(&|i, x| *x = if i == m / 2 { f32::NAN } else { 0.0 });
+            col(&|_, x| *x = f32::NAN);
+            col(&|i, x| *x = if i == m / 3 { f32::INFINITY } else { *x });
+            col(&|i, x| *x = if i + 1 == m { f32::NEG_INFINITY } else { *x });
+            col(&|i, x| *x = if i == m / 2 { -sub } else { *x * 1e-39 });
+            col(&|i, x| *x = if i % 2 == 0 { -0.0 } else { 0.0 });
+            col(&|_, x| *x = 0.0);
+            col(&|i, x| *x = if i + 1 == m { -4.0 } else { *x });
+            let a = Mat::from_col_major(m, cols.len(), cols.concat());
+            for h in [0, 3] {
+                let (s, nan_cols) = compute_column_scaling(a.as_ref(), h);
+                let got: Vec<u32> = s.scales.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(
+                    (got, nan_cols),
+                    reference_scaling(a.as_ref(), h),
+                    "m {m}, headroom {h}"
+                );
+            }
+        }
     }
 
     #[test]
