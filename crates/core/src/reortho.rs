@@ -55,7 +55,6 @@ mod tests {
     use super::*;
     use densemat::gen::{self, rng};
     use densemat::metrics::{orthogonality_error, qr_backward_error};
-    use densemat::Mat;
     use tensor_engine::GpuSim;
 
     fn ill_conditioned(m: usize, n: usize, cond: f64, seed: u64) -> Mat<f32> {
