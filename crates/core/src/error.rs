@@ -30,7 +30,8 @@ pub enum TcqrError {
         /// Human-readable description.
         detail: String,
     },
-    /// The square system's factorization hit a zero pivot (LU only).
+    /// A factorization hit a zero pivot: an LU pivot, or an exactly-zero
+    /// diagonal entry of the R factor a least-squares solver would divide by.
     Singular {
         /// The public entry point that failed.
         op: &'static str,

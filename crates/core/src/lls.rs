@@ -125,8 +125,9 @@ fn warn_if_overflowed(eng: &GpuSim, solver: &'static str, before: u64) {
 /// and also when the *input* itself was non-finite (`input_poisoned`) — a
 /// NaN column poisons R legitimately and must surface as a typed error
 /// rather than reach the triangular solve. With faults off and finite
-/// input, a legitimately overflowed R keeps its historical
-/// stall-don't-error behavior (see [`warn_if_overflowed`]).
+/// input, an exactly-zero diagonal entry (a rank-deficient f32 copy of A)
+/// is [`TcqrError::Singular`], and a legitimately overflowed R keeps its
+/// historical stall-don't-error behavior (see [`warn_if_overflowed`]).
 ///
 /// The diagonal is read first: `input_poisoned` scans all of the input, so
 /// it runs only when some diagonal entry is bad.
@@ -140,7 +141,13 @@ fn check_r_usable(
         return Ok(());
     };
     if !eng.fault_armed() && !input_poisoned() {
-        return Ok(());
+        let Some(j) = (0..r.ncols()).find(|&j| r[(j, j)] == 0.0) else {
+            return Ok(());
+        };
+        return Err(TcqrError::Singular {
+            op,
+            detail: format!("R diagonal entry {j} is zero; the f32 copy of A is rank-deficient"),
+        });
     }
     let d = r[(j, j)];
     Err(TcqrError::NonFinite {
@@ -1048,6 +1055,38 @@ pub(crate) mod tests {
         }
         // Nothing was charged to the engine on any rejected call.
         assert_eq!(eng.clock(), 0.0);
+    }
+
+    #[test]
+    fn zero_r_diagonal_is_singular_not_a_panic() {
+        // Column 3, brought to a largest entry of 0.05 and scaled by 1e-44,
+        // lies below half of f32's smallest subnormal (2^-150, about 7e-46):
+        // it converts to an all-zero f32 column, so the f32 R carries an
+        // exactly-zero diagonal entry while the f64 input stays finite.
+        let (mut a, b) = problem(64, 16, 10.0, 13);
+        let amax = a.col(3).iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for x in a.col_mut(3) {
+            *x *= 0.05 / amax * 1e-44;
+        }
+        let a32: Mat<f32> = a.convert();
+        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
+        assert!(a32.col(3).iter().all(|&x| x == 0.0));
+        let eng = GpuSim::default();
+        let policy = RecoveryPolicy::default();
+        let refine = RefineConfig::default();
+        let errs = [
+            try_cgls_qr(&eng, &a, &b, &small_cfg(), &refine, &policy).map(drop),
+            try_lsqr_qr(&eng, &a, &b, &small_cfg(), &refine, &policy).map(drop),
+            try_cgls_qr_reortho(&eng, &a, &b, &small_cfg(), &refine, &policy).map(drop),
+            try_rgsqrf_direct(&eng, &a32, &b32, &small_cfg(), &policy).map(drop),
+        ];
+        let ops = ["cgls_qr", "lsqr_qr", "cgls_qr_reortho", "rgsqrf_direct"];
+        for (err, op) in errs.into_iter().zip(ops) {
+            let err = err.unwrap_err();
+            assert!(matches!(err, TcqrError::Singular { .. }), "{err}");
+            assert_eq!(err.op(), op);
+            assert!(err.to_string().contains("R diagonal entry 3 is zero"), "{err}");
+        }
     }
 
     /// The scaled front end as it was composed before each attempt got one

@@ -2,7 +2,8 @@
 //!
 //! Each hot kernel that loops over [`Real::mul_add`](crate::Real::mul_add)
 //! (gemm's leaves, `dot`, `axpy`, `nrm2`, `gemv` NoTrans, `ger`,
-//! `trmm_left_upper`, `fro_norm`) is one `#[inline(always)]` body compiled
+//! `trmm_left_upper`, `fro_norm`, one sweep of the Jacobi SVD) is one
+//! `#[inline(always)]` body compiled
 //! twice: as-is, where on the default x86-64 target every `mul_add` is an
 //! out-of-line call into the runtime's `fma`/`fmaf`, and inside a
 //! `#[target_feature(enable = "avx2,fma")]` wrapper, where it becomes

@@ -1201,5 +1201,7 @@ mod tests {
         blas1_oracle_for::<f64>();
         level2_oracle_for::<f32>();
         level2_oracle_for::<f64>();
+        crate::svd::tests::jacobi_oracle_for::<f32>();
+        crate::svd::tests::jacobi_oracle_for::<f64>();
     }
 }
