@@ -322,16 +322,30 @@ pub fn scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Vec<f32> {
 }
 
 /// Typed-error variant of [`scusolve`]. The Householder factorization runs
-/// off-engine, so no recovery policy applies.
+/// off-engine, so no recovery policy applies. A rank-deficient `A` whose R
+/// has an exactly-zero diagonal entry returns [`TcqrError::Singular`].
 pub fn try_scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Result<Vec<f32>, TcqrError> {
     let (m, n) = (a.nrows(), a.ncols());
     TcqrError::check_lls_shape("scusolve", m, n, b.len())?;
     let h = Householder::factor(a.clone());
     eng.charge_sgeqrf(Phase::Panel, m, n);
+    check_householder_r("scusolve", &h)?;
     let x = h.solve_lls(b);
     eng.charge_ormqr(Phase::Solve, Class::Fp32, m, n, 1);
     eng.charge_trsv(Phase::Solve, Class::Fp32, n);
     Ok(x)
+}
+
+/// `Singular` when the Householder R of a direct baseline solve has an
+/// exactly-zero diagonal entry, which its triangular solve would divide by.
+fn check_householder_r<T: Real>(op: &'static str, h: &Householder<T>) -> Result<(), TcqrError> {
+    match h.r_diagonal().position(|d| d == T::ZERO) {
+        None => Ok(()),
+        Some(j) => Err(TcqrError::Singular {
+            op,
+            detail: format!("R diagonal entry {j} is zero; A is rank-deficient"),
+        }),
+    }
 }
 
 /// cuSOLVER-style double precision direct solver:
@@ -340,12 +354,14 @@ pub fn dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Vec<f64> {
     try_dcusolve(eng, a, b).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Typed-error variant of [`dcusolve`].
+/// Typed-error variant of [`dcusolve`], with [`try_scusolve`]'s
+/// [`TcqrError::Singular`] check.
 pub fn try_dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Result<Vec<f64>, TcqrError> {
     let (m, n) = (a.nrows(), a.ncols());
     TcqrError::check_lls_shape("dcusolve", m, n, b.len())?;
     let h = Householder::factor(a.clone());
     eng.charge_dgeqrf(Phase::Panel, m, n);
+    check_householder_r("dcusolve", &h)?;
     let x = h.solve_lls(b);
     eng.charge_ormqr(Phase::Solve, Class::Fp64, m, n, 1);
     eng.charge_trsv(Phase::Solve, Class::Fp64, n);
@@ -1082,6 +1098,25 @@ pub(crate) mod tests {
         ];
         let ops = ["cgls_qr", "lsqr_qr", "cgls_qr_reortho", "rgsqrf_direct"];
         for (err, op) in errs.into_iter().zip(ops) {
+            let err = err.unwrap_err();
+            assert!(matches!(err, TcqrError::Singular { .. }), "{err}");
+            assert_eq!(err.op(), op);
+            assert!(err.to_string().contains("R diagonal entry 3 is zero"), "{err}");
+        }
+    }
+
+    #[test]
+    fn direct_baselines_report_a_zero_column_as_singular() {
+        let (mut a, b) = problem(32, 8, 10.0, 5);
+        a.col_mut(3).fill(0.0);
+        let a32: Mat<f32> = a.convert();
+        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
+        let eng = GpuSim::default();
+        let errs = [
+            ("scusolve", try_scusolve(&eng, &a32, &b32).map(drop)),
+            ("dcusolve", try_dcusolve(&eng, &a, &b).map(drop)),
+        ];
+        for (op, err) in errs {
             let err = err.unwrap_err();
             assert!(matches!(err, TcqrError::Singular { .. }), "{err}");
             assert_eq!(err.op(), op);

@@ -9,7 +9,7 @@
 //! the paper's §3.6), and instead of Householder because every operation is
 //! a vector update that stays in the tile.
 //!
-//! Step `k` runs three densemat kernels, each with a run-time AVX2+FMA copy:
+//! Step `k` runs three densemat kernels, each with run-time vector copies:
 //! `nrm2` for `R[k,k]`, `dots` for the row `R[k, k+1..]` (eight columns per
 //! pass over `q_k`) and `ger` for the rank-1 update of the trailing columns.
 //! `cgs_qr` runs `dots` and `gemv` NoTrans. Both return the bits of the

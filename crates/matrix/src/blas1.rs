@@ -3,16 +3,16 @@
 //! These run in the "panel" parts of every factorization — the low
 //! arithmetic-intensity work the paper's §3.1.1 identifies as the reason
 //! naive TensorCore substitution fails. `dot`, `axpy` and `nrm2` each run one
-//! `*_body`, compiled for AVX2+FMA when the host has it and as-is otherwise;
-//! both copies return the same bits (see `fma.rs`).
+//! `*_body`, compiled for the host's highest tier (AVX-512, AVX2+FMA, or
+//! as-is); every copy returns the same bits (see `fma.rs`).
 //!
 //! [`dots`] is the multi-column form of `dot` that the level-2 kernels and
 //! the Gram-Schmidt panels run on: `out[j] == dot(x, cols.col(j))` bit for
-//! bit. Its portable copy is that loop. Its AVX2+FMA copy runs eight columns
-//! per pass over `x`, each column with its own vector of `dot`'s four lane
-//! partials, so eight independent FMA chains share every load of `x`: one
-//! chain is bound by FMA latency, and eight cover the latency of two FMA
-//! units.
+//! bit. Its portable copy is that loop. Its AVX2+FMA copy, which the AVX-512
+//! tier runs too, takes eight columns per pass over `x`, each column with
+//! its own vector of `dot`'s four lane partials, so eight independent FMA
+//! chains share every load of `x`: one chain is bound by FMA latency, and
+//! eight cover the latency of two FMA units.
 
 use crate::mat::MatRef;
 use crate::real::Real;
@@ -52,10 +52,10 @@ pub(crate) fn dot_body<T: Real>(x: &[T], y: &[T]) -> T {
 pub fn dots<T: Real>(x: &[T], cols: MatRef<'_, T>, out: &mut [T]) {
     assert_eq!(x.len(), cols.nrows(), "dots: length mismatch");
     assert_eq!(out.len(), cols.ncols(), "dots: out length");
-    // SAFETY: `hw_fma` just confirmed AVX2 and FMA on this host, and the
+    // SAFETY: `tier` just confirmed AVX2 and FMA on this host, and the
     // asserts above fixed the shapes.
     #[cfg(target_arch = "x86_64")]
-    if crate::fma::hw_fma() && unsafe { x86::dots(x, cols, out) } {
+    if crate::fma::tier() >= crate::fma::Tier::Avx2 && unsafe { x86::dots(x, cols, out) } {
         return;
     }
     dots_body(x, cols, out)

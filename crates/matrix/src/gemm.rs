@@ -21,10 +21,15 @@
 //!   for NN/NT, unrolled k-lanes for TN) rather than relying on
 //!   `-ffast-math`-style reduction vectorization, and the tiling never
 //!   changes any C element's order of operations;
-//! - **runtime dispatch** at each sequential leaf: the kernels are one
-//!   source compiled twice, and hosts with AVX2+FMA run the copy where
-//!   `mul_add` is a vector FMA instead of a call per element. Both copies
-//!   return the same bits (see `fma.rs`).
+//! - **runtime dispatch** at each sequential leaf, by the host's tier (see
+//!   `fma.rs`). The portable and AVX2+FMA tiers run the tiles above,
+//!   compiled from one source; with AVX2+FMA, `mul_add` is a vector FMA
+//!   instead of a call per element. The AVX-512 tier first runs explicit
+//!   512-bit tiles (module `x86`): 32x6 (f32) or 16x6 (f64) for NN/NT, one
+//!   row tile at a time against every panel of a KC block; for TN, 4 rows
+//!   by 3 pairs of B columns in f32, one register per pair of 8-lane banks
+//!   over a packed copy of B, or 4x4 banks in f64. The compiled tiles take
+//!   the rows these leave. Every tier returns the same bits.
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::real::Real;
@@ -42,7 +47,8 @@ pub enum Op {
 /// panel of `alpha * op(B)` (6 KB in f32, 12 KB in f64) stays in L1.
 const KC: usize = 256;
 /// Column tile of the NN/NT kernel: the width of a packed panel. Its row tile
-/// `MR` is two AVX2 vectors, 16 f32 or 8 f64 (see [`nn_accum`]).
+/// `MR` is two AVX2 vectors, 16 f32 or 8 f64, or two AVX-512 vectors on that
+/// tier (see [`nn_accum`]).
 const NR: usize = 6;
 /// Stop splitting C below this many output elements.
 const LEAF: usize = 128 * 128;
@@ -152,8 +158,8 @@ fn split_rec<T: Real>(
     }
 }
 
-/// The leaf [`gemm`] runs: [`seq_body`], compiled for AVX2+FMA when the host
-/// has both.
+/// The leaf [`gemm`] runs: [`seq_body`] compiled for AVX2+FMA, or
+/// [`x86::seq_wide`] with the explicit 512-bit tiles, by the host's tier.
 fn seq_dispatch<T: Real>(
     alpha: T,
     op_a: Op,
@@ -165,13 +171,29 @@ fn seq_dispatch<T: Real>(
 ) {
     fma_dispatch!(seq_body::<T>(
         alpha: T, op_a: Op, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, beta: T, c: MatMut<'_, T>
-    ));
+    ); avx512 = x86::seq_wide);
     seq_body(alpha, op_a, a, op_b, b, beta, c)
 }
 
-/// One leaf tile, sequentially: scale C, then the kernel for the op pair.
+/// One leaf tile, sequentially, as the portable and AVX2+FMA tiers run it.
 #[inline(always)]
 fn seq_body<T: Real>(
+    alpha: T,
+    op_a: Op,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    leaf_body::<T, false>(alpha, op_a, a, op_b, b, beta, c)
+}
+
+/// One leaf tile, sequentially: scale C, then the kernel for the op pair.
+/// `WIDE` adds the explicit 512-bit tiles; only the AVX-512 leaf
+/// ([`x86::seq_wide`]) sets it.
+#[inline(always)]
+fn leaf_body<T: Real, const WIDE: bool>(
     alpha: T,
     op_a: Op,
     a: MatRef<'_, T>,
@@ -182,13 +204,13 @@ fn seq_body<T: Real>(
 ) {
     scale_c(beta, c.rb());
     match (op_a, op_b) {
-        (Op::NoTrans, _) => nn_accum(alpha, a, op_b, b, c),
-        (Op::Trans, Op::NoTrans) => tn_accum(alpha, a, b, c),
+        (Op::NoTrans, _) => nn_accum::<T, WIDE>(alpha, a, op_b, b, c),
+        (Op::Trans, Op::NoTrans) => tn_accum::<T, WIDE>(alpha, a, b, c),
         (Op::Trans, Op::Trans) => {
             // C += alpha (B A)^T: compute D = B A into scratch, add D^T.
             // This combination never appears on a hot path here.
             let mut d: Mat<T> = Mat::zeros(c.ncols(), c.nrows());
-            nn_accum(alpha, b, Op::NoTrans, a, d.as_mut());
+            nn_accum::<T, WIDE>(alpha, b, Op::NoTrans, a, d.as_mut());
             for j in 0..c.ncols() {
                 for i in 0..c.nrows() {
                     let v = c.get(i, j) + d[(j, i)];
@@ -211,19 +233,28 @@ fn seq_body<T: Real>(
 /// narrower panel, and the last `m mod MR` rows a full tile over a
 /// zero-padded copy of their A rows; neither falls back to scalar code.
 /// Each C element still accumulates `a * (alpha * b)` onto itself in k
-/// order, exactly as an unpacked loop would.
+/// order, exactly as an unpacked loop would. With `WIDE`, the explicit
+/// AVX-512 tile of twice as many rows takes the first `m - m mod 2 MR` rows
+/// once every panel of a KC block is packed (see [`x86`]), and the `MR`-row
+/// tiles take the rest.
 #[inline(always)]
-fn nn_accum<T: Real>(alpha: T, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+fn nn_accum<T: Real, const WIDE: bool>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    op_b: Op,
+    b: MatRef<'_, T>,
+    c: MatMut<'_, T>,
+) {
     if core::mem::size_of::<T>() == 4 {
-        nn_blocks::<T, 16>(alpha, a, op_b, b, c);
+        nn_blocks::<T, 16, WIDE>(alpha, a, op_b, b, c);
     } else {
-        nn_blocks::<T, 8>(alpha, a, op_b, b, c);
+        nn_blocks::<T, 8, WIDE>(alpha, a, op_b, b, c);
     }
 }
 
 /// [`nn_accum`] with the row tile fixed at `MR`.
 #[inline(always)]
-fn nn_blocks<T: Real, const MR: usize>(
+fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
     alpha: T,
     a: MatRef<'_, T>,
     op_b: Op,
@@ -234,7 +265,20 @@ fn nn_blocks<T: Real, const MR: usize>(
     let n = c.ncols();
     let k = a.ncols();
     let full = m - m % MR;
+    // The rows the wide tiles take, `2 MR` at a time. Those tiles run after
+    // every panel of a KC block is packed, side by side in `panels` (column
+    // `j` of the block at `j * lb`), so each one's A rows stay in L1 while
+    // all the panels stream past them.
+    #[cfg(target_arch = "x86_64")]
+    let wide = if WIDE && x86::has_tiles::<T>() { m - m % (2 * MR) } else { 0 };
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = 0;
     let mut panel = [T::ZERO; KC * NR];
+    let mut heap = Vec::new();
+    if wide > 0 && KC.min(k) * n > panel.len() {
+        heap = vec![T::ZERO; KC.min(k) * n];
+    }
+    let panels: &mut [T] = if heap.is_empty() { &mut panel } else { &mut heap };
     // Zeroed once, and only when some rows do not fill a tile.
     let mut rest_buf: Option<[[T; MR]; KC]> = None;
     let mut l0 = 0;
@@ -256,30 +300,41 @@ fn nn_blocks<T: Real, const MR: usize>(
         let mut j0 = 0;
         while j0 < n {
             let jb = NR.min(n - j0);
-            let panel = &mut panel[..lb * jb];
+            let at = if wide > 0 { j0 * lb } else { 0 };
+            let panel = &mut panels[at..at + lb * jb];
             let b_pan = match op_b {
                 Op::NoTrans => b.submatrix(l0, j0, lb, jb),
                 Op::Trans => b.submatrix(j0, l0, jb, lb),
             };
-            let c_pan = c.rb().submatrix_mut(0, j0, m, jb);
+            let c_pan = c.rb().submatrix_mut(wide, j0, m - wide, jb);
+            let (a_pan, i0) = (a_blk.submatrix(wide, 0, m - wide, lb), full - wide);
             match jb {
-                6 => nn_panel::<T, MR, 6>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
-                5 => nn_panel::<T, MR, 5>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
-                4 => nn_panel::<T, MR, 4>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
-                3 => nn_panel::<T, MR, 3>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
-                2 => nn_panel::<T, MR, 2>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
-                _ => nn_panel::<T, MR, 1>(alpha, op_b, b_pan, panel, a_blk, rest, c_pan),
+                6 => nn_panel::<T, MR, 6>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+                5 => nn_panel::<T, MR, 5>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+                4 => nn_panel::<T, MR, 4>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+                3 => nn_panel::<T, MR, 3>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+                2 => nn_panel::<T, MR, 2>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+                _ => nn_panel::<T, MR, 1>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
             }
             j0 += NR;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if wide > 0 {
+            // SAFETY: `wide > 0` only in the AVX-512 leaf for a `T` with
+            // tiles; `wide` is a multiple of `2 MR` and at most `m`, the
+            // block has `lb <= KC` columns, and `panels` holds it packed.
+            let c_wide = c.rb().submatrix_mut(0, 0, wide, n);
+            unsafe { x86::nn_rows(a_blk, &panels[..lb * n], c_wide) };
         }
         l0 += lb;
     }
 }
 
 /// One panel: pack `alpha * op_b(B)` for `NB` columns of C into `panel`,
-/// then run it against every row of C: full `MR`-row tiles reading A in
-/// place, then the `m mod MR` leftover rows reading `rest` (their A rows,
+/// then run it against the rows of C: full `MR`-row tiles reading A in
+/// place below `full`, then the leftover rows reading `rest` (their A rows,
 /// zero-padded to `MR`).
+#[allow(clippy::too_many_arguments)] // the panel's operands and its row split
 #[inline(always)]
 fn nn_panel<T: Real, const MR: usize, const NB: usize>(
     alpha: T,
@@ -287,6 +342,7 @@ fn nn_panel<T: Real, const MR: usize, const NB: usize>(
     b: MatRef<'_, T>,
     panel: &mut [T],
     a: MatRef<'_, T>,
+    full: usize,
     rest: MatRef<'_, T>,
     mut c: MatMut<'_, T>,
 ) {
@@ -309,7 +365,6 @@ fn nn_panel<T: Real, const MR: usize, const NB: usize>(
     }
     let panel = &*panel;
     let m = c.nrows();
-    let full = m - m % MR;
     let mut i0 = 0;
     while i0 < full {
         let mut acc = [[T::ZERO; MR]; NB];
@@ -374,12 +429,27 @@ const LANES: usize = 8;
 /// 2 columns of A by `TJ` of B, with the B columns as the outer loop, so
 /// their `TJ k` elements stay in L1 while every pair of A columns streams
 /// past them. `TJ` is 6 in f32 (12 banks; 4 for the last columns where 6
-/// do not fit) and 4 in f64.
+/// do not fit) and 4 in f64. With `WIDE`, the explicit AVX-512 tiles first
+/// take the first `m - m mod 4` rows (see [`x86`]), and the 2-row tiles
+/// only a last row pair.
 #[inline(always)]
-fn tn_accum<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, mut c: MatMut<'_, T>) {
+fn tn_accum<T: Real, const WIDE: bool>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    mut c: MatMut<'_, T>,
+) {
     let m = c.nrows(); // = A.ncols
     let n = c.ncols(); // = B.ncols
     let (mi, nj) = (m - m % 2, n - n % 4);
+    let mut i_wide = 0;
+    #[cfg(target_arch = "x86_64")]
+    if WIDE {
+        // SAFETY: only the AVX-512 leaf sets `WIDE`; `a` and `b` have
+        // `c.nrows()` and `c.ncols()` columns of equal length, and
+        // `nj = n - n mod 4`.
+        i_wide = unsafe { x86::tn_rows(alpha, a, b, c.rb(), nj) };
+    }
     let mut j0 = 0;
     while j0 < nj {
         let left = nj - j0;
@@ -387,7 +457,7 @@ fn tn_accum<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, mut c: MatMut
             4 if left == 6 || left >= 10 => 6,
             _ => 4,
         };
-        let mut i0 = 0;
+        let mut i0 = i_wide;
         while i0 < mi {
             match tj {
                 6 => tn_tile::<T, 6>(alpha, a, b, c.rb(), i0, j0),
@@ -480,16 +550,18 @@ fn tn_tile<T: Real, const TJ: usize>(
     }
     for (ii, (acc_i, tail_i)) in acc.iter().zip(&tail).enumerate() {
         for (jj, (lanes, &tail)) in acc_i.iter().zip(tail_i).enumerate() {
-            let mut p0 = lanes[0] + lanes[4];
-            let p1 = lanes[1] + lanes[5];
-            let p2 = lanes[2] + lanes[6];
-            let p3 = lanes[3] + lanes[7];
-            p0 = (p0 + p1) + (p2 + p3);
-            let s = tail + p0;
-            let v = c.get(i0 + ii, j0 + jj) + alpha * s;
+            let v = c.get(i0 + ii, j0 + jj) + alpha * tn_tree(lanes, tail);
             c.set(i0 + ii, j0 + jj, v);
         }
     }
+}
+
+/// One TN entry's sum: its `k mod 8` tail plus the fixed tree over its bank
+/// of `LANES` partials.
+#[inline(always)]
+fn tn_tree<T: Real>(lanes: &[T; LANES], tail: T) -> T {
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = *lanes;
+    tail + (((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7)))
 }
 
 /// `s += x * y` lane by lane, spelled out: as a loop it stays scalar here.
@@ -516,6 +588,473 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
     // SAFETY: `[T; LANES]` is `LANES` consecutive `T`s with `T`'s alignment,
     // and `col` holds exactly `chunks * LANES` of them.
     unsafe { core::slice::from_raw_parts(col.as_ptr().cast::<[T; LANES]>(), chunks) }
+}
+
+/// The AVX-512 leaf and its explicit 512-bit tiles.
+///
+/// Each tile gives every C element the operations [`leaf_body`]'s portable
+/// tiles give it, in the same order, so the leaf returns their bits:
+///
+/// - NN/NT: `2 * MR` rows (32 f32 or 16 f64, two `zmm` per column) by up
+///   to 6 columns of C against a packed panel, one broadcast per panel
+///   entry: each C element still gets `fma(a, alpha * b, c)` in k order.
+///   A row tile runs every panel of its KC block in turn, from a contiguous
+///   copy of its A rows that stays in L1 (read in place, a power-of-two
+///   leading dimension maps them onto a few cache sets).
+/// - TN, f32: four A columns by three pairs of B columns. One `zmm` holds
+///   the 8 k-lanes of C entries `(i, j)` and `(i, j + 1)`, so the chunk of
+///   A column `i` is one 256-bit broadcast (a load-port operation) and each
+///   6-column block of B is packed once, chunk by chunk, as
+///   `[b_j chunk | b_{j+1} chunk]`.
+/// - TN, f64: a bank of 8 f64 lanes is one `zmm` already, so the tile is
+///   four A columns by four B columns, read in place.
+///
+/// The TN tiles keep `tn_tile`'s lanes, its `k mod 8` tail summed from
+/// zero, its tree ([`tn_tree`]) and `c + alpha * s`.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{leaf_body, tn_tree, Op, LANES};
+    use crate::mat::{MatMut, MatRef};
+    use crate::real::Real;
+    use core::any::TypeId;
+    use core::arch::x86_64::*;
+
+    /// The fewest rows of C the f32 TN tiles take: packing a block of B
+    /// costs about as much as one 4-row tile saves, so it pays from two on.
+    const TN_PACK_ROWS: usize = 8;
+
+    /// [`leaf_body`] with the explicit 512-bit tiles.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn seq_wide<T: Real>(
+        alpha: T,
+        op_a: Op,
+        a: MatRef<'_, T>,
+        op_b: Op,
+        b: MatRef<'_, T>,
+        beta: T,
+        c: MatMut<'_, T>,
+    ) {
+        leaf_body::<T, true>(alpha, op_a, a, op_b, b, beta, c)
+    }
+
+    /// `T`'s view of an `f32` or `f64` matrix: `U` must be `T`.
+    ///
+    /// # Safety
+    /// `T` and `U` must be the same type.
+    unsafe fn retype<T: Real, U: Real>(m: MatRef<'_, T>) -> MatRef<'_, U> {
+        // SAFETY: `T` is `U`, so the view keeps its pointer and layout.
+        unsafe { MatRef::from_raw_parts(m.as_ptr().cast(), m.nrows(), m.ncols(), m.ld()) }
+    }
+
+    /// [`retype`] for a mutable view.
+    ///
+    /// # Safety
+    /// `T` and `U` must be the same type.
+    unsafe fn retype_mut<T: Real, U: Real>(mut m: MatMut<'_, T>) -> MatMut<'_, U> {
+        let (nrows, ncols, ld) = (m.nrows(), m.ncols(), m.ld());
+        // SAFETY: `T` is `U`, so the view keeps its pointer and layout.
+        unsafe { MatMut::from_raw_parts(m.as_mut_ptr().cast(), nrows, ncols, ld) }
+    }
+
+    /// Whether `T` has explicit tiles: `f32` and `f64` do.
+    pub(super) fn has_tiles<T: Real>() -> bool {
+        TypeId::of::<T>() == TypeId::of::<f32>() || TypeId::of::<T>() == TypeId::of::<f64>()
+    }
+
+    /// Run the NN/NT tile of `2 * MR` rows (32 f32 or 16 f64) over every
+    /// row of C, a row tile at a time and every panel per row tile.
+    /// `panels` holds the `lb x n` packed block: the panel of columns
+    /// `j0..j0 + jb` (`jb = min(6, n - j0)`) at `j0 * lb`, its row `l`
+    /// holding `alpha * op_b(B)[l, j]` for those columns.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA; [`has_tiles`] holds
+    /// for `T`; `a` has `lb <= KC` columns and at least `c.nrows()` rows,
+    /// `c.nrows()` is a multiple of `2 * MR`, and `panels` holds
+    /// `lb * c.ncols()` entries.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn nn_rows<T: Real>(a: MatRef<'_, T>, panels: &[T], c: MatMut<'_, T>) {
+        debug_assert!(a.nrows() >= c.nrows() && a.ncols() <= super::KC);
+        debug_assert_eq!(panels.len(), a.ncols() * c.ncols());
+        // SAFETY: each branch runs only when `T` is the kernel's type; the
+        // caller vouches for the host and the shapes.
+        unsafe {
+            if TypeId::of::<T>() == TypeId::of::<f32>() {
+                nn_rows_f32(retype(a), panels.as_ptr().cast(), retype_mut(c));
+            } else {
+                debug_assert!(TypeId::of::<T>() == TypeId::of::<f64>());
+                nn_rows_f64(retype(a), panels.as_ptr().cast(), retype_mut(c));
+            }
+        }
+    }
+
+    /// `nn_rows_f32`/`nn_rows_f64` and their tiles: the intrinsics work on
+    /// `$w` lanes of `$t`, two vectors per column of the tile.
+    macro_rules! nn_kernel {
+        (
+            $rows:ident,
+            $tile:ident,
+            $t:ty,
+            $w:expr,
+            $zero:ident,
+            $load:ident,
+            $store:ident,
+            $set1:ident,
+            $fmadd:ident
+        ) => {
+            /// # Safety
+            /// As for [`nn_rows`], with `panels` pointing at its entries.
+            #[inline]
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn $rows(a: MatRef<'_, $t>, panels: *const $t, mut c: MatMut<'_, $t>) {
+                let (m, n, lb) = (c.nrows(), c.ncols(), a.ncols());
+                let (ap, lda, ldc) = (a.as_ptr(), a.ld(), c.ld());
+                let cp = c.as_mut_ptr();
+                // The row tile's A rows, copied contiguous so they stay in
+                // L1 across the panels (in place, a power-of-two `lda`
+                // maps them onto a few cache sets).
+                let mut rows = core::mem::MaybeUninit::<[[$t; $w]; 2 * super::KC]>::uninit();
+                let rp = rows.as_mut_ptr().cast::<$t>();
+                let mut i0 = 0;
+                while i0 < m {
+                    // SAFETY: rows `i0..i0 + 2 $w <= m` of A's `lb <= KC`
+                    // columns, into the first `2 lb` vectors of `rows`,
+                    // which the tiles below read back.
+                    unsafe {
+                        for l in 0..lb {
+                            let p = ap.add(l * lda + i0);
+                            $store(rp.add(2 * l * $w), $load(p));
+                            $store(rp.add((2 * l + 1) * $w), $load(p.add($w)));
+                        }
+                    }
+                    let mut j0 = 0;
+                    while j0 < n {
+                        // SAFETY: rows `i0..i0 + 2 $w <= m` of A and C,
+                        // columns `j0..j0 + jb <= n` of C, and the panel at
+                        // `j0 * lb`.
+                        unsafe {
+                            let panel = panels.add(j0 * lb);
+                            let c = cp.add(j0 * ldc + i0);
+                            match n - j0 {
+                                1 => $tile::<1>(rp, lb, panel, c, ldc),
+                                2 => $tile::<2>(rp, lb, panel, c, ldc),
+                                3 => $tile::<3>(rp, lb, panel, c, ldc),
+                                4 => $tile::<4>(rp, lb, panel, c, ldc),
+                                5 => $tile::<5>(rp, lb, panel, c, ldc),
+                                _ => $tile::<6>(rp, lb, panel, c, ldc),
+                            }
+                        }
+                        j0 += super::NR;
+                    }
+                    i0 += 2 * $w;
+                }
+            }
+
+            /// The `2 $w x NB` tile: `2 $w` rows of A's `lb` columns
+            /// (contiguous at `a`) against an `lb x NB` panel, onto the C
+            /// tile at `c` (columns `ldc` apart).
+            ///
+            /// # Safety
+            /// The host must support AVX-512F, AVX2 and FMA, and every
+            /// pointer must cover what it is read or written for.
+            #[inline]
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn $tile<const NB: usize>(
+                a: *const $t,
+                lb: usize,
+                panel: *const $t,
+                c: *mut $t,
+                ldc: usize,
+            ) {
+                // SAFETY: the caller vouches for every pointer.
+                unsafe {
+                    let mut acc = [[$zero(); 2]; NB];
+                    for (jj, accj) in acc.iter_mut().enumerate() {
+                        let p = c.add(jj * ldc);
+                        *accj = [$load(p), $load(p.add($w))];
+                    }
+                    for l in 0..lb {
+                        let p = a.add(l * 2 * $w);
+                        let (a0, a1) = ($load(p), $load(p.add($w)));
+                        for (jj, accj) in acc.iter_mut().enumerate() {
+                            let bv = $set1(*panel.add(l * NB + jj));
+                            accj[0] = $fmadd(a0, bv, accj[0]);
+                            accj[1] = $fmadd(a1, bv, accj[1]);
+                        }
+                    }
+                    for (jj, accj) in acc.iter().enumerate() {
+                        let p = c.add(jj * ldc);
+                        $store(p, accj[0]);
+                        $store(p.add($w), accj[1]);
+                    }
+                }
+            }
+        };
+    }
+
+    nn_kernel!(
+        nn_rows_f32,
+        nn_tile_f32,
+        f32,
+        16,
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_fmadd_ps
+    );
+    nn_kernel!(
+        nn_rows_f64,
+        nn_tile_f64,
+        f64,
+        8,
+        _mm512_setzero_pd,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_set1_pd,
+        _mm512_fmadd_pd
+    );
+
+    /// Run the TN tiles over the first `m - m mod 4` rows of C and its first
+    /// `nj` columns; returns how many rows they ran (0 for a `T` other than
+    /// `f32` and `f64`).
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA; `a` and `b` have
+    /// `c.nrows()` and `c.ncols()` columns, all of one length, and
+    /// `nj <= c.ncols()` is a multiple of 4.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn tn_rows<T: Real>(
+        alpha: T,
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        c: MatMut<'_, T>,
+        nj: usize,
+    ) -> usize {
+        debug_assert!(a.ncols() == c.nrows() && b.ncols() == c.ncols());
+        debug_assert!(a.nrows() == b.nrows() && nj <= c.ncols() && nj.is_multiple_of(4));
+        let alpha = alpha.to_f64();
+        // SAFETY: each branch runs only when `T` is the kernel's type (so
+        // `alpha` converts back exactly); the caller vouches for the rest.
+        unsafe {
+            if TypeId::of::<T>() == TypeId::of::<f32>() {
+                tn_rows_f32(alpha as f32, retype(a), retype(b), retype_mut(c), nj)
+            } else if TypeId::of::<T>() == TypeId::of::<f64>() {
+                tn_rows_f64(alpha, retype(a), retype(b), retype_mut(c), nj)
+            } else {
+                0
+            }
+        }
+    }
+
+    /// Close the C entries of one TN tile: `banks[ii][jj]` holds the lanes
+    /// of entry `(i0 + ii, j0 + jj)`.
+    #[inline(always)]
+    fn tn_store<T: Real, const TJ: usize>(
+        alpha: T,
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        c: &mut MatMut<'_, T>,
+        banks: &[[[T; LANES]; TJ]; 4],
+        (i0, j0): (usize, usize),
+    ) {
+        for (ii, banks_i) in banks.iter().enumerate() {
+            for (jj, lanes) in banks_i.iter().enumerate() {
+                let (i, j) = (i0 + ii, j0 + jj);
+                let (x, y) = (a.col(i), b.col(j));
+                let whole = x.len() - x.len() % LANES;
+                let tail = (whole..x.len()).fold(T::ZERO, |s, l| x[l].mul_add(y[l], s));
+                let v = c.get(i, j) + alpha * tn_tree(lanes, tail);
+                c.set(i, j, v);
+            }
+        }
+    }
+
+    /// The f32 TN tiles: per block of up to 6 of the first `nj` columns,
+    /// pack the block, then run 4-row tiles down C. A C with fewer than
+    /// [`TN_PACK_ROWS`] rows runs none (returns 0).
+    ///
+    /// # Safety
+    /// As for [`tn_rows`].
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn tn_rows_f32(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        mut c: MatMut<'_, f32>,
+        nj: usize,
+    ) -> usize {
+        let m = c.nrows();
+        let rows = m - m % 4;
+        if rows < TN_PACK_ROWS {
+            return 0;
+        }
+        let chunks = a.nrows() / LANES;
+        // One packed block, reused by every block and filled before it is
+        // read: on the stack while it fits in 16 KB, on the heap past that.
+        let len = chunks * 6 * LANES;
+        let mut stack = [const { core::mem::MaybeUninit::<f32>::uninit() }; 4096];
+        let mut heap: Vec<f32> = Vec::new();
+        let pk = if len <= stack.len() {
+            stack.as_mut_ptr().cast::<f32>()
+        } else {
+            heap.reserve_exact(len);
+            heap.as_mut_ptr()
+        };
+        let mut j0 = 0;
+        while j0 < nj {
+            let pairs = ((nj - j0) / 2).min(3);
+            // SAFETY: the caller vouches for the host and the shapes, and
+            // `pk` has room for `chunks` rows of `2 * pairs <= 6` chunks.
+            unsafe {
+                match pairs {
+                    3 => tn_block_f32::<3, 6>(alpha, a, b, c.rb(), rows, j0, pk),
+                    2 => tn_block_f32::<2, 4>(alpha, a, b, c.rb(), rows, j0, pk),
+                    _ => tn_block_f32::<1, 2>(alpha, a, b, c.rb(), rows, j0, pk),
+                }
+            }
+            j0 += 2 * pairs;
+        }
+        rows
+    }
+
+    /// Columns `j0..j0 + TJ` (`P = TJ / 2` pairs) of the first `rows` rows
+    /// of C: pack the block into `pk`, then run the `4 x TJ` tile down C.
+    ///
+    /// # Safety
+    /// As for [`tn_rows`], with `rows % 4 == 0`, `j0 + TJ <= c.ncols()` and
+    /// `pk` writable for `TJ * (a.nrows() / 8) * 8` entries.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn tn_block_f32<const P: usize, const TJ: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        mut c: MatMut<'_, f32>,
+        rows: usize,
+        j0: usize,
+        pk: *mut f32,
+    ) {
+        let chunks = a.nrows() / LANES;
+        // SAFETY: every load reads a whole chunk of a column of A or B,
+        // every store and load of `pk` one of its `chunks * TJ` chunks.
+        unsafe {
+            for p in 0..P {
+                let (b0, b1) = (b.col(j0 + 2 * p).as_ptr(), b.col(j0 + 2 * p + 1).as_ptr());
+                for ch in 0..chunks {
+                    let dst = pk.add((ch * P + p) * 2 * LANES);
+                    _mm256_storeu_ps(dst, _mm256_loadu_ps(b0.add(ch * LANES)));
+                    _mm256_storeu_ps(dst.add(LANES), _mm256_loadu_ps(b1.add(ch * LANES)));
+                }
+            }
+            let mut i0 = 0;
+            while i0 < rows {
+                let acols: [*const f32; 4] = [0, 1, 2, 3].map(|ii| a.col(i0 + ii).as_ptr());
+                let mut acc = [[_mm512_setzero_ps(); P]; 4];
+                for ch in 0..chunks {
+                    let mut bv = [_mm512_setzero_ps(); P];
+                    for (p, bv_p) in bv.iter_mut().enumerate() {
+                        *bv_p = _mm512_loadu_ps(pk.add((ch * P + p) * 2 * LANES));
+                    }
+                    for (acc_i, acol) in acc.iter_mut().zip(&acols) {
+                        let chunk = _mm256_loadu_pd(acol.add(ch * LANES).cast::<f64>());
+                        let av = _mm512_castpd_ps(_mm512_broadcast_f64x4(chunk));
+                        for (s, &y) in acc_i.iter_mut().zip(&bv) {
+                            *s = _mm512_fmadd_ps(av, y, *s);
+                        }
+                    }
+                }
+                let mut banks = [[[0.0f32; LANES]; TJ]; 4];
+                for (banks_i, acc_i) in banks.iter_mut().zip(&acc) {
+                    for (pair, s) in banks_i.chunks_exact_mut(2).zip(acc_i) {
+                        _mm512_storeu_ps(pair.as_mut_ptr().cast::<f32>(), *s);
+                    }
+                }
+                tn_store(alpha, a, b, &mut c, &banks, (i0, j0));
+                i0 += 4;
+            }
+        }
+    }
+
+    /// The f64 TN tiles: per block of 4 of the first `nj` columns, 4-row
+    /// tiles down C, B read in place. Sixteen banks and the eight chunks
+    /// they read fit in the 32 vector registers, and a block as wide as
+    /// `tn_tile`'s streams A no more often.
+    ///
+    /// # Safety
+    /// As for [`tn_rows`].
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn tn_rows_f64(
+        alpha: f64,
+        a: MatRef<'_, f64>,
+        b: MatRef<'_, f64>,
+        mut c: MatMut<'_, f64>,
+        nj: usize,
+    ) -> usize {
+        let m = c.nrows();
+        let rows = m - m % 4;
+        if rows == 0 {
+            return 0;
+        }
+        for j0 in (0..nj).step_by(4) {
+            // SAFETY: the caller vouches for the host and the shapes, and
+            // `nj` is a multiple of 4.
+            unsafe { tn_block_f64::<4>(alpha, a, b, c.rb(), rows, j0) };
+        }
+        rows
+    }
+
+    /// Columns `j0..j0 + TJ` of the first `rows` rows of C in `4 x TJ`
+    /// tiles.
+    ///
+    /// # Safety
+    /// As for [`tn_rows`], with `rows % 4 == 0` and `j0 + TJ <= c.ncols()`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn tn_block_f64<const TJ: usize>(
+        alpha: f64,
+        a: MatRef<'_, f64>,
+        b: MatRef<'_, f64>,
+        mut c: MatMut<'_, f64>,
+        rows: usize,
+        j0: usize,
+    ) {
+        let chunks = a.nrows() / LANES;
+        let bcols: [*const f64; TJ] = core::array::from_fn(|jj| b.col(j0 + jj).as_ptr());
+        // SAFETY: every load reads a whole chunk of a column of A or B.
+        unsafe {
+            let mut i0 = 0;
+            while i0 < rows {
+                let acols: [*const f64; 4] = [0, 1, 2, 3].map(|ii| a.col(i0 + ii).as_ptr());
+                let mut acc = [[_mm512_setzero_pd(); TJ]; 4];
+                for ch in 0..chunks {
+                    let mut bv = [_mm512_setzero_pd(); TJ];
+                    for (bv_j, bcol) in bv.iter_mut().zip(&bcols) {
+                        *bv_j = _mm512_loadu_pd(bcol.add(ch * LANES));
+                    }
+                    for (acc_i, acol) in acc.iter_mut().zip(&acols) {
+                        let av = _mm512_loadu_pd(acol.add(ch * LANES));
+                        for (s, &y) in acc_i.iter_mut().zip(&bv) {
+                            *s = _mm512_fmadd_pd(av, y, *s);
+                        }
+                    }
+                }
+                let mut banks = [[[0.0f64; LANES]; TJ]; 4];
+                for (banks_i, acc_i) in banks.iter_mut().zip(&acc) {
+                    for (bank, s) in banks_i.iter_mut().zip(acc_i) {
+                        _mm512_storeu_pd(bank.as_mut_ptr(), *s);
+                    }
+                }
+                tn_store(alpha, a, b, &mut c, &banks, (i0, j0));
+                i0 += 4;
+            }
+        }
+    }
 }
 
 /// `y = alpha * op(A) * x + beta * y`.
@@ -654,6 +1193,8 @@ pub fn gemm_naive<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fma::tests::{host_tiers, with_cap};
+    use crate::fma::Tier;
     use crate::mat::Mat;
 
     fn filled(m: usize, n: usize, seed: u64) -> Mat<f64> {
@@ -927,13 +1468,18 @@ mod tests {
         }
     }
 
-    fn gemm_oracle_for<T: Real>() {
-        // Shapes straddle the NN/NT row tile (MR = 16 in f32, 8 in f64) and
-        // its NR = 6 columns, KC = 256, the TN 2x4x8 tile (with k mod 8 != 0)
-        // and LEAF = 128 * 128 (the last two of the first list split).
-        // Then whole leaves (one full and one single-column last KC block,
-        // and both remainders at once), and every column remainder of the
-        // NN/NT tile over full, one-row and two-tile-plus-one row counts.
+    /// `gemm` under every tier in `tiers` against the portable leaf, bit
+    /// for bit, and the portable leaf against [`leaf_spec`].
+    fn gemm_oracle_for<T: Real>(tiers: &[Tier]) {
+        // Shapes straddle the NN/NT row tiles (16 and 32 rows in f32, 8 and
+        // 16 in f64) and their NR = 6 columns, KC = 256, the TN tiles (2
+        // rows by 4 or 6 columns, 4 rows by 3 pairs in f32 or 3 columns in
+        // f64, 8 k-lanes with k mod 8 != 0) and LEAF = 128 * 128 (the last
+        // two of the first list split). Then whole leaves (one full and one
+        // single-column last KC block, and both remainders at once). Then
+        // the edges of the 512-bit tiles: row counts around 32 and 64 and
+        // every m mod 4, by every n mod 6 and n mod 4 (a lone last column
+        // of a pair included), at a short k and at a k past KC.
         let shapes = [
             (1, 1, 1),
             (2, 4, 8),
@@ -950,10 +1496,12 @@ mod tests {
             (128, 128, 257),
             (98, 130, 64),
         ];
-        let remainders = [16, 17, 33]
+        let edges = [4, 5, 6, 7, 16, 17, 31, 32, 33, 34, 47, 48, 63, 64, 65]
             .into_iter()
-            .flat_map(|m| (6..12).map(move |n| (m, n, 19)));
-        for (m, n, k) in shapes.into_iter().chain(remainders) {
+            .flat_map(|m| {
+                (1..=13usize).map(move |n| (m, n, if n.is_multiple_of(2) { 19 } else { 261 }))
+            });
+        for (m, n, k) in shapes.into_iter().chain(edges) {
             for (op_a, op_b) in [
                 (Op::NoTrans, Op::NoTrans),
                 (Op::Trans, Op::NoTrans),
@@ -965,7 +1513,10 @@ mod tests {
                 // Interior views: every leading dimension exceeds its rows.
                 let abig: Mat<T> = filled(ar + 3, ac + 2, 1).convert();
                 let bbig: Mat<T> = filled(br + 2, bc + 1, 2).convert();
-                let cbig: Mat<T> = filled(m + 4, n + 2, 3).convert();
+                let mut cbig: Mat<T> = filled(m + 4, n + 2, 3).convert();
+                // NaN in C, which beta = 0 must clear.
+                cbig[(1, 1)] = T::from_f64(f64::NAN);
+                cbig[(m, n)] = T::from_f64(f64::NAN);
                 let a = abig.as_ref().submatrix(2, 1, ar, ac);
                 let b = bbig.as_ref().submatrix(1, 1, br, bc);
                 for alpha in [1.0, -0.5] {
@@ -975,13 +1526,15 @@ mod tests {
                             "{} gemm {op_a:?}/{op_b:?} {m}x{n}x{k} alpha={alpha} beta={beta}",
                             T::NAME
                         );
-                        let mut got = cbig.clone();
                         let mut want = cbig.clone();
-                        let got_c = got.as_mut().submatrix_mut(1, 1, m, n);
-                        gemm(alpha, op_a, a, op_b, b, beta, got_c);
                         let want_c = want.as_mut().submatrix_mut(1, 1, m, n);
                         gemm_with(seq_body, alpha, op_a, a, op_b, b, beta, want_c);
-                        assert_same_bits(&what, got.data(), want.data());
+                        for &tier in tiers {
+                            let mut got = cbig.clone();
+                            let got_c = got.as_mut().submatrix_mut(1, 1, m, n);
+                            with_cap(tier, || gemm(alpha, op_a, a, op_b, b, beta, got_c));
+                            assert_same_bits(&format!("{tier:?} {what}"), got.data(), want.data());
+                        }
                         if m * n <= LEAF {
                             let c = cbig.as_ref().submatrix(1, 1, m, n);
                             for j in 0..n {
@@ -1138,70 +1691,141 @@ mod tests {
         }
     }
 
+    /// The best wall time of one call of `f`, over calls run for at least
+    /// `budget` and at least five times.
+    fn best_secs(budget: std::time::Duration, f: &mut dyn FnMut()) -> f64 {
+        use std::time::Instant;
+        let start = Instant::now();
+        let mut best = f64::INFINITY;
+        let mut runs = 0;
+        while runs < 5 || start.elapsed() < budget {
+            let t = Instant::now();
+            f();
+            best = best.min(t.elapsed().as_secs_f64());
+            runs += 1;
+        }
+        best
+    }
+
+    /// GFLOP/s of `alpha = -1, beta = 1` gemm at C = `cm x cn`, inner
+    /// dimension `k`, best of calls over `budget`.
+    fn gemm_gflops<T: Real>(
+        op_a: Op,
+        op_b: Op,
+        (cm, cn, k): (usize, usize, usize),
+        budget: std::time::Duration,
+    ) -> f64 {
+        let (ar, ac) = if op_a == Op::NoTrans { (cm, k) } else { (k, cm) };
+        let (br, bc) = if op_b == Op::NoTrans { (k, cn) } else { (cn, k) };
+        let a: Mat<T> = filled(ar, ac, 1).convert();
+        let b: Mat<T> = filled(br, bc, 2).convert();
+        let mut c: Mat<T> = filled(cm, cn, 3).convert();
+        let minus_one = T::from_f64(-1.0);
+        let secs = best_secs(budget, &mut || {
+            gemm(minus_one, op_a, a.as_ref(), op_b, b.as_ref(), T::ONE, c.as_mut());
+            std::hint::black_box(c.data());
+        });
+        2.0 * (cm * cn * k) as f64 / secs * 1e-9
+    }
+
     /// Wall rate of the small products a serve-mix job runs, against which
     /// kernel changes are judged shape by shape. For m in 128..=256 and a
     /// job width w in {32, 48, 64}: NN at m x w x w and at the recursion's
     /// m x w/2 x w/2 update, TN at its w/2 x w/2 x m reduction, and NT at
-    /// the low-rank reconstruction's m x w x w. Prints best-of-run GFLOP/s;
-    /// run with `cargo test -p densemat --release gemm_shape_grid --
-    /// --nocapture`.
+    /// the low-rank reconstruction's m x w x w. Prints best-of-run GFLOP/s
+    /// per vector tier this host has; run with `cargo test -p densemat
+    /// --release gemm_shape_grid -- --nocapture`.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing: run with --release")]
     fn gemm_shape_grid_timing() {
-        use std::time::{Duration, Instant};
-        let best_secs = |f: &mut dyn FnMut()| {
-            let start = Instant::now();
-            let mut best = f64::INFINITY;
-            while start.elapsed() < Duration::from_millis(40) {
-                let t = Instant::now();
-                for _ in 0..8 {
-                    f();
-                }
-                best = best.min(t.elapsed().as_secs_f64() / 8.0);
-            }
-            best
-        };
+        let budget = std::time::Duration::from_millis(40);
         let (nn, tn, nt) = (Op::NoTrans, Op::Trans, Op::NoTrans);
-        println!("{:>4} {:>4} {:>4} {:>4} {:>8}", "op", "m", "n", "k", "GFLOP/s");
+        let tiers: Vec<Tier> = host_tiers().into_iter().filter(|&t| t > Tier::Portable).collect();
+        let names: Vec<String> = tiers.iter().map(|t| format!("{:>8}", format!("{t:?}"))).collect();
+        println!("  op    m    n    k {}  (GFLOP/s)", names.join(" "));
         for m in [128, 160, 192, 224, 256] {
             let nn_shapes = [16, 24, 32, 48, 64].map(|n| ("NN", nn, nn, m, n, n));
             let tn_shapes = [16, 24, 32].map(|h| ("TN", tn, nn, h, h, m));
             let nt_shapes = [32, 48, 64].map(|n| ("NT", nt, Op::Trans, m, n, n));
             let shapes = nn_shapes.into_iter().chain(tn_shapes).chain(nt_shapes);
             for (name, op_a, op_b, cm, cn, k) in shapes {
-                let (ar, ac) = if op_a == Op::NoTrans { (cm, k) } else { (k, cm) };
-                let (br, bc) = if op_b == Op::NoTrans { (k, cn) } else { (cn, k) };
-                let a: Mat<f32> = filled(ar, ac, 1).convert();
-                let b: Mat<f32> = filled(br, bc, 2).convert();
-                let mut c: Mat<f32> = filled(cm, cn, 3).convert();
-                let secs = best_secs(&mut || {
-                    gemm(-1.0, op_a, a.as_ref(), op_b, b.as_ref(), 1.0, c.as_mut());
-                    std::hint::black_box(c.data());
-                });
-                let gflops = 2.0 * (cm * cn * k) as f64 / secs * 1e-9;
-                println!("{name:>4} {cm:>4} {cn:>4} {k:>4} {gflops:>8.2}");
+                let rates: Vec<String> = tiers
+                    .iter()
+                    .map(|&tier| {
+                        let gflops =
+                            with_cap(tier, || gemm_gflops::<f32>(op_a, op_b, (cm, cn, k), budget));
+                        format!("{gflops:>8.2}")
+                    })
+                    .collect();
+                println!("{name:>4} {cm:>4} {cn:>4} {k:>4} {}", rates.join(" "));
+            }
+        }
+    }
+
+    /// Wall rate of the products the benchmark's update paths run, per
+    /// tier this host has, in f32 and f64: the RGSQRF trailing updates
+    /// (TN `QᵀA` and NN `A - QR` at two panel widths), the CAQR panel
+    /// products of a 16384-row least-squares problem, and the TSQR Q
+    /// update. Prints best-of-run GFLOP/s, the tiers taking turns three
+    /// times per shape so a slow spell of a shared host hits them alike;
+    /// run with `cargo test -p densemat --release update_shape --
+    /// --nocapture`.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing: run with --release")]
+    fn update_shape_timing() {
+        let budget = std::time::Duration::from_millis(50);
+        let (nn, tn) = (Op::NoTrans, Op::Trans);
+        let shapes = [
+            (tn, (256, 256, 1024)),
+            (nn, (1024, 256, 256)),
+            (tn, (128, 128, 1024)),
+            (nn, (1024, 128, 128)),
+            (tn, (64, 64, 16384)),
+            (tn, (32, 32, 16384)),
+            (nn, (16384, 64, 64)),
+            (nn, (16384, 32, 32)),
+            (nn, (256, 32, 32)),
+        ];
+        let tiers = host_tiers();
+        let names: Vec<String> = tiers.iter().map(|t| format!("{:>8}", format!("{t:?}"))).collect();
+        println!("type op     m     n     k {}  (GFLOP/s)", names.join(" "));
+        for name in ["f32", "f64"] {
+            for &(op_a, (m, n, k)) in &shapes {
+                let mut best = vec![0.0f64; tiers.len()];
+                for _ in 0..3 {
+                    for (b, &tier) in best.iter_mut().zip(&tiers) {
+                        let gflops = with_cap(tier, || match name {
+                            "f32" => gemm_gflops::<f32>(op_a, nn, (m, n, k), budget),
+                            _ => gemm_gflops::<f64>(op_a, nn, (m, n, k), budget),
+                        });
+                        *b = b.max(gflops);
+                    }
+                }
+                let rates: Vec<String> = best.iter().map(|g| format!("{g:>8.2}")).collect();
+                let op = if op_a == tn { "TN" } else { "NN" };
+                println!("{name:>4} {op:>2} {m:>5} {n:>5} {k:>5} {}", rates.join(" "));
             }
         }
     }
 
     #[test]
     fn fma_path_is_bit_identical_to_portable_path() {
-        #[cfg(target_arch = "x86_64")]
-        let dispatched = crate::fma::hw_fma();
-        #[cfg(not(target_arch = "x86_64"))]
-        let dispatched = false;
-        if dispatched {
-            println!("comparing the AVX2+FMA kernels with the portable kernels");
-        } else {
-            println!("no AVX2+FMA on this host: compared the portable kernels with themselves");
+        let tiers = host_tiers();
+        println!("comparing the {tiers:?} kernels with the portable kernels");
+        if !tiers.contains(&Tier::Avx512) {
+            println!("no AVX-512F on this host: the AVX-512 kernels did not run");
         }
-        gemm_oracle_for::<f32>();
-        gemm_oracle_for::<f64>();
-        blas1_oracle_for::<f32>();
-        blas1_oracle_for::<f64>();
-        level2_oracle_for::<f32>();
-        level2_oracle_for::<f64>();
-        crate::svd::tests::jacobi_oracle_for::<f32>();
-        crate::svd::tests::jacobi_oracle_for::<f64>();
+        gemm_oracle_for::<f32>(&tiers);
+        gemm_oracle_for::<f64>(&tiers);
+        for &tier in &tiers {
+            with_cap(tier, || {
+                blas1_oracle_for::<f32>();
+                blas1_oracle_for::<f64>();
+                level2_oracle_for::<f32>();
+                level2_oracle_for::<f64>();
+                crate::svd::tests::jacobi_oracle_for::<f32>();
+                crate::svd::tests::jacobi_oracle_for::<f64>();
+            });
+        }
     }
 }

@@ -281,6 +281,12 @@ impl<T: Real> Householder<T> {
         extract_r(self.factored.as_ref())
     }
 
+    /// The `min(m,n)` diagonal entries of R, in order.
+    pub fn r_diagonal(&self) -> impl Iterator<Item = T> + '_ {
+        let k = self.nrows().min(self.ncols());
+        (0..k).map(move |j| self.factored[(j, j)])
+    }
+
     /// The explicit thin Q (`m x min(m,n)`).
     pub fn q(&self) -> Mat<T> {
         orgqr(self.factored.as_ref(), &self.tau, self.block)

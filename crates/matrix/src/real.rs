@@ -54,8 +54,8 @@ pub trait Real:
     ///
     /// On the default x86-64 target this is an out-of-line call per
     /// element; the hot kernels that loop over it are also compiled for
-    /// AVX2+FMA and pick that copy at run time, with the same bits (see
-    /// `fma.rs`).
+    /// AVX2+FMA and for AVX-512 and pick the host's copy at run time, with
+    /// the same bits (see `fma.rs`).
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;

@@ -16,8 +16,8 @@
 //! `G` columns, each sum in [`dot`](crate::blas1::dot)'s lane order), then
 //! every pair's skip test and rotation, then every rotation. The pairs of a
 //! round share no column, so this gives exactly the bits of rotating pair
-//! by pair. A whole sweep is one kernel, compiled for AVX2+FMA when the host
-//! has both (see `fma.rs`).
+//! by pair. A whole sweep is one kernel, compiled for the host's tier (see
+//! `fma.rs`).
 
 use crate::blas1::{nrm2, scal};
 use crate::mat::{Mat, MatRef};
@@ -520,7 +520,7 @@ pub(crate) mod tests {
         Householder::factor(rand_mat(m, n, seed)).r()
     }
 
-    /// [`jacobi_svd`] (on the AVX2+FMA copy when the host has it) against
+    /// [`jacobi_svd`] (on the calling thread's tier, see `fma.rs`) against
     /// the portable per-pair loop, bit for bit on `U`, `s`, `V` and the
     /// sweep count: R factors (`qr_svd`'s input) at the serve-mix widths
     /// and at odd widths, tall inputs, one and two columns, a zero and a
