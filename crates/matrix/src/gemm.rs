@@ -27,7 +27,7 @@
 //!   instead of a call per element. The AVX-512 tier first runs explicit
 //!   512-bit tiles (module `x86`): 32x6 (f32) or 16x6 (f64) for NN/NT, one
 //!   row tile at a time against every panel of a KC block; for TN, 4 rows
-//!   by 3 pairs of B columns in f32, one register per pair of 8-lane banks
+//!   by 4 pairs of B columns in f32, one register per pair of 8-lane banks
 //!   over a packed copy of B, or 4x4 banks in f64. The compiled tiles take
 //!   the rows these leave. Every tier returns the same bits.
 
@@ -601,11 +601,13 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
 ///   A row tile runs every panel of its KC block in turn, from a contiguous
 ///   copy of its A rows that stays in L1 (read in place, a power-of-two
 ///   leading dimension maps them onto a few cache sets).
-/// - TN, f32: four A columns by three pairs of B columns. One `zmm` holds
-///   the 8 k-lanes of C entries `(i, j)` and `(i, j + 1)`, so the chunk of
-///   A column `i` is one 256-bit broadcast (a load-port operation) and each
-///   6-column block of B is packed once, chunk by chunk, as
-///   `[b_j chunk | b_{j+1} chunk]`.
+/// - TN, f32: four A columns by four pairs of B columns (two for a last
+///   block of 4). One `zmm` holds the 8 k-lanes of C entries `(i, j)` and
+///   `(i, j + 1)`, so the chunk of A column `i` is one 256-bit broadcast (a
+///   load-port operation) and each 8-column block of B is packed once,
+///   chunk by chunk, as `[b_j chunk | b_{j+1} chunk]`. Sixteen
+///   accumulators and the five vectors they read fit in the 32 registers,
+///   and the wider block streams A fewer times than three pairs did.
 /// - TN, f64: a bank of 8 f64 lanes is one `zmm` already, so the tile is
 ///   four A columns by four B columns, read in place.
 ///
@@ -620,8 +622,12 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// The fewest rows of C the f32 TN tiles take: packing a block of B
-    /// costs about as much as one 4-row tile saves, so it pays from two on.
+    /// costs about as much as one 4-row tile saves, so it pays from two on;
+    /// twice as many once the block outgrows [`TN_STACK`] (k > 512),
+    /// where the extra pass over B runs at memory speed.
     const TN_PACK_ROWS: usize = 8;
+    /// The f32 TN packing buffer on the stack: 16 KB.
+    const TN_STACK: usize = 4096;
 
     /// [`leaf_body`] with the explicit 512-bit tiles.
     ///
@@ -875,9 +881,10 @@ mod x86 {
         }
     }
 
-    /// The f32 TN tiles: per block of up to 6 of the first `nj` columns,
-    /// pack the block, then run 4-row tiles down C. A C with fewer than
-    /// [`TN_PACK_ROWS`] rows runs none (returns 0).
+    /// The f32 TN tiles: per block of 8 of the first `nj` columns (the
+    /// last may have 4), pack the block, then run 4-row tiles down C. A C
+    /// with fewer rows than [`TN_PACK_ROWS`] asks for runs none (returns
+    /// 0).
     ///
     /// # Safety
     /// As for [`tn_rows`].
@@ -891,16 +898,17 @@ mod x86 {
     ) -> usize {
         let m = c.nrows();
         let rows = m - m % 4;
-        if rows < TN_PACK_ROWS {
-            return 0;
-        }
         let chunks = a.nrows() / LANES;
         // One packed block, reused by every block and filled before it is
         // read: on the stack while it fits in 16 KB, on the heap past that.
-        let len = chunks * 6 * LANES;
-        let mut stack = [const { core::mem::MaybeUninit::<f32>::uninit() }; 4096];
+        let len = chunks * 8 * LANES;
+        let on_stack = len <= TN_STACK;
+        if rows < TN_PACK_ROWS || (rows < 2 * TN_PACK_ROWS && !on_stack) {
+            return 0;
+        }
+        let mut stack = [const { core::mem::MaybeUninit::<f32>::uninit() }; TN_STACK];
         let mut heap: Vec<f32> = Vec::new();
-        let pk = if len <= stack.len() {
+        let pk = if on_stack {
             stack.as_mut_ptr().cast::<f32>()
         } else {
             heap.reserve_exact(len);
@@ -908,17 +916,17 @@ mod x86 {
         };
         let mut j0 = 0;
         while j0 < nj {
-            let pairs = ((nj - j0) / 2).min(3);
-            // SAFETY: the caller vouches for the host and the shapes, and
-            // `pk` has room for `chunks` rows of `2 * pairs <= 6` chunks.
+            // SAFETY: the caller vouches for the host and the shapes, `nj`
+            // is a multiple of 4, and `pk` has room for `chunks` rows of
+            // 8 chunks.
             unsafe {
-                match pairs {
-                    3 => tn_block_f32::<3, 6>(alpha, a, b, c.rb(), rows, j0, pk),
-                    2 => tn_block_f32::<2, 4>(alpha, a, b, c.rb(), rows, j0, pk),
-                    _ => tn_block_f32::<1, 2>(alpha, a, b, c.rb(), rows, j0, pk),
+                if nj - j0 >= 8 {
+                    tn_block_f32::<4, 8>(alpha, a, b, c.rb(), rows, j0, pk);
+                } else {
+                    tn_block_f32::<2, 4>(alpha, a, b, c.rb(), rows, j0, pk);
                 }
             }
-            j0 += 2 * pairs;
+            j0 += 8;
         }
         rows
     }
@@ -1473,7 +1481,7 @@ mod tests {
     fn gemm_oracle_for<T: Real>(tiers: &[Tier]) {
         // Shapes straddle the NN/NT row tiles (16 and 32 rows in f32, 8 and
         // 16 in f64) and their NR = 6 columns, KC = 256, the TN tiles (2
-        // rows by 4 or 6 columns, 4 rows by 3 pairs in f32 or 3 columns in
+        // rows by 4 or 6 columns, 4 rows by 4 pairs in f32 or 4 columns in
         // f64, 8 k-lanes with k mod 8 != 0) and LEAF = 128 * 128 (the last
         // two of the first list split). Then whole leaves (one full and one
         // single-column last KC block, and both remainders at once). Then
