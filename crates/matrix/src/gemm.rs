@@ -607,7 +607,7 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
 ///   load-port operation) and each 8-column block of B is packed once,
 ///   chunk by chunk, as `[b_j chunk | b_{j+1} chunk]`. Sixteen
 ///   accumulators and the five vectors they read fit in the 32 registers,
-///   and the wider block streams A fewer times than three pairs did.
+///   and A streams past once per 8 columns of C.
 /// - TN, f64: a bank of 8 f64 lanes is one `zmm` already, so the tile is
 ///   four A columns by four B columns, read in place.
 ///
