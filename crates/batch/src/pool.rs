@@ -84,7 +84,6 @@ impl EngineHealth {
 /// never the raw mid-run stream.
 pub struct EnginePool {
     engines: Vec<GpuSim>,
-    cfg: EngineConfig,
     /// Per-engine [`EngineHealth`], `to_u8`-encoded. Atomics (not a
     /// `Mutex<Vec<_>>`) so a lane's thread can mark its engine dead while
     /// other lanes keep running.
@@ -102,7 +101,6 @@ impl EnginePool {
         assert!(n >= 1, "EnginePool needs at least one engine");
         EnginePool {
             engines: (0..n).map(|_| GpuSim::new(cfg)).collect(),
-            cfg,
             health: (0..n).map(|_| AtomicU8::new(0)).collect(),
         }
     }
@@ -112,7 +110,6 @@ impl EnginePool {
         assert!(n >= 1, "EnginePool needs at least one engine");
         EnginePool {
             engines: (0..n).map(|i| GpuSim::with_tracer(cfg, mk(i))).collect(),
-            cfg,
             health: (0..n).map(|_| AtomicU8::new(0)).collect(),
         }
     }
@@ -125,11 +122,6 @@ impl EnginePool {
     /// Always false: the constructors reject empty pools.
     pub fn is_empty(&self) -> bool {
         self.engines.is_empty()
-    }
-
-    /// The shared engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.cfg
     }
 
     /// Borrow engine `i`.
@@ -238,13 +230,6 @@ impl EnginePool {
             .collect()
     }
 
-    /// Number of dead engines.
-    pub fn dead_count(&self) -> usize {
-        (0..self.engines.len())
-            .filter(|&i| self.health(i) == EngineHealth::Dead)
-            .count()
-    }
-
     /// Per-engine modeled clocks, in pool order.
     pub fn clocks(&self) -> Vec<f64> {
         self.engines.iter().map(|e| e.clock()).collect()
@@ -347,7 +332,7 @@ mod tests {
         assert_eq!(pool.alive_engines(), vec![0, 1, 2], "degraded stays in rotation");
         pool.mark_dead(2);
         assert_eq!(pool.alive_engines(), vec![0, 1]);
-        assert_eq!(pool.dead_count(), 1);
+        assert_eq!(pool.health(2), EngineHealth::Dead);
         // mark_degraded never resurrects a dead engine.
         pool.mark_degraded(2);
         assert_eq!(pool.health(2), EngineHealth::Dead);

@@ -97,7 +97,10 @@ fn measure(a64: &Mat<f64>, q: &Mat<f32>, r: &Mat<f32>) -> SeriesPoint {
     }
 }
 
-/// Run the full sweep once (both figures read from it).
+/// Factor every test matrix of the sweep (RGSQRF, RGSQRF + reortho,
+/// SGEQRF and RGSQRF-EC) and measure both error metrics of each series.
+/// Figures 3 and 4 each call this and print one metric of it, so a run of
+/// both factors and measures every matrix twice.
 pub fn qr_accuracy_sweep(scale: Scale) -> Vec<QrAccuracyPoint> {
     let (m, n) = scale.qr_size();
     let cfg = RgsqrfConfig::default();

@@ -4,14 +4,14 @@
 //! paper-scale runs use the charge-replay (`tcqr_core::cost`), which a
 //! consistency test pins to the real implementation's clock.
 
-use crate::table::{ms, sci, speedup, tf, Table};
+use crate::table::{ms, speedup, tf, Table};
 use densemat::{Mat, Op};
 use std::time::Instant;
 use tcqr_core::cost;
 use tcqr_core::perf_est::{house_blocked_tflops, magma_hybrid_tflops, rgsqrf_tflops, EstPanel};
 use tcqr_core::rgsqrf::RgsqrfConfig;
 use tensor_engine::calibration::TABLE3;
-use tensor_engine::perf::{householder_qr_flops, orgqr_flops, rgsqrf_flops};
+use tensor_engine::perf::{householder_qr_flops, rgsqrf_flops};
 use tensor_engine::{EngineConfig, GpuSim, Phase};
 
 /// Table 2: MAGMA hybrid QR with SGEMM vs TC-GEMM trailing update,
@@ -285,15 +285,4 @@ pub fn headline() -> (f64, f64, f64) {
         peak = peak.max(rgsqrf_flops(m, n) / rgs.clock() / 1e12);
     }
     (lo, hi, peak)
-}
-
-/// The Figure 5 companion: modeled cost of forming an explicit Q for the
-/// baseline includes the ORGQR flops — exposed for tests.
-pub fn sgeqrf_orgqr_flops(m: usize, n: usize) -> f64 {
-    householder_qr_flops(m, n) + orgqr_flops(m, n)
-}
-
-/// Format helper re-export for binaries.
-pub fn format_err(v: f64) -> String {
-    sci(v)
 }

@@ -99,27 +99,6 @@ pub fn getrf_tc(
     Ok(piv)
 }
 
-/// Typed-error variant of [`getrf_tc`]: square-shape violations and LU
-/// breakdowns both surface as [`TcqrError`] instead of a panic / ad-hoc
-/// error type.
-pub fn try_getrf_tc(
-    eng: &GpuSim,
-    a: &mut Mat<f32>,
-    block: usize,
-) -> Result<Vec<usize>, TcqrError> {
-    let n = a.nrows();
-    if a.ncols() != n {
-        return Err(TcqrError::shape(
-            "getrf_tc",
-            format!("square matrices only (got {n} x {})", a.ncols()),
-        ));
-    }
-    getrf_tc(eng, a, block).map_err(|e| TcqrError::Singular {
-        op: "getrf_tc",
-        detail: e.to_string(),
-    })
-}
-
 /// Solve the square system `A x = b` by mixed-precision LU + classic
 /// iterative refinement on the engine.
 ///
@@ -456,9 +435,5 @@ mod tests {
                 .unwrap_err();
         assert!(matches!(err, TcqrError::Singular { op: "lu_ir_solve", .. }), "{err}");
         assert!(err.to_string().contains("broke down at column"), "{err}");
-
-        let mut rect32: Mat<f32> = Mat::zeros(4, 6);
-        let err = try_getrf_tc(&eng, &mut rect32, 2).unwrap_err();
-        assert!(err.to_string().contains("square matrices only"), "{err}");
     }
 }

@@ -108,15 +108,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// A detect-only policy: no retries, typed error on corruption.
-    pub fn detect_only() -> Self {
-        RecoveryPolicy {
-            max_retries: 0,
-            escalation: Vec::new(),
-            on_exhausted: OnExhausted::Error,
-        }
-    }
-
     /// The rung retry number `retry` (1-based) escalates to.
     fn rung_for(&self, retry: usize) -> Rung {
         self.escalation
@@ -387,7 +378,12 @@ mod tests {
         let err = run_with_recovery(
             &eng,
             "test",
-            &RecoveryPolicy::detect_only(),
+            // Detect only: no retries, typed error on corruption.
+            &RecoveryPolicy {
+                max_retries: 0,
+                escalation: Vec::new(),
+                on_exhausted: OnExhausted::Error,
+            },
             |_| {
                 let mut c: Mat<f32> = Mat::zeros(16, 8);
                 eng.gemm_f32(

@@ -224,12 +224,6 @@ impl F16 {
         (self.0 & 0x7c00) != 0x7c00
     }
 
-    /// True for subnormal values (nonzero with zero exponent field).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & 0x7c00) == 0 && (self.0 & 0x03ff) != 0
-    }
-
     /// Absolute value.
     #[inline]
     pub fn abs(self) -> F16 {
@@ -386,7 +380,6 @@ mod tests {
     fn subnormal_conversions_are_exact() {
         for bits in 1u16..0x0400 {
             let v = F16(bits).to_f32();
-            assert!(F16(bits).is_subnormal());
             assert_eq!(v, bits as f32 * 2.0f32.powi(-24));
         }
     }

@@ -26,15 +26,13 @@
 use crate::format::{split_chunk_f16, RoundStats};
 use crate::round_f16;
 
-/// Exponent shift applied to the residual before the second rounding.
+/// `2^11`, the exact power-of-two scale applied to the residual before the
+/// second rounding.
 ///
 /// 11 is the fp16 significand width (including the implicit bit): the
 /// residual of a round-to-nearest fp16 value is at most half an fp16 ulp,
-/// so shifting by 2^11 moves it back into the normal range without ever
+/// so scaling by 2^11 moves it back into the normal range without ever
 /// overflowing.
-pub const SPLIT_SHIFT: u32 = 11;
-
-/// `2^11`, the exact power-of-two scale for the residual.
 pub const SPLIT_SCALE: f32 = 2048.0;
 
 /// `2^-11`, the exact inverse scale used when recomposing `hi + lo·2^-11`.

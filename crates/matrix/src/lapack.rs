@@ -297,11 +297,6 @@ impl<T: Real> Householder<T> {
         ormqr(Op::Trans, self.factored.as_ref(), &self.tau, c, self.block);
     }
 
-    /// Apply `Q` to `c` in place.
-    pub fn apply_q(&self, c: MatMut<'_, T>) {
-        ormqr(Op::NoTrans, self.factored.as_ref(), &self.tau, c, self.block);
-    }
-
     /// Least-squares solve `min ||A x - b||` via `x = R \ (Q^T b)[..n]`.
     ///
     /// Requires `m >= n` and a nonsingular R.
@@ -423,7 +418,7 @@ mod tests {
         let c0 = rand_mat(20, 3, 10);
         let mut c = c0.clone();
         h.apply_qt(c.as_mut());
-        h.apply_q(c.as_mut());
+        ormqr(Op::NoTrans, h.factored.as_ref(), &h.tau, c.as_mut(), h.block);
         for j in 0..3 {
             for i in 0..20 {
                 assert!((c[(i, j)] - c0[(i, j)]).abs() < 1e-12);

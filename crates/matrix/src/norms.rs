@@ -30,27 +30,6 @@ fn fro_norm_body<T: Real>(a: MatRef<'_, T>) -> T {
     s.sqrt() * T::exp2i(-k)
 }
 
-/// 1-norm: maximum absolute column sum.
-pub fn one_norm<T: Real>(a: MatRef<'_, T>) -> T {
-    let mut best = T::ZERO;
-    for j in 0..a.ncols() {
-        let s: T = a.col(j).iter().map(|x| x.abs()).sum();
-        best = best.maxv(s);
-    }
-    best
-}
-
-/// Infinity-norm: maximum absolute row sum.
-pub fn inf_norm<T: Real>(a: MatRef<'_, T>) -> T {
-    let mut sums = vec![T::ZERO; a.nrows()];
-    for j in 0..a.ncols() {
-        for (i, &x) in a.col(j).iter().enumerate() {
-            sums[i] += x.abs();
-        }
-    }
-    sums.into_iter().fold(T::ZERO, |m, s| m.maxv(s))
-}
-
 /// Spectral norm (largest singular value) by power iteration on `A^T A`.
 ///
 /// Converges fast whenever there is any gap below the top singular value;
@@ -115,15 +94,6 @@ mod tests {
     fn fro_norm_avoids_overflow() {
         let a: Mat<f32> = Mat::from_fn(2, 2, |_, _| 1e30);
         assert!((fro_norm(a.as_ref()) - 2e30).abs() / 2e30 < 1e-6);
-    }
-
-    #[test]
-    fn one_and_inf_norms() {
-        let a = Mat::from_col_major(2, 2, vec![1.0f64, -3.0, 2.0, 4.0]);
-        // columns: |1|+|3| = 4, |2|+|4| = 6
-        assert_eq!(one_norm(a.as_ref()), 6.0);
-        // rows: |1|+|2| = 3, |3|+|4| = 7
-        assert_eq!(inf_norm(a.as_ref()), 7.0);
     }
 
     #[test]

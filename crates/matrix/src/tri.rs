@@ -98,19 +98,6 @@ pub fn trsm_left_unit_lower<T: Real>(alpha: T, l: MatRef<'_, T>, mut b: MatMut<'
     }
 }
 
-/// Solve `op(U) X = alpha B` in place (`B` overwritten by `X`), upper `U`.
-pub fn trsm_left_upper<T: Real>(alpha: T, op: Op, u: MatRef<'_, T>, mut b: MatMut<'_, T>) {
-    let n = u.nrows();
-    assert_eq!(u.ncols(), n, "trsm: U must be square");
-    assert_eq!(b.nrows(), n, "trsm: row mismatch");
-    if alpha != T::ONE {
-        b.scale(alpha);
-    }
-    for j in 0..b.ncols() {
-        trsv_upper(op, u, b.col_mut(j));
-    }
-}
-
 /// Solve `X op(U) = alpha B` in place (`B` overwritten by `X`), upper `U`.
 ///
 /// With `Op::NoTrans` this is the `A R^{-1}` operation of CholeskyQR and of
@@ -298,35 +285,6 @@ mod tests {
         trsv_upper(Op::Trans, u.as_ref(), &mut b);
         for i in 0..8 {
             assert!((b[i] - x0[i]).abs() < 1e-10, "i={i}");
-        }
-    }
-
-    #[test]
-    fn trsm_left_solves_multiple_rhs() {
-        let n = 12;
-        let u = upper(n, 3);
-        let x0 = rand_mat(n, 20, 4);
-        // B = U X0
-        let mut b = x0.clone();
-        trmm_left_upper(1.0, Op::NoTrans, u.as_ref(), b.as_mut());
-        trsm_left_upper(1.0, Op::NoTrans, u.as_ref(), b.as_mut());
-        for j in 0..20 {
-            for i in 0..n {
-                assert!((b[(i, j)] - x0[(i, j)]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn trsm_left_alpha_scales() {
-        let u: Mat<f64> = Mat::identity(3, 3);
-        let mut b = rand_mat(3, 2, 5);
-        let b0 = b.clone();
-        trsm_left_upper(2.0, Op::NoTrans, u.as_ref(), b.as_mut());
-        for j in 0..2 {
-            for i in 0..3 {
-                assert_eq!(b[(i, j)], 2.0 * b0[(i, j)]);
-            }
         }
     }
 

@@ -45,28 +45,6 @@ pub struct EngineTimeline {
     pub marks: Vec<TimelineMark>,
 }
 
-impl EngineTimeline {
-    /// Idle intervals on this engine inside `[base_secs, horizon_secs]`:
-    /// gaps between consecutive segments plus the tail after the last
-    /// segment. With the all-jobs-arrive-at-start queue the interior gaps
-    /// are empty and only the tail (this engine finishing before the
-    /// fleet's makespan) shows up.
-    pub fn idle_gaps(&self, horizon_secs: f64) -> Vec<(f64, f64)> {
-        let mut gaps = Vec::new();
-        let mut cursor = self.base_secs;
-        for s in &self.segments {
-            if s.start_secs > cursor {
-                gaps.push((cursor, s.start_secs));
-            }
-            cursor = cursor.max(s.end_secs);
-        }
-        if horizon_secs > cursor {
-            gaps.push((cursor, horizon_secs));
-        }
-        gaps
-    }
-}
-
 /// The fleet's reconstructed schedule: one [`EngineTimeline`] per engine,
 /// in pool order, plus the batch-wide window.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -285,11 +263,8 @@ mod tests {
         assert_eq!(e0.segments.len(), 2);
         assert_eq!(e0.segments[1].job, 2);
         assert!(!e0.segments[1].ok);
-        assert_eq!(e0.idle_gaps(3.0), vec![]);
         let e1 = &tl.engines[1];
         assert!(e1.segments[0].recovered());
-        // Engine 1 sits idle from t=1 to the fleet makespan.
-        assert_eq!(e1.idle_gaps(3.0), vec![(1.0, 3.0)]);
         assert_eq!(tl.fault_totals(), (1, 1));
     }
 

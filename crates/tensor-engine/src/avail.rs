@@ -112,28 +112,6 @@ impl EngineFaultPlan {
         }
     }
 
-    /// A single hang of `stall_secs` modeled seconds at op `at_op`.
-    pub fn hang_at(at_op: u64, stall_secs: f64) -> EngineFaultPlan {
-        EngineFaultPlan {
-            seed: 0,
-            faults: vec![PlannedEngineFault {
-                at_op,
-                kind: EngineFaultKind::Hang { stall_secs },
-            }],
-        }
-    }
-
-    /// A `factor ×` slowdown covering ops `[at_op, at_op + window)`.
-    pub fn slowdown_at(at_op: u64, factor: f64, window: u64) -> EngineFaultPlan {
-        EngineFaultPlan {
-            seed: 0,
-            faults: vec![PlannedEngineFault {
-                at_op,
-                kind: EngineFaultKind::Slowdown { factor, window },
-            }],
-        }
-    }
-
     /// Seed-derive a single crash somewhere in `[horizon / 4, horizon)`
     /// committed ops — the "mid-stream" kill used by chaos campaigns. The
     /// same `(seed, horizon)` always lands on the same op ([`densemat::splitmix64`],
@@ -295,7 +273,8 @@ mod tests {
 
     #[test]
     fn slowdown_covers_its_window_only() {
-        let mut st = AvailState::new(EngineFaultPlan::slowdown_at(1, 3.0, 2));
+        let slowdown = EngineFaultKind::Slowdown { factor: 3.0, window: 2 };
+        let mut st = AvailState::new(EngineFaultPlan::disabled().with(1, slowdown));
         assert_eq!(st.next(), AvailAction::Pass);
         assert_eq!(st.next(), AvailAction::Slow(3.0));
         assert_eq!(st.next(), AvailAction::Slow(3.0));
@@ -305,7 +284,8 @@ mod tests {
 
     #[test]
     fn hang_charges_once() {
-        let mut st = AvailState::new(EngineFaultPlan::hang_at(0, 2.5));
+        let hang = EngineFaultKind::Hang { stall_secs: 2.5 };
+        let mut st = AvailState::new(EngineFaultPlan::disabled().with(0, hang));
         assert_eq!(st.next(), AvailAction::Stall(2.5));
         assert_eq!(st.next(), AvailAction::Pass);
         let s = st.stats();

@@ -116,37 +116,10 @@ pub struct Counters {
     pub round: RoundStats,
 }
 
-/// `numer / denom` as a rate, 0 when nothing was counted.
-fn rate(numer: u64, denom: u64) -> f64 {
-    if denom == 0 {
-        0.0
-    } else {
-        numer as f64 / denom as f64
-    }
-}
-
 impl Counters {
     /// All flops regardless of class.
     pub fn total_flops(&self) -> f64 {
         self.tc_flops + self.fp32_flops + self.fp64_flops
-    }
-
-    /// Fraction of half-rounded inputs that overflowed to ±inf (0 when no
-    /// rounding happened). The §3.5 scaling safeguard exists to keep this
-    /// at exactly zero.
-    pub fn overflow_rate(&self) -> f64 {
-        rate(self.round.overflow, self.round.total)
-    }
-
-    /// Fraction of half-rounded inputs that landed subnormal or flushed to
-    /// zero — the silent-precision-loss zone.
-    pub fn underflow_rate(&self) -> f64 {
-        rate(self.round.underflow, self.round.total)
-    }
-
-    /// Fraction of half-rounded inputs that were NaN.
-    pub fn nan_rate(&self) -> f64 {
-        rate(self.round.nan, self.round.total)
     }
 
     /// Accumulate another set of counters into this one. Flop sums skip
@@ -257,38 +230,6 @@ mod tests {
         assert_eq!(a.round.overflow, u64::MAX);
         assert_eq!(a.round.underflow, u64::MAX);
         assert_eq!(a.round.nan, 1);
-    }
-
-    #[test]
-    fn rounding_rates() {
-        let c = Counters {
-            round: RoundStats {
-                total: 200,
-                overflow: 10,
-                underflow: 50,
-                nan: 2,
-            },
-            ..Counters::default()
-        };
-        assert_eq!(c.overflow_rate(), 0.05);
-        assert_eq!(c.underflow_rate(), 0.25);
-        assert_eq!(c.nan_rate(), 0.01);
-        // No rounding at all: rates are 0, not NaN.
-        let clean = Counters::default();
-        assert_eq!(clean.overflow_rate(), 0.0);
-        assert_eq!(clean.underflow_rate(), 0.0);
-        assert_eq!(clean.nan_rate(), 0.0);
-        // Saturated counters still produce a sane (finite, <= 1) rate.
-        let pinned = Counters {
-            round: RoundStats {
-                total: u64::MAX,
-                overflow: u64::MAX,
-                underflow: 0,
-                nan: 0,
-            },
-            ..Counters::default()
-        };
-        assert_eq!(pinned.overflow_rate(), 1.0);
     }
 
     #[test]

@@ -404,13 +404,6 @@ impl GpuSim {
             .unwrap_or_default()
     }
 
-    /// Whether the engine has crashed and not yet been revived by
-    /// [`GpuSim::reset_in_place`]. A dead engine panics with the original
-    /// [`EngineCrash`] payload on every further routed op.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
-    }
-
     /// Scrub the engine between tenants: zero the ledger, counters, and
     /// overflow latch, restart the data-fault campaign, drop the
     /// availability plan, revive a dead engine, clear any precision
@@ -558,11 +551,6 @@ impl GpuSim {
     #[inline]
     fn ec_active(&self) -> bool {
         self.precision_override.load(Ordering::Relaxed) == OVERRIDE_EC
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.cfg
     }
 
     /// The performance model the engine charges against.
@@ -750,53 +738,34 @@ impl GpuSim {
         }
     }
 
-    /// Round a matrix through the engine's half format, returning the
-    /// rounded copy (values exactly representable in the format, widened
-    /// back to f32) and the rounding events.
-    ///
-    /// The copy is converted column by column as it is written, in one
-    /// pass. This allocates; the GEMM hot path stages transient operands
-    /// into pooled workspace buffers instead, and reusable panels should be
-    /// rounded once via [`GpuSim::cache_operand`].
-    pub fn round_to_half(&self, a: MatRef<'_, f32>) -> (Mat<f32>, RoundStats) {
-        let mut out = Mat::zeros(a.nrows(), a.ncols());
-        let stats = stage(a, self.effective_half(), out.data_mut(), None);
-        (out, stats)
-    }
-
-    /// Round a view into a pooled workspace buffer (no allocation in the
-    /// steady state), converting each column as it is copied, and return a
-    /// dense view of the rounded copy.
-    fn round_into_workspace<'w>(
-        &self,
-        a: MatRef<'_, f32>,
-        buf: &'w mut WorkBuf,
-    ) -> (MatRef<'w, f32>, RoundStats) {
-        let (m, n) = (a.nrows(), a.ncols());
-        let v = buf.slice_mut(m * n);
-        let stats = stage(a, self.effective_half(), v, None);
-        (MatRef::from_col_major_slice(v, m, n), stats)
-    }
-
-    /// Split a view into hi/lo fp16 parts staged in pooled workspace
-    /// buffers, in the same one pass (error-corrected mode's analog of
-    /// [`GpuSim::round_into_workspace`]). The recorded events are those of
-    /// the hi rounding only — identical to a plain rounding pass — so
+    /// Stage one operand of a TensorCore product: its cached payload when
+    /// it carries one, else a rounding of its raw view into the pooled
+    /// `hi` buffer, converting each column as it is copied. With `lo`
+    /// (error-corrected mode) a raw view is split into fp16 hi/lo parts in
+    /// the same pass, and a cached operand hands over its lo payload too.
+    /// The returned events are those of the rounding this call performed —
+    /// none for a cached operand; a split records its hi rounding only, so
     /// `round.*` counters stay comparable across precision modes.
-    fn split_into_workspace<'w>(
+    ///
+    /// Panics if the operand's cache was built by a different engine,
+    /// before the last reset, or through a different half format.
+    fn stage_operand<'a>(
         &self,
-        a: MatRef<'_, f32>,
-        hi: &'w mut WorkBuf,
-        lo: &'w mut WorkBuf,
-    ) -> (MatRef<'w, f32>, MatRef<'w, f32>, RoundStats) {
-        let (m, n) = (a.nrows(), a.ncols());
-        let (hv, lv) = (hi.slice_mut(m * n), lo.slice_mut(m * n));
-        let stats = stage(a, HalfKind::Fp16, hv, Some(&mut *lv));
-        (
-            MatRef::from_col_major_slice(hv, m, n),
-            MatRef::from_col_major_slice(lv, m, n),
-            stats,
-        )
+        x: CachedOperand<'a>,
+        hi: &'a mut WorkBuf,
+        lo: Option<&'a mut WorkBuf>,
+    ) -> (MatRef<'a, f32>, Option<MatRef<'a, f32>>, RoundStats) {
+        if let Some(h) = x.half {
+            self.validate_half(h.tag);
+            let lo = lo.map(|_| h.lo.expect("EC cache carries a lo payload"));
+            return (h.view, lo, RoundStats::default());
+        }
+        let (m, n) = (x.raw.nrows(), x.raw.ncols());
+        let hv = hi.slice_mut(m * n);
+        let mut lv = lo.map(|l| l.slice_mut(m * n));
+        let stats = stage(x.raw, self.effective_half(), hv, lv.as_deref_mut());
+        let view = |v: &'a [f32]| MatRef::from_col_major_slice(v, m, n);
+        (view(hv), lv.map(|l| view(l)), stats)
     }
 
     /// Round `a` once for reuse across several GEMMs in `phase`.
@@ -811,38 +780,12 @@ impl GpuSim {
     /// already includes operand ingestion), so `Counters::round` reflects
     /// the roundings actually performed; GEMMs consuming the cache add
     /// nothing for it. The first overflow still raises the
-    /// `engine.fp16_overflow` warning from this op.
+    /// `engine.fp16_overflow` warning from this op. This is a
+    /// [`GpuSim::cache_shell`] filled by one [`GpuSim::cache_cols`] call.
     pub fn cache_operand(&self, phase: Phase, a: MatRef<'_, f32>) -> Option<HalfMat> {
-        if !self.uses_tc(phase) {
-            return None;
-        }
-        let (m, n) = (a.nrows(), a.ncols());
-        let mut data = Mat::zeros(m, n);
-        let mut lo = self.ec_active().then(|| Mat::zeros(m, n));
-        let lo_dst = lo.as_mut().map(|l| l.data_mut());
-        let stats = stage(a, self.effective_half(), data.data_mut(), lo_dst);
-        self.commit(
-            OpRecord {
-                name: "round_half",
-                phase,
-                class: None,
-                secs: 0.0,
-                flops: 0.0,
-                charged: false,
-                gemm_call: false,
-                panel_call: false,
-                round: stats,
-            },
-            &[("m", a.nrows()), ("n", a.ncols())],
-        );
-        Some(HalfMat {
-            data,
-            lo,
-            stats,
-            kind: self.effective_half(),
-            engine_id: self.id,
-            generation: self.generation.load(Ordering::Relaxed),
-        })
+        let mut h = self.cache_shell(phase, a.nrows(), a.ncols())?;
+        self.cache_cols(phase, &mut h, 0, a);
+        Some(h)
     }
 
     /// Allocate an empty `m x n` cache whose column blocks will be filled
@@ -870,7 +813,8 @@ impl GpuSim {
 
     /// Round the finalized values `cols` into columns `j0..j0 + cols.ncols()`
     /// of `cache` (from [`GpuSim::cache_shell`]), recording the rounding
-    /// events exactly as [`GpuSim::cache_operand`] does.
+    /// events against the counters and the trace as one uncharged
+    /// `round_half` op.
     ///
     /// `phase` must be a TensorCore phase (the shell would not exist
     /// otherwise); panics if the window falls outside the cache or the
@@ -949,32 +893,9 @@ impl GpuSim {
         beta: f32,
         c: MatMut<'_, f32>,
     ) {
-        self.gemm_f32_opts(phase, true, alpha, op_a, a, op_b, b, beta, c);
-    }
-
-    /// [`GpuSim::gemm_f32`] with explicit control over time charging.
-    ///
-    /// `charge = false` executes the numerics (including half rounding when
-    /// TensorCore applies) and updates the flop/rounding counters, but does
-    /// not advance the clock — used by composite kernels like the CAQR panel
-    /// whose time is charged once as an aggregate, matching how the paper
-    /// benchmarks its hand-written panel as a unit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_f32_opts(
-        &self,
-        phase: Phase,
-        charge: bool,
-        alpha: f32,
-        op_a: Op,
-        a: MatRef<'_, f32>,
-        op_b: Op,
-        b: MatRef<'_, f32>,
-        beta: f32,
-        c: MatMut<'_, f32>,
-    ) {
         self.gemm_f32_cached(
             phase,
-            charge,
+            true,
             alpha,
             op_a,
             CachedOperand::fresh(a),
@@ -985,16 +906,23 @@ impl GpuSim {
         );
     }
 
-    /// [`GpuSim::gemm_f32_opts`] over [`CachedOperand`]s: operands that
-    /// carry a [`HalfMat`] skip the per-call rounding on the TensorCore
-    /// path (their rounding was counted once at [`GpuSim::cache_operand`]
-    /// time); operands without one are rounded into a pooled workspace
-    /// buffer. On the FP32 path the raw views are multiplied directly.
-    /// Either way the result is bit-identical to the uncached
-    /// [`GpuSim::gemm_f32`]. The flops charged are the same; so is the
-    /// time, except in error-corrected mode, where operand-split traffic
-    /// is charged only for operands this call actually split (a cached
-    /// operand's split was paid once when the cache was built).
+    /// [`GpuSim::gemm_f32`] over [`CachedOperand`]s, with explicit control
+    /// over time charging. Operands that carry a [`HalfMat`] skip the
+    /// per-call rounding on the TensorCore path (their rounding was counted
+    /// once at [`GpuSim::cache_operand`] time); operands without one are
+    /// rounded into a pooled workspace buffer. On the FP32 path the raw
+    /// views are multiplied directly. Either way the result is
+    /// bit-identical to the uncached [`GpuSim::gemm_f32`]. The flops
+    /// charged are the same; so is the time, except in error-corrected
+    /// mode, where operand-split traffic is charged only for operands this
+    /// call actually split (a cached operand's split was paid once when the
+    /// cache was built).
+    ///
+    /// `charge = false` executes the numerics (including half rounding when
+    /// TensorCore applies) and updates the call and rounding counters, but
+    /// does not advance the clock or count flops — for composite kernels
+    /// whose time is charged once as an aggregate, the way the paper
+    /// benchmarks its hand-written panel as a unit.
     ///
     /// Panics if a supplied cache was built by a different engine, before
     /// the last [`GpuSim::reset`], or through a different half format.
@@ -1025,83 +953,29 @@ impl GpuSim {
         let class = if use_tc { Class::TensorCore } else { Class::Fp32 };
         // Only the rounding performed *by this call* lands in its record;
         // cached operands were already counted when the cache was built.
+        let mut round = RoundStats::default();
         // Likewise EC split traffic: an operand split once into a cache is
         // not re-charged by every consuming GEMM.
-        let mut round = RoundStats::default();
-        let mut split_elems = 0usize;
+        let split_elems: usize = [&a, &b]
+            .iter()
+            .filter(|x| x.half.is_none())
+            .map(|x| x.raw.nrows() * x.raw.ncols())
+            .sum();
         let mut armed_outcome: Option<ArmedOutcome> = None;
         if use_tc {
-            if let Some(h) = a.half {
-                self.validate_half(h.tag);
-            }
-            if let Some(h) = b.half {
-                self.validate_half(h.tag);
-            }
-            let mut buf_a = WorkBuf::take();
-            let mut buf_b = WorkBuf::take();
-            if ec {
-                let mut buf_al = WorkBuf::take();
-                let mut buf_bl = WorkBuf::take();
-                let (ah, al) = match a.half {
-                    Some(h) => (h.view, h.lo.expect("EC cache carries a lo payload")),
-                    None => {
-                        let (hv, lv, stats) =
-                            self.split_into_workspace(a.raw, &mut buf_a, &mut buf_al);
-                        round.merge(stats);
-                        split_elems += a.raw.nrows() * a.raw.ncols();
-                        (hv, lv)
-                    }
-                };
-                let (bh, bl) = match b.half {
-                    Some(h) => (h.view, h.lo.expect("EC cache carries a lo payload")),
-                    None => {
-                        let (hv, lv, stats) =
-                            self.split_into_workspace(b.raw, &mut buf_b, &mut buf_bl);
-                        round.merge(stats);
-                        split_elems += b.raw.nrows() * b.raw.ncols();
-                        (hv, lv)
-                    }
-                };
-                if self.fault_armed.load(Ordering::Relaxed) {
-                    armed_outcome = Some(self.gemm_tc_armed(
-                        alpha,
-                        op_a,
-                        ah,
-                        Some(al),
-                        op_b,
-                        bh,
-                        Some(bl),
-                        beta,
-                        c,
-                    ));
-                } else {
-                    gemm_ec(alpha, op_a, ah, al, op_b, bh, bl, beta, c);
-                }
+            let (mut buf_a, mut buf_b) = (WorkBuf::take(), WorkBuf::take());
+            let (mut lo_a, mut lo_b) = (ec.then(WorkBuf::take), ec.then(WorkBuf::take));
+            let (ah, al, stats_a) = self.stage_operand(a, &mut buf_a, lo_a.as_mut());
+            let (bh, bl, stats_b) = self.stage_operand(b, &mut buf_b, lo_b.as_mut());
+            round.merge(stats_a);
+            round.merge(stats_b);
+            // One relaxed load when disarmed — the fault machinery costs
+            // nothing unless a campaign is running.
+            if self.fault_armed.load(Ordering::Relaxed) {
+                armed_outcome =
+                    Some(self.gemm_tc_armed(alpha, op_a, ah, al, op_b, bh, bl, beta, c));
             } else {
-                let ah = match a.half {
-                    Some(h) => h.view,
-                    None => {
-                        let (v, stats) = self.round_into_workspace(a.raw, &mut buf_a);
-                        round.merge(stats);
-                        v
-                    }
-                };
-                let bh = match b.half {
-                    Some(h) => h.view,
-                    None => {
-                        let (v, stats) = self.round_into_workspace(b.raw, &mut buf_b);
-                        round.merge(stats);
-                        v
-                    }
-                };
-                // One relaxed load when disarmed — the fault machinery costs
-                // nothing unless a campaign is running.
-                if self.fault_armed.load(Ordering::Relaxed) {
-                    armed_outcome =
-                        Some(self.gemm_tc_armed(alpha, op_a, ah, None, op_b, bh, None, beta, c));
-                } else {
-                    gemm(alpha, op_a, ah, op_b, bh, beta, c);
-                }
+                gemm_tc(alpha, op_a, ah, al, op_b, bh, bl, beta, c);
             }
         } else {
             gemm(alpha, op_a, a.raw, op_b, b.raw, beta, c);
@@ -1186,10 +1060,7 @@ impl GpuSim {
                 }
                 (i0, j0, vals)
             });
-        match (al, bl) {
-            (Some(al), Some(bl)) => gemm_ec(alpha, op_a, ah, al, op_b, bh, bl, beta, c.rb()),
-            _ => gemm(alpha, op_a, ah, op_b, bh, beta, c.rb()),
-        }
+        gemm_tc(alpha, op_a, ah, al, op_b, bh, bl, beta, c.rb());
         // Apply the scheduled fault, remembering every overwritten value so
         // a sub-threshold injection can be rolled back bit-exactly.
         let mut undo: Vec<(usize, usize, f32)> = Vec::new();
@@ -1310,38 +1181,6 @@ impl GpuSim {
             }
             .emit(&tracer);
         }
-    }
-
-    /// GEMM over two pre-rounded operands (see [`GpuSim::cache_operand`]).
-    ///
-    /// Both payloads are multiplied as-is: on a TensorCore phase this is
-    /// exactly the hardware pipeline with cached ingestion; on an FP32
-    /// phase the already-rounded values are multiplied at the FP32 rate
-    /// (the caller opted into half operands explicitly).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_half(
-        &self,
-        phase: Phase,
-        charge: bool,
-        alpha: f32,
-        op_a: Op,
-        a: &HalfMat,
-        op_b: Op,
-        b: &HalfMat,
-        beta: f32,
-        c: MatMut<'_, f32>,
-    ) {
-        self.gemm_f32_cached(
-            phase,
-            charge,
-            alpha,
-            op_a,
-            CachedOperand::from_half(a),
-            op_b,
-            CachedOperand::from_half(b),
-            beta,
-            c,
-        );
     }
 
     /// Charge raw modeled seconds to a phase.
@@ -1492,28 +1331,31 @@ impl GpuSim {
     }
 }
 
-/// The three f32-accumulated tensor-core products of an error-corrected
-/// GEMM (arXiv 2203.03341): `C = α·AhBh + βC`, then the two `2^-11`-weighted
-/// correction products `α·2^-11·(AhBl + AlBh)`. The `2^-22`-weighted
-/// `AlBl` term is dropped, as in the paper's scheme. The `α·2^-11` scaling
-/// is exact (a power of two), so each product is still a faithful
-/// fp16×fp16 multiply with f32 accumulation.
+/// The f32-accumulated tensor-core product of staged operands:
+/// `C = α·AhBh + βC`. When both lo halves are present (error-corrected
+/// GEMM, arXiv 2203.03341) the two `2^-11`-weighted correction products
+/// `α·2^-11·(AhBl + AlBh)` follow; the `2^-22`-weighted `AlBl` term is
+/// dropped, as in the paper's scheme. The `α·2^-11` scaling is exact (a
+/// power of two), so each product is still a faithful fp16×fp16 multiply
+/// with f32 accumulation.
 #[allow(clippy::too_many_arguments)]
-fn gemm_ec(
+fn gemm_tc(
     alpha: f32,
     op_a: Op,
     ah: MatRef<'_, f32>,
-    al: MatRef<'_, f32>,
+    al: Option<MatRef<'_, f32>>,
     op_b: Op,
     bh: MatRef<'_, f32>,
-    bl: MatRef<'_, f32>,
+    bl: Option<MatRef<'_, f32>>,
     beta: f32,
     mut c: MatMut<'_, f32>,
 ) {
-    let corr = alpha * halfsim::SPLIT_INV_SCALE;
     gemm(alpha, op_a, ah, op_b, bh, beta, c.rb());
-    gemm(corr, op_a, ah, op_b, bl, 1.0, c.rb());
-    gemm(corr, op_a, al, op_b, bh, 1.0, c.rb());
+    if let (Some(al), Some(bl)) = (al, bl) {
+        let corr = alpha * halfsim::SPLIT_INV_SCALE;
+        gemm(corr, op_a, ah, op_b, bl, 1.0, c.rb());
+        gemm(corr, op_a, al, op_b, bh, 1.0, c.rb());
+    }
 }
 
 /// Recompose split operands into the composite `hi + lo·2^-11` matrix the
@@ -1614,7 +1456,7 @@ mod tests {
                 Op::Trans => small(10, 8, 0.5),
             };
             let mut c1 = Mat::zeros(12, 10);
-            eng.gemm_f32_opts(phase, true, 1.0, op_a, a.as_ref(), op_b, b.as_ref(), 0.0, c1.as_mut());
+            eng.gemm_f32(phase, 1.0, op_a, a.as_ref(), op_b, b.as_ref(), 0.0, c1.as_mut());
 
             let ah = other.cache_operand(phase, a.as_ref());
             let bh = other.cache_operand(phase, b.as_ref());
@@ -1662,30 +1504,68 @@ mod tests {
         assert_eq!(other.counters().round.total, 0);
     }
 
+    /// A cache as an operand that *is* its rounded payload: both the
+    /// TensorCore and the FP32 path multiply the already-rounded values.
+    fn payload(h: &HalfMat) -> CachedOperand<'_> {
+        CachedOperand::new(h.as_ref(), Some(h))
+    }
+
+    /// A charged GEMM of two cached payloads on `eng`'s update phase.
+    fn gemm_payloads(eng: &GpuSim, a: &HalfMat, op_b: Op, b: &HalfMat, c: MatMut<'_, f32>) {
+        eng.gemm_f32_cached(Phase::Update, true, 1.0, Op::NoTrans, payload(a), op_b, payload(b), 0.0, c);
+    }
+
     #[test]
-    fn gemm_half_multiplies_the_cached_payloads() {
+    fn cached_payloads_are_multiplied_as_is() {
         let eng = GpuSim::default();
         let a = small(6, 4, 1.0);
         let b = small(4, 5, 1.0);
         let ah = eng.cache_operand(Phase::Update, a.as_ref()).unwrap();
         let bh = eng.cache_operand(Phase::Update, b.as_ref()).unwrap();
         let mut c = Mat::zeros(6, 5);
-        eng.gemm_half(Phase::Update, true, 1.0, Op::NoTrans, &ah, Op::NoTrans, &bh, 0.0, c.as_mut());
+        gemm_payloads(&eng, &ah, Op::NoTrans, &bh, c.as_mut());
         let mut cr = Mat::zeros(6, 5);
         gemm(1.0, Op::NoTrans, ah.as_ref(), Op::NoTrans, bh.as_ref(), 0.0, cr.as_mut());
         assert_eq!(c, cr);
     }
 
+    /// A 16 x 10 operand with an fp16 overflow in column 1 and an fp16
+    /// underflow in column 6, so both cache windows record events.
+    fn windowed_operand() -> Mat<f32> {
+        let mut a = small(16, 10, 1.0);
+        a[(2, 1)] = 70000.0;
+        a[(5, 6)] = 1e-7;
+        a
+    }
+
+    /// Cache `a` whole on one fresh engine and as a shell filled in two
+    /// column windows on another, check the payloads (hi and lo), the
+    /// cache stats and the engines' round tallies agree, and return the
+    /// second engine with its shell.
+    fn whole_vs_windows(fresh: impl Fn() -> GpuSim, a: &Mat<f32>) -> (GpuSim, HalfMat) {
+        let (e1, e2) = (fresh(), fresh());
+        let whole = e1.cache_operand(Phase::Update, a.as_ref()).unwrap();
+        let mut shell = e2.cache_shell(Phase::Update, 16, 10).unwrap();
+        e2.cache_cols(Phase::Update, &mut shell, 0, a.as_ref().submatrix(0, 0, 16, 3));
+        e2.cache_cols(Phase::Update, &mut shell, 3, a.as_ref().submatrix(0, 3, 16, 7));
+        assert_eq!(whole.as_ref().to_owned(), shell.as_ref().to_owned());
+        assert_eq!(
+            whole.lo().map(|l| l.to_owned()),
+            shell.lo().map(|l| l.to_owned()),
+            "lo windows must match the whole split"
+        );
+        assert_eq!(whole.stats(), shell.stats());
+        let round = e1.counters().round;
+        assert_eq!((round.total, round.overflow, round.underflow), (160, 1, 1));
+        assert_eq!(round, e2.counters().round, "engine round tallies");
+        (e2, shell)
+    }
+
     #[test]
     fn cache_cols_fills_windows_identical_to_whole_rounding() {
-        let eng = GpuSim::default();
-        let a = small(16, 10, 1.0);
-        let whole = eng.cache_operand(Phase::Update, a.as_ref()).unwrap();
-        let mut shell = eng.cache_shell(Phase::Update, 16, 10).unwrap();
-        eng.cache_cols(Phase::Update, &mut shell, 0, a.as_ref().submatrix(0, 0, 16, 3));
-        eng.cache_cols(Phase::Update, &mut shell, 3, a.as_ref().submatrix(0, 3, 16, 7));
-        assert_eq!(whole.as_ref().to_owned(), shell.as_ref().to_owned());
-        assert_eq!(whole.stats(), shell.stats());
+        let a = windowed_operand();
+        let (eng, shell) = whole_vs_windows(GpuSim::default, &a);
+        assert!(shell.lo().is_none(), "plain caches carry no lo payload");
         // A column window of the shell is a usable cached operand.
         let win = a.as_ref().submatrix(0, 3, 16, 7);
         let mut c1 = Mat::zeros(7, 7);
@@ -1750,12 +1630,6 @@ mod tests {
                     eng.cache_cols(Phase::Update, &mut shell, 1, view.submatrix(0, 1, m, 3));
                     assert_eq!(bits_of(shell.as_ref()), bits_of(hi.as_ref()), "{what} cols");
                     assert_eq!(shell.stats(), want, "{what} cols");
-                    if !eng.ec_active() {
-                        let (r, stats) = eng.round_to_half(view);
-                        let what = format!("{what} round_to_half");
-                        assert_eq!(bits_of(r.as_ref()), bits_of(hi.as_ref()), "{what}");
-                        assert_eq!(stats, want, "{what}");
-                    }
 
                     // The GEMM path stages the view through the workspace:
                     // same product and events as from the dense copy.
@@ -1780,7 +1654,7 @@ mod tests {
         assert_eq!(h.stats().total, 60);
         assert_eq!(eng.counters().round.total, 60, "counted at cache time");
         let mut c = Mat::zeros(6, 6);
-        let op = CachedOperand::from_half(&h);
+        let op = payload(&h);
         eng.gemm_f32_cached(Phase::Update, true, 1.0, Op::Trans, op, Op::NoTrans, op, 0.0, c.as_mut());
         assert_eq!(
             eng.counters().round.total,
@@ -1797,7 +1671,7 @@ mod tests {
         let h = eng.cache_operand(Phase::Update, a.as_ref()).unwrap();
         eng.reset();
         let mut c = Mat::zeros(4, 4);
-        eng.gemm_half(Phase::Update, true, 1.0, Op::NoTrans, &h, Op::NoTrans, &h, 0.0, c.as_mut());
+        gemm_payloads(&eng, &h, Op::NoTrans, &h, c.as_mut());
     }
 
     #[test]
@@ -1808,7 +1682,7 @@ mod tests {
         let a = small(4, 4, 1.0);
         let h = other.cache_operand(Phase::Update, a.as_ref()).unwrap();
         let mut c = Mat::zeros(4, 4);
-        eng.gemm_half(Phase::Update, true, 1.0, Op::NoTrans, &h, Op::NoTrans, &h, 0.0, c.as_mut());
+        gemm_payloads(&eng, &h, Op::NoTrans, &h, c.as_mut());
     }
 
     #[test]
@@ -1853,7 +1727,6 @@ mod tests {
         );
         let stats = eng.counters().round;
         assert!(stats.overflow > 0, "overflow not observed");
-        assert!(!stats.is_clean());
         assert!(!c.all_finite(), "infs must propagate into the product");
     }
 
@@ -2063,7 +1936,7 @@ mod tests {
             .expect("payload is an EngineCrash");
         assert_eq!(crash.at_op, 1);
         assert_eq!(crash.engine_id, eng.id);
-        assert!(eng.is_dead());
+        assert!(eng.dead.load(Ordering::Relaxed));
         // The crashed op never landed in the ledger, and accounting on the
         // corpse stays readable (the state mutex was not poisoned).
         assert_eq!(eng.clock(), clock_before);
@@ -2078,7 +1951,8 @@ mod tests {
     fn hang_and_slowdown_shape_the_clock_not_the_numerics() {
         // Hang: op completes, stall charged to Other.
         let eng = GpuSim::default();
-        eng.set_avail_plan(Some(EngineFaultPlan::hang_at(0, 2.5)));
+        let hang = avail::EngineFaultKind::Hang { stall_secs: 2.5 };
+        eng.set_avail_plan(Some(EngineFaultPlan::disabled().with(0, hang)));
         eng.charge_secs(Phase::Solve, 1.0);
         assert_eq!(eng.ledger().get(Phase::Other), 2.5);
         assert_eq!(eng.ledger().get(Phase::Solve), 1.0);
@@ -2086,7 +1960,8 @@ mod tests {
 
         // Slowdown: charged time scales inside the window, numerics exact.
         let slow = GpuSim::default();
-        slow.set_avail_plan(Some(EngineFaultPlan::slowdown_at(0, 3.0, u64::MAX)));
+        let slowdown = avail::EngineFaultKind::Slowdown { factor: 3.0, window: u64::MAX };
+        slow.set_avail_plan(Some(EngineFaultPlan::disabled().with(0, slowdown)));
         let base = GpuSim::default();
         let a = small(16, 8, 1.0);
         let b = small(8, 8, 1.0);
@@ -2126,13 +2001,13 @@ mod tests {
             eng.charge_secs(Phase::Other, 1.0);
             eng.charge_secs(Phase::Other, 1.0);
         }));
-        assert!(eng.is_dead());
+        assert!(eng.dead.load(Ordering::Relaxed));
         assert_ne!(eng.state_fingerprint(), fresh_fp);
 
         // Scrub-in-place: clean bill of health, engine revived and usable.
         assert!(eng.reset_in_place(), "scrubbed state matches a fresh engine");
         assert_eq!(eng.state_fingerprint(), fresh_fp);
-        assert!(!eng.is_dead());
+        assert!(!eng.dead.load(Ordering::Relaxed));
         assert!(!eng.avail_armed(), "tenant's availability plan is dropped");
         assert_eq!(eng.precision_override(), None);
         eng.charge_secs(Phase::Solve, 1.0);
@@ -2233,8 +2108,9 @@ mod tests {
         // itself: 3 TC products of the same shape plus both sides' split
         // traffic.
         let pm = PerfModel;
-        assert_eq!(eng.clock(), pm.ec_gemm_secs(12, 10, 8));
-        assert_eq!(eng.clock(), 3.0 * base.clock() + pm.ec_split_secs(12, 10, 8));
+        let split = 8 * (12 + 10);
+        assert_eq!(eng.clock(), pm.ec_gemm_charge_secs(12, 10, 8, split));
+        assert_eq!(eng.clock(), 3.0 * base.clock() + pm.ec_split_elems_secs(split));
         // Three products perform 3x the flops; rounding events are counted
         // once per operand element, exactly like the plain pass.
         assert_eq!(eng.counters().tc_flops, 3.0 * base.counters().tc_flops);
@@ -2251,7 +2127,7 @@ mod tests {
         assert_eq!(h.stats().total, 60);
         assert_eq!(eng.counters().round.total, 60, "counted at cache time");
         let mut c1 = Mat::zeros(6, 6);
-        let op = CachedOperand::from_half(&h);
+        let op = payload(&h);
         eng.gemm_f32_cached(Phase::Update, true, 1.0, Op::Trans, op, Op::NoTrans, op, 0.0, c1.as_mut());
         assert_eq!(
             eng.counters().round.total,
@@ -2291,19 +2167,9 @@ mod tests {
 
     #[test]
     fn ec_cache_cols_fills_hi_and_lo_windows_identical_to_whole() {
-        let eng = ec_engine();
-        let a = small(16, 10, 1.0);
-        let whole = eng.cache_operand(Phase::Update, a.as_ref()).unwrap();
-        let mut shell = eng.cache_shell(Phase::Update, 16, 10).unwrap();
-        eng.cache_cols(Phase::Update, &mut shell, 0, a.as_ref().submatrix(0, 0, 16, 3));
-        eng.cache_cols(Phase::Update, &mut shell, 3, a.as_ref().submatrix(0, 3, 16, 7));
-        assert_eq!(whole.as_ref().to_owned(), shell.as_ref().to_owned());
-        assert_eq!(
-            whole.lo().unwrap().to_owned(),
-            shell.lo().unwrap().to_owned(),
-            "lo windows must match the whole split"
-        );
-        assert_eq!(whole.stats(), shell.stats());
+        let a = windowed_operand();
+        let (eng, shell) = whole_vs_windows(ec_engine, &a);
+        assert!(shell.lo().is_some(), "EC caches carry the lo payload");
         // A column window of the EC shell is a usable cached operand.
         let win = a.as_ref().submatrix(0, 3, 16, 7);
         let mut c1 = Mat::zeros(7, 7);
@@ -2397,7 +2263,7 @@ mod tests {
         assert!(eng.reset_in_place());
         let mut c = Mat::zeros(8, 8);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.gemm_half(Phase::Update, true, 1.0, Op::NoTrans, &h, Op::Trans, &h, 0.0, c.as_mut());
+            gemm_payloads(&eng, &h, Op::Trans, &h, c.as_mut());
         }));
         assert!(r.is_err(), "pre-scrub HalfMat must not survive the scrub");
     }

@@ -4,8 +4,7 @@
 //! *same* Q panel across trailing updates. The engine used to re-round that
 //! panel through the half format on every GEMM; a [`HalfMat`] lets a call
 //! site round it **once per factorization** and hand the cached result to
-//! [`crate::GpuSim::gemm_f32_cached`] / [`crate::GpuSim::gemm_half`]
-//! instead.
+//! [`crate::GpuSim::gemm_f32_cached`] instead.
 //!
 //! Rounding is elementwise and deterministic, so a cached operand is
 //! bit-identical to re-rounding on every call — only the redundant work (and
@@ -169,20 +168,6 @@ impl<'a> CachedOperand<'a> {
         CachedOperand {
             raw,
             half: Some(HalfView { view, lo, tag: half }),
-        }
-    }
-
-    /// An operand that *is* its rounded payload: both the TensorCore and
-    /// the FP32 path multiply the already-rounded values. Used by
-    /// [`crate::GpuSim::gemm_half`].
-    pub fn from_half(half: &'a HalfMat) -> Self {
-        CachedOperand {
-            raw: half.as_ref(),
-            half: Some(HalfView {
-                view: half.as_ref(),
-                lo: half.lo(),
-                tag: half,
-            }),
         }
     }
 }

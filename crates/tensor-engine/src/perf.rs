@@ -97,12 +97,6 @@ impl PerfModel {
         elems as f64 * 8.0 / HBM_BYTES_PER_SEC
     }
 
-    /// [`PerfModel::ec_split_elems_secs`] for both operands of a
-    /// `(cm x cn) <- (cm x k)(k x cn)` multiply: `k·(cm + cn)` elements.
-    pub fn ec_split_secs(&self, cm: usize, cn: usize, k: usize) -> f64 {
-        self.ec_split_elems_secs(k * (cm + cn))
-    }
-
     /// Seconds for an error-corrected GEMM `C(cm x cn) += A(cm x k) B(k x cn)`
     /// that freshly split `split_elems` operand elements this call: three
     /// TensorCore products of the original shape (hi·hi plus the two hi·lo
@@ -114,12 +108,6 @@ impl PerfModel {
             return 0.0;
         }
         3.0 * self.gemm_secs(Class::TensorCore, cm, cn, k) + self.ec_split_elems_secs(split_elems)
-    }
-
-    /// [`PerfModel::ec_gemm_charge_secs`] with both operands split by the
-    /// call itself — the fully-uncached case, `k·(cm + cn)` split elements.
-    pub fn ec_gemm_secs(&self, cm: usize, cn: usize, k: usize) -> f64 {
-        self.ec_gemm_charge_secs(cm, cn, k, k * (cm + cn))
     }
 
     /// Modeled TFLOPS of cuSOLVER `SGEQRF` on an `m x n` matrix.
@@ -306,16 +294,19 @@ mod tests {
     #[test]
     fn ec_gemm_is_three_tc_products_plus_split_traffic() {
         let pm = PerfModel;
+        // The fully uncached case: both operands split, k·(cm + cn) elements.
+        let ec_secs = |cm: usize, cn: usize, k: usize| pm.ec_gemm_charge_secs(cm, cn, k, k * (cm + cn));
         let (cm, cn, k) = (M, 4096, 4096);
-        let expect = 3.0 * pm.gemm_secs(Class::TensorCore, cm, cn, k) + pm.ec_split_secs(cm, cn, k);
-        assert_eq!(pm.ec_gemm_secs(cm, cn, k), expect);
+        let split = pm.ec_split_elems_secs(k * (cm + cn));
+        let expect = 3.0 * pm.gemm_secs(Class::TensorCore, cm, cn, k) + split;
+        assert_eq!(ec_secs(cm, cn, k), expect);
         // EC must sit strictly between plain TC and FP32 at GEMM-rich
         // shapes — that ordering is what makes it a cheaper escalation rung.
-        assert!(pm.ec_gemm_secs(cm, cn, k) > pm.gemm_secs(Class::TensorCore, cm, cn, k));
-        assert!(pm.ec_gemm_secs(cm, cn, k) < pm.gemm_secs(Class::Fp32, cm, cn, k));
+        assert!(ec_secs(cm, cn, k) > pm.gemm_secs(Class::TensorCore, cm, cn, k));
+        assert!(ec_secs(cm, cn, k) < pm.gemm_secs(Class::Fp32, cm, cn, k));
         // Degenerate shapes cost exactly zero, never NaN.
         for (cm, cn, k) in [(512, 512, 0), (0, 512, 512), (512, 0, 512), (0, 0, 0)] {
-            assert_eq!(pm.ec_gemm_secs(cm, cn, k), 0.0);
+            assert_eq!(ec_secs(cm, cn, k), 0.0);
         }
     }
 

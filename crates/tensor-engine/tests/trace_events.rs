@@ -5,7 +5,7 @@
 use densemat::{Mat, Op};
 use std::sync::Arc;
 use tcqr_trace::{EventKind, MemSink, Tracer};
-use tensor_engine::{Class, EngineConfig, GpuSim, Phase};
+use tensor_engine::{CachedOperand, Class, EngineConfig, GpuSim, Phase};
 
 fn traced_engine(cfg: EngineConfig) -> (GpuSim, Arc<MemSink>) {
     let sink = Arc::new(MemSink::new());
@@ -118,14 +118,14 @@ fn uncharged_gemm_emits_event_without_time_or_flops() {
     let a = small(8, 4, 1.0);
     let b = small(4, 4, 1.0);
     let mut c = Mat::zeros(8, 4);
-    eng.gemm_f32_opts(
+    eng.gemm_f32_cached(
         Phase::Panel,
         false,
         1.0,
         Op::NoTrans,
-        a.as_ref(),
+        CachedOperand::fresh(a.as_ref()),
         Op::NoTrans,
-        b.as_ref(),
+        CachedOperand::fresh(b.as_ref()),
         0.0,
         c.as_mut(),
     );

@@ -214,16 +214,6 @@ impl ConsoleSink {
             color: stderr_color_enabled(),
         }
     }
-
-    /// Like [`ConsoleSink::new`] but with color forced on or off.
-    pub fn with_color(quiet: bool, color: bool) -> Self {
-        ConsoleSink { quiet, color }
-    }
-
-    /// Whether this sink will emit ANSI escapes.
-    pub fn color(&self) -> bool {
-        self.color
-    }
 }
 
 impl TraceSink for ConsoleSink {
@@ -376,10 +366,8 @@ mod tests {
 
     #[test]
     fn console_sink_color_override() {
-        let plain = ConsoleSink::with_color(false, false);
-        assert!(!plain.color());
-        let colored = ConsoleSink::with_color(false, true);
-        assert!(colored.color());
+        let plain = ConsoleSink { quiet: false, color: false };
+        let colored = ConsoleSink { quiet: false, color: true };
         // Neither panics when printing a warning.
         let w = Event {
             seq: 0,
