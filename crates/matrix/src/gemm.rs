@@ -1,35 +1,48 @@
 //! Level-3 BLAS: general matrix-matrix multiplication, plus GEMV/GER.
 //!
 //! `gemm` computes `C = alpha * op(A) * op(B) + beta * C` for all four
-//! transpose combinations. The implementation follows the structure the
-//! hpc-parallel guides prescribe:
+//! transpose combinations. C is scaled by `beta` first (`beta == 0` clears
+//! it), then each op pair runs its kernel:
 //!
-//! - **binary recursion** over the output matrix: C is split along its
-//!   larger dimension until a leaf tile is reached and the halves run in
-//!   order. The split is the blocking order, and it never splits the k
-//!   dimension, so no C element's accumulation depends on it;
-//! - **packed B panels** for NN and NT: per `KC` block of the inner
-//!   dimension, `alpha * op(B)` is copied `NR` columns at a time into a
-//!   contiguous panel that stays in L1 while tiles of A stream past it, so
-//!   NT reads B the way NN does. A is read in place (packing it cost more
-//!   than it saved at these sizes);
-//! - **register-tiled microkernels** with fixed-size accumulator arrays and
-//!   explicit `mul_add`: 16x6 (f32) or 8x6 (f64) for NN/NT, 2x6 (f32) or
-//!   2x4 (f64) banks of 8 k-lanes for TN, with TN's B columns held in L1 as
-//!   the outer loop. Rust does not reassociate floating point, so every
-//!   kernel keeps its SIMD lanes on *independent* accumulators (rows of C
-//!   for NN/NT, unrolled k-lanes for TN) rather than relying on
-//!   `-ffast-math`-style reduction vectorization, and the tiling never
-//!   changes any C element's order of operations;
-//! - **runtime dispatch** at each sequential leaf, by the host's tier (see
-//!   `fma.rs`). The portable and AVX2+FMA tiers run the tiles above,
-//!   compiled from one source; with AVX2+FMA, `mul_add` is a vector FMA
-//!   instead of a call per element. The AVX-512 tier first runs explicit
-//!   512-bit tiles (module `x86`): 32x6 (f32) or 16x6 (f64) for NN/NT, one
-//!   row tile at a time against every panel of a KC block; for TN, 4 rows
-//!   by 4 pairs of B columns in f32, one register per pair of 8-lane banks
-//!   over a packed copy of B, or 4x4 banks in f64. The compiled tiles take
-//!   the rows these leave. Every tier returns the same bits.
+//! - **NN and NT: blocked loops over packed operands**, in the GotoBLAS
+//!   order. Per `NC`-column block of C and `KC` block of the inner
+//!   dimension, `alpha * op(B)` is packed once into `NR`-wide micro-panels
+//!   (zero-padded past the last column) that every row of C reuses. Then,
+//!   two 512-bit vectors of rows at a time (32 f32 or 16 f64), those rows
+//!   of A are packed into one contiguous micro-panel (zero-padded past the
+//!   last row), read in sequence by a register tile that runs it against
+//!   each B micro-panel onto C. C is loaded and stored back exactly around
+//!   every KC block, so each C element gets `fma(a, alpha * b, c)` in k
+//!   order whatever the block sizes, and they are free to follow the
+//!   caches: the A micro-panel stays in L1 while the packed B block
+//!   streams past it from L2.
+//! - **TN: a binary recursion over C, then lanes.** C is split along its
+//!   larger dimension until a leaf of at most `LEAF` elements is reached.
+//!   Inside a leaf, both operands stream along k (their stored columns), so
+//!   each C entry keeps a bank of 8 k-lanes reduced once at the end; the
+//!   entries of an odd last row and the `n mod 4` last columns of *each
+//!   leaf* are plain dot products instead. That rule is why TN keeps the
+//!   recursion: another partition would change the bits of those entries.
+//! - **TT** (no hot path uses it) builds `D = B (alpha A)` with the NN
+//!   kernel into scratch and adds `D^T`.
+//!
+//! The pack buffers come from a per-thread arena that grows to the largest
+//! call's shape and is reused by every later call; each buffer is written
+//! before it is read. Rust does not reassociate floating point, so every
+//! kernel keeps its SIMD lanes on *independent* accumulators (rows of C for
+//! NN/NT, k-lanes for TN) and the blocking never changes any C element's
+//! order of operations.
+//!
+//! Every kernel runs in the host's tier (see `fma.rs`), dispatched once per
+//! NN/NT call and once per TN leaf. The portable and AVX2+FMA tiers compile
+//! one source: NN/NT's `MR x 6` sub-tiles of the packed tile (`MR` = 16 f32
+//! or 8 f64) and TN's tiles of 2 rows by `TJ` columns. The AVX-512 tier runs
+//! explicit 512-bit tiles (module `x86`) instead: the whole `2 MR x 12`
+//! packed tile for NN/NT, and for TN 4-row tiles over k blocks whose packed
+//! B block and A stream fit L1. Every tier returns the same bits.
+
+use core::cell::Cell;
+use core::mem::MaybeUninit;
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::real::Real;
@@ -43,18 +56,16 @@ pub enum Op {
     Trans,
 }
 
-/// Inner-dimension cache block of the NN/NT kernel: one packed `KC x NR`
-/// panel of `alpha * op(B)` (6 KB in f32, 12 KB in f64) stays in L1.
+/// Inner-dimension block of the NN/NT kernel: a packed `KC x NR` micro-panel
+/// of `alpha * op(B)` (12 KB in f32, 24 KB in f64) stays in L1.
 const KC: usize = 256;
-/// Column tile of the NN/NT kernel: the width of a packed panel. Its row tile
-/// `MR` is two AVX2 vectors, 16 f32 or 8 f64, or two AVX-512 vectors on that
-/// tier (see [`nn_accum`]).
-const NR: usize = 6;
-/// Stop splitting C below this many output elements.
+/// Column block of the NN/NT kernel: the packed `KC x NC` block of
+/// `alpha * op(B)` that every row block reuses. A multiple of `NR`.
+const NC: usize = 1008;
+/// Width of a packed B micro-panel: the NN/NT register tile's columns.
+const NR: usize = 12;
+/// Stop splitting a TN C below this many output elements.
 const LEAF: usize = 128 * 128;
-
-/// A sequential kernel for one leaf tile: `C = alpha op_a(A) op_b(B) + beta C`.
-type Leaf<T> = fn(T, Op, MatRef<'_, T>, Op, MatRef<'_, T>, T, MatMut<'_, T>);
 
 #[inline]
 fn op_dims<T: Real>(op: Op, m: MatRef<'_, T>) -> (usize, usize) {
@@ -74,21 +85,6 @@ pub fn gemm<T: Real>(
     op_b: Op,
     b: MatRef<'_, T>,
     beta: T,
-    c: MatMut<'_, T>,
-) {
-    gemm_with(seq_dispatch, alpha, op_a, a, op_b, b, beta, c);
-}
-
-/// [`gemm`] with the given kernel at every leaf of the recursion.
-#[allow(clippy::too_many_arguments)] // the leaf plus gemm's own seven
-fn gemm_with<T: Real>(
-    leaf: Leaf<T>,
-    alpha: T,
-    op_a: Op,
-    a: MatRef<'_, T>,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    beta: T,
     mut c: MatMut<'_, T>,
 ) {
     let (am, ak) = op_dims(op_a, a);
@@ -99,11 +95,25 @@ fn gemm_with<T: Real>(
     if c.nrows() == 0 || c.ncols() == 0 {
         return;
     }
+    scale_c(beta, c.rb());
     if ak == 0 || alpha == T::ZERO {
-        scale_c(beta, c.rb());
         return;
     }
-    split_rec(leaf, alpha, op_a, a, op_b, b, beta, c);
+    match (op_a, op_b) {
+        (Op::NoTrans, _) => nn_dispatch(alpha, a, op_b, b, c),
+        (Op::Trans, Op::NoTrans) => split_rec(alpha, a, b, c),
+        (Op::Trans, Op::Trans) => {
+            // C += alpha (B A)^T: compute D = B A into scratch, add D^T.
+            let mut d: Mat<T> = Mat::zeros(c.ncols(), c.nrows());
+            nn_dispatch(alpha, b, Op::NoTrans, a, d.as_mut());
+            for j in 0..c.ncols() {
+                for i in 0..c.nrows() {
+                    let v = c.get(i, j) + d[(j, i)];
+                    c.set(i, j, v);
+                }
+            }
+        }
+    }
 }
 
 /// Apply `C *= beta`, mapping `beta == 0` to an explicit fill so stale NaN or
@@ -120,123 +130,89 @@ fn scale_c<T: Real>(beta: T, mut c: MatMut<'_, T>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // the leaf plus gemm's own seven
-fn split_rec<T: Real>(
-    leaf: Leaf<T>,
-    alpha: T,
-    op_a: Op,
-    a: MatRef<'_, T>,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    if c.nrows() * c.ncols() <= LEAF {
-        leaf(alpha, op_a, a, op_b, b, beta, c);
-        return;
-    }
-    if c.ncols() >= c.nrows() {
-        // Split C and op_b(B) by output column.
-        let j = c.ncols() / 2;
-        let (c1, c2) = c.split_at_col_mut(j);
-        let (b1, b2) = match op_b {
-            Op::NoTrans => b.split_at_col(j),
-            Op::Trans => b.split_at_row(j),
-        };
-        split_rec(leaf, alpha, op_a, a, op_b, b1, beta, c1);
-        split_rec(leaf, alpha, op_a, a, op_b, b2, beta, c2);
-    } else {
-        // Split C and op_a(A) by output row.
-        let i = c.nrows() / 2;
-        let (c1, c2) = c.split_at_row_mut(i);
-        let (a1, a2) = match op_a {
-            Op::NoTrans => a.split_at_row(i),
-            Op::Trans => a.split_at_col(i),
-        };
-        split_rec(leaf, alpha, op_a, a1, op_b, b, beta, c1);
-        split_rec(leaf, alpha, op_a, a2, op_b, b, beta, c2);
-    }
+/// One cache line of arena memory.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([u8; 64]);
+
+thread_local! {
+    /// This thread's arena: the largest pack buffer a call has needed yet.
+    static ARENA: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
 }
 
-/// The leaf [`gemm`] runs: [`seq_body`] compiled for AVX2+FMA, or
-/// [`x86::seq_wide`] with the explicit 512-bit tiles, by the host's tier.
-fn seq_dispatch<T: Real>(
-    alpha: T,
-    op_a: Op,
-    a: MatRef<'_, T>,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    fma_dispatch!(seq_body::<T>(
-        alpha: T, op_a: Op, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, beta: T, c: MatMut<'_, T>
-    ); avx512 = x86::seq_wide);
-    seq_body(alpha, op_a, a, op_b, b, beta, c)
-}
+/// A pack buffer taken from this thread's arena and given back on drop, so
+/// later calls reuse it. A call made while one is out gets a fresh one.
+struct Scratch(Vec<MaybeUninit<Line>>);
 
-/// One leaf tile, sequentially, as the portable and AVX2+FMA tiers run it.
-#[inline(always)]
-fn seq_body<T: Real>(
-    alpha: T,
-    op_a: Op,
-    a: MatRef<'_, T>,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    leaf_body::<T, false>(alpha, op_a, a, op_b, b, beta, c)
-}
-
-/// One leaf tile, sequentially: scale C, then the kernel for the op pair.
-/// `WIDE` adds the explicit 512-bit tiles; only the AVX-512 leaf
-/// ([`x86::seq_wide`]) sets it.
-#[inline(always)]
-fn leaf_body<T: Real, const WIDE: bool>(
-    alpha: T,
-    op_a: Op,
-    a: MatRef<'_, T>,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    scale_c(beta, c.rb());
-    match (op_a, op_b) {
-        (Op::NoTrans, _) => nn_accum::<T, WIDE>(alpha, a, op_b, b, c),
-        (Op::Trans, Op::NoTrans) => tn_accum::<T, WIDE>(alpha, a, b, c),
-        (Op::Trans, Op::Trans) => {
-            // C += alpha (B A)^T: compute D = B A into scratch, add D^T.
-            // This combination never appears on a hot path here.
-            let mut d: Mat<T> = Mat::zeros(c.ncols(), c.nrows());
-            nn_accum::<T, WIDE>(alpha, b, Op::NoTrans, a, d.as_mut());
-            for j in 0..c.ncols() {
-                for i in 0..c.nrows() {
-                    let v = c.get(i, j) + d[(j, i)];
-                    c.set(i, j, v);
-                }
-            }
+impl Scratch {
+    /// The arena's buffer, grown to hold `len` elements of `T` if it holds
+    /// fewer. Growing leaves the new memory uninitialized.
+    fn take<T>(len: usize) -> Self {
+        let bytes = len
+            .checked_mul(core::mem::size_of::<T>())
+            .expect("Scratch: length overflows");
+        let mut lines = ARENA.try_with(Cell::take).unwrap_or_default();
+        if lines.len() < bytes.div_ceil(64) {
+            lines.resize(bytes.div_ceil(64), MaybeUninit::uninit());
         }
+        Scratch(lines)
+    }
+
+    /// The first `len` elements of `T`, 64-byte aligned and uninitialized:
+    /// a caller writes what it reads.
+    fn slice<T>(&mut self, len: usize) -> &mut [MaybeUninit<T>] {
+        assert!(
+            core::mem::align_of::<T>() <= 64,
+            "Scratch: over-aligned element"
+        );
+        assert!(
+            len.checked_mul(core::mem::size_of::<T>())
+                .is_some_and(|bytes| bytes <= self.0.len() * 64),
+            "Scratch: taken too small"
+        );
+        // SAFETY: the buffer holds at least `len * size_of::<T>()` bytes,
+        // aligned for `T`, and `MaybeUninit<T>` is valid for any bytes.
+        unsafe { core::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), len) }
     }
 }
 
-/// `C += alpha * A * op_b(B)`, with `op_b(B)` packed: NN and NT share one
-/// kernel and differ only in how a panel is read from B.
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let lines = core::mem::take(&mut self.0);
+        // A thread whose arena is already gone just frees the buffer.
+        let _ = ARENA.try_with(|a| a.set(lines));
+    }
+}
+
+/// `buf` as the `T`s it holds once every element is written.
 ///
-/// Per `KC` block of the inner dimension and per `NR` columns of C, the
-/// products `alpha * op_b(B)[l, j]` go into a contiguous `lb x NR` panel
-/// that stays in L1 while `MR`-row tiles of A stream past it. The register
-/// tile is `MR x NR`: two AVX2 vectors of rows (16 f32 or 8 f64) in each of
-/// six columns, twelve accumulators with room left for the A loads and the
-/// broadcast. The last `n mod NR` columns run a narrower tile over a
-/// narrower panel, and the last `m mod MR` rows a full tile over a
-/// zero-padded copy of their A rows; neither falls back to scalar code.
-/// Each C element still accumulates `a * (alpha * b)` onto itself in k
-/// order, exactly as an unpacked loop would. With `WIDE`, the explicit
-/// AVX-512 tile of twice as many rows takes the first `m - m mod 2 MR` rows
-/// once every panel of a KC block is packed (see [`x86`]), and the `MR`-row
-/// tiles take the rest.
+/// # Safety
+/// Every element of `buf` must be initialized.
+#[inline(always)]
+unsafe fn assume_init<T>(buf: &[MaybeUninit<T>]) -> &[T] {
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and the caller vouches that
+    // every element holds a `T`.
+    unsafe { &*(buf as *const [MaybeUninit<T>] as *const [T]) }
+}
+
+/// The NN/NT kernel [`gemm`] runs: [`nn_body`] compiled for AVX2+FMA, or
+/// [`x86::nn_wide`] with the explicit 512-bit tile, by the host's tier.
+fn nn_dispatch<T: Real>(alpha: T, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+    fma_dispatch!(nn_body::<T>(
+        alpha: T, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, c: MatMut<'_, T>
+    ); avx512 = x86::nn_wide);
+    nn_body(alpha, a, op_b, b, c)
+}
+
+/// `C += alpha * A * op_b(B)` as the portable and AVX2+FMA tiers run it.
+#[inline(always)]
+fn nn_body<T: Real>(alpha: T, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+    nn_accum::<T, false>(alpha, a, op_b, b, c)
+}
+
+/// `C += alpha * A * op_b(B)`: NN and NT share one kernel and differ only
+/// in how B is packed. `WIDE` runs the explicit AVX-512 tile; only
+/// [`x86::nn_wide`] sets it.
 #[inline(always)]
 fn nn_accum<T: Real, const WIDE: bool>(
     alpha: T,
@@ -252,7 +228,13 @@ fn nn_accum<T: Real, const WIDE: bool>(
     }
 }
 
-/// [`nn_accum`] with the row tile fixed at `MR`.
+/// [`nn_accum`] with A micro-panels of `2 MR` rows, in the GotoBLAS loops:
+/// column blocks of C, KC blocks (pack B), A micro-panels (pack each one as
+/// it is reached), then every B micro-panel against it in the register
+/// tile. A packed A block of more than one micro-panel measured slower on
+/// the small shapes (NN 256x32x32 f32: about 1 us of a 5 us call went to
+/// writing it out of L1) and no faster on the large ones, whose micro-panel
+/// (32 KB at KC) stays in L1 across the B micro-panels either way.
 #[inline(always)]
 fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
     alpha: T,
@@ -261,148 +243,172 @@ fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
     b: MatRef<'_, T>,
     mut c: MatMut<'_, T>,
 ) {
-    let m = c.nrows();
-    let n = c.ncols();
-    let k = a.ncols();
-    let full = m - m % MR;
-    // The rows the wide tiles take, `2 MR` at a time. Those tiles run after
-    // every panel of a KC block is packed, side by side in `panels` (column
-    // `j` of the block at `j * lb`), so each one's A rows stay in L1 while
-    // all the panels stream past them.
-    #[cfg(target_arch = "x86_64")]
-    let wide = if WIDE && x86::has_tiles::<T>() { m - m % (2 * MR) } else { 0 };
-    #[cfg(not(target_arch = "x86_64"))]
-    let wide = 0;
-    let mut panel = [T::ZERO; KC * NR];
-    let mut heap = Vec::new();
-    if wide > 0 && KC.min(k) * n > panel.len() {
-        heap = vec![T::ZERO; KC.min(k) * n];
-    }
-    let panels: &mut [T] = if heap.is_empty() { &mut panel } else { &mut heap };
-    // Zeroed once, and only when some rows do not fill a tile.
-    let mut rest_buf: Option<[[T; MR]; KC]> = None;
-    let mut l0 = 0;
-    while l0 < k {
-        let lb = KC.min(k - l0);
-        let a_blk = a.submatrix(0, l0, m, lb);
-        let rest = if full < m {
-            // The closure keeps the 16 KB fill out of calls that never
-            // need it.
-            #[allow(clippy::unnecessary_lazy_evaluations)]
-            let buf = rest_buf.get_or_insert_with(|| [[T::ZERO; MR]; KC]);
-            for (l, row) in buf[..lb].iter_mut().enumerate() {
-                row[..m - full].copy_from_slice(&a_blk.col(l)[full..]);
-            }
-            MatRef::from_col_major_slice(buf.as_flattened(), MR, KC)
-        } else {
-            a_blk
-        };
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = NR.min(n - j0);
-            let at = if wide > 0 { j0 * lb } else { 0 };
-            let panel = &mut panels[at..at + lb * jb];
-            let b_pan = match op_b {
-                Op::NoTrans => b.submatrix(l0, j0, lb, jb),
-                Op::Trans => b.submatrix(j0, l0, jb, lb),
+    let (m, n, k) = (c.nrows(), c.ncols(), a.ncols());
+    let mp = 2 * MR;
+    let kc_max = KC.min(k);
+    let a_len = mp * kc_max;
+    let b_len = kc_max * NC.min(n).next_multiple_of(NR);
+    let mut scratch = Scratch::take::<T>(a_len + b_len);
+    let (a_buf, b_buf) = scratch.slice::<T>(a_len + b_len).split_at_mut(a_len);
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let b_blk = match op_b {
+                Op::NoTrans => b.submatrix(pc, jc, kc, nc),
+                Op::Trans => b.submatrix(jc, pc, nc, kc),
             };
-            let c_pan = c.rb().submatrix_mut(wide, j0, m - wide, jb);
-            let (a_pan, i0) = (a_blk.submatrix(wide, 0, m - wide, lb), full - wide);
-            match jb {
-                6 => nn_panel::<T, MR, 6>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
-                5 => nn_panel::<T, MR, 5>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
-                4 => nn_panel::<T, MR, 4>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
-                3 => nn_panel::<T, MR, 3>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
-                2 => nn_panel::<T, MR, 2>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
-                _ => nn_panel::<T, MR, 1>(alpha, op_b, b_pan, panel, a_pan, i0, rest, c_pan),
+            let bp = pack_b(alpha, op_b, b_blk, b_buf);
+            for ic in (0..m).step_by(mp) {
+                let mc = mp.min(m - ic);
+                let a_blk = a.submatrix(ic, pc, mc, kc);
+                let c_row = c.rb().submatrix_mut(ic, jc, mc, nc);
+                #[cfg(target_arch = "x86_64")]
+                if WIDE && x86::has_tiles::<T>() {
+                    // SAFETY: only the AVX-512 kernel sets `WIDE`; `a_buf`
+                    // holds `2 MR` rows of `kc_max >= kc`, and `bp` every B
+                    // micro-panel of the block.
+                    unsafe { x86::nn_row(x86::pack_a(a_blk, a_buf), bp, c_row) };
+                    continue;
+                }
+                nn_row::<T, MR>(pack_a(mp, a_blk, a_buf), bp, c_row);
             }
-            j0 += NR;
         }
-        #[cfg(target_arch = "x86_64")]
-        if wide > 0 {
-            // SAFETY: `wide > 0` only in the AVX-512 leaf for a `T` with
-            // tiles; `wide` is a multiple of `2 MR` and at most `m`, the
-            // block has `lb <= KC` columns, and `panels` holds it packed.
-            let c_wide = c.rb().submatrix_mut(0, 0, wide, n);
-            unsafe { x86::nn_rows(a_blk, &panels[..lb * n], c_wide) };
-        }
-        l0 += lb;
     }
 }
 
-/// One panel: pack `alpha * op_b(B)` for `NB` columns of C into `panel`,
-/// then run it against the rows of C: full `MR`-row tiles reading A in
-/// place below `full`, then the leftover rows reading `rest` (their A rows,
-/// zero-padded to `MR`).
-#[allow(clippy::too_many_arguments)] // the panel's operands and its row split
+/// Pack `alpha * op_b(B)` for one block (`b` is the block as stored: `kc x
+/// nc` for NoTrans, `nc x kc` for Trans) into `ceil(nc / NR)` micro-panels
+/// of `kc` rows of `NR`, zero-padded past column `nc`, and return them.
 #[inline(always)]
-fn nn_panel<T: Real, const MR: usize, const NB: usize>(
+fn pack_b<'s, T: Real>(
     alpha: T,
     op_b: Op,
     b: MatRef<'_, T>,
-    panel: &mut [T],
-    a: MatRef<'_, T>,
-    full: usize,
-    rest: MatRef<'_, T>,
-    mut c: MatMut<'_, T>,
-) {
-    match op_b {
-        Op::NoTrans => {
-            let cols: [&[T]; NB] = core::array::from_fn(|jj| b.col(jj));
-            for (l, row) in panel.chunks_exact_mut(NB).enumerate() {
-                for (p, col) in row.iter_mut().zip(&cols) {
-                    *p = alpha * col[l];
+    buf: &'s mut [MaybeUninit<T>],
+) -> &'s [T] {
+    let (kc, nc) = op_dims(op_b, b);
+    let buf = &mut buf[..kc * nc.next_multiple_of(NR)];
+    // The pad columns of an edge micro-panel read zeros (times alpha: no C
+    // entry ever reads them).
+    let zeros = [T::ZERO; KC];
+    for (q, pan) in buf.chunks_exact_mut(kc * NR).enumerate() {
+        let j0 = q * NR;
+        let w = NR.min(nc - j0);
+        match op_b {
+            Op::NoTrans => {
+                let cols: [&[T]; NR] = core::array::from_fn(|jj| {
+                    if jj < w {
+                        &b.col(j0 + jj)[..kc]
+                    } else {
+                        &zeros[..kc]
+                    }
+                });
+                for (l, row) in pan.chunks_exact_mut(NR).enumerate() {
+                    for (p, col) in row.iter_mut().zip(&cols) {
+                        p.write(alpha * col[l]);
+                    }
                 }
             }
-        }
-        Op::Trans => {
-            for (l, row) in panel.chunks_exact_mut(NB).enumerate() {
-                for (p, &x) in row.iter_mut().zip(b.col(l)) {
-                    *p = alpha * x;
+            Op::Trans => {
+                for (l, row) in pan.chunks_exact_mut(NR).enumerate() {
+                    let (head, pad) = row.split_at_mut(w);
+                    for (p, &x) in head.iter_mut().zip(&b.col(l)[j0..j0 + w]) {
+                        p.write(alpha * x);
+                    }
+                    pad.fill(MaybeUninit::new(T::ZERO));
                 }
             }
         }
     }
-    let panel = &*panel;
-    let m = c.nrows();
-    let mut i0 = 0;
-    while i0 < full {
-        let mut acc = [[T::ZERO; MR]; NB];
-        for (jj, accj) in acc.iter_mut().enumerate() {
-            accj.copy_from_slice(&c.col(jj)[i0..i0 + MR]);
+    // SAFETY: every row of every micro-panel was written above.
+    unsafe { assume_init(buf) }
+}
+
+/// Pack the `mc x kc` block `a` (`mc <= mp`) into one micro-panel of `kc`
+/// columns of `mp` rows, zero-padded past row `mc`, and return it.
+#[inline(always)]
+fn pack_a<'s, T: Real>(mp: usize, a: MatRef<'_, T>, buf: &'s mut [MaybeUninit<T>]) -> &'s [T] {
+    let (mc, kc) = (a.nrows(), a.ncols());
+    let buf = &mut buf[..mp * kc];
+    for (l, dst) in buf.chunks_exact_mut(mp).enumerate() {
+        let (head, pad) = dst.split_at_mut(mc);
+        for (d, &x) in head.iter_mut().zip(a.col(l)) {
+            d.write(x);
         }
-        nn_tile(&mut acc, a, i0, panel);
-        for (jj, accj) in acc.iter().enumerate() {
-            c.col_mut(jj)[i0..i0 + MR].copy_from_slice(accj);
-        }
-        i0 += MR;
+        pad.fill(MaybeUninit::new(T::ZERO));
     }
-    if full < m {
-        let mut acc = [[T::ZERO; MR]; NB];
-        for (jj, accj) in acc.iter_mut().enumerate() {
-            accj[..m - full].copy_from_slice(&c.col(jj)[full..]);
-        }
-        nn_tile(&mut acc, rest, 0, panel);
-        for (jj, accj) in acc.iter().enumerate() {
-            c.col_mut(jj)[full..].copy_from_slice(&accj[..m - full]);
+    // SAFETY: every column of the micro-panel was written above.
+    unsafe { assume_init(buf) }
+}
+
+/// Up to `2 MR` rows of C from one packed A micro-panel `ap` against every
+/// B micro-panel in `bp`, as the compiled tiers run it.
+#[inline(always)]
+fn nn_row<T: Real, const MR: usize>(ap: &[T], bp: &[T], mut c: MatMut<'_, T>) {
+    let (m, n) = (c.nrows(), c.ncols());
+    let kc = ap.len() / (2 * MR);
+    for (j, b_pan) in (0..n).step_by(NR).zip(bp.chunks_exact(kc * NR)) {
+        nn_tile::<T, MR>(ap, b_pan, c.rb().submatrix_mut(0, j, m, NR.min(n - j)));
+    }
+}
+
+/// The packed tile as the compiled tiers run it: the `2 MR x NR` tile of C
+/// (its valid `rows x cols` corner is `c`) in four `MR x 6` register
+/// sub-tiles, each of the A micro-panel `ap` (`2 MR` entries per k) against
+/// six columns of the B micro-panel `bp` (`NR` per k), one broadcast per
+/// B entry, lanes down the rows.
+#[inline(always)]
+fn nn_tile<T: Real, const MR: usize>(ap: &[T], bp: &[T], mut c: MatMut<'_, T>) {
+    let (rows, cols) = (c.nrows(), c.ncols());
+    for r0 in (0..rows).step_by(MR) {
+        let h = MR.min(rows - r0);
+        for j0 in (0..cols).step_by(6) {
+            let w = 6.min(cols - j0);
+            if h == MR && w == 6 {
+                // A whole sub-tile loads straight into the registers; a
+                // runtime-length copy into `acc` would keep it in memory.
+                let mut acc: [[T; MR]; 6] = core::array::from_fn(|jj| {
+                    c.col(j0 + jj)[r0..r0 + MR]
+                        .try_into()
+                        .expect("an MR-long slice converts to [T; MR]")
+                });
+                nn_sub(&mut acc, ap, r0, bp, j0);
+                for (jj, accj) in acc.iter().enumerate() {
+                    c.col_mut(j0 + jj)[r0..r0 + MR].copy_from_slice(accj);
+                }
+                continue;
+            }
+            let mut acc = [[T::ZERO; MR]; 6];
+            for (jj, accj) in acc[..w].iter_mut().enumerate() {
+                accj[..h].copy_from_slice(&c.col(j0 + jj)[r0..r0 + h]);
+            }
+            nn_sub(&mut acc, ap, r0, bp, j0);
+            for (jj, accj) in acc[..w].iter().enumerate() {
+                c.col_mut(j0 + jj)[r0..r0 + h].copy_from_slice(&accj[..h]);
+            }
         }
     }
 }
 
-/// The `MR x NB` register tile: rows `i0..i0 + MR` of A's columns against
-/// the packed panel, one broadcast per panel entry, lanes down the rows.
+/// One `MR x 6` register sub-tile: rows `r0..r0 + MR` of each A entry row
+/// against columns `j0..j0 + 6` of each B entry row, onto `acc`.
 #[inline(always)]
-fn nn_tile<T: Real, const MR: usize, const NB: usize>(
-    acc: &mut [[T; MR]; NB],
-    a: MatRef<'_, T>,
-    i0: usize,
-    panel: &[T],
+fn nn_sub<T: Real, const MR: usize>(
+    acc: &mut [[T; MR]; 6],
+    ap: &[T],
+    r0: usize,
+    bp: &[T],
+    j0: usize,
 ) {
-    for (l, bl) in panel.chunks_exact(NB).enumerate() {
-        let acol: &[T; MR] = a.col(l)[i0..i0 + MR]
+    for (al, bl) in ap.chunks_exact(2 * MR).zip(bp.chunks_exact(NR)) {
+        let acol: &[T; MR] = al[r0..r0 + MR]
             .try_into()
             .expect("an MR-long slice converts to [T; MR]");
-        for (accj, &bv) in acc.iter_mut().zip(bl) {
+        let brow: &[T; 6] = bl[j0..j0 + 6]
+            .try_into()
+            .expect("a 6-long slice converts to [T; 6]");
+        for (accj, &bv) in acc.iter_mut().zip(brow) {
             for (s, &x) in accj.iter_mut().zip(acol) {
                 *s = x.mul_add(bv, *s);
             }
@@ -410,11 +416,46 @@ fn nn_tile<T: Real, const MR: usize, const NB: usize>(
     }
 }
 
+/// Split C (and the matching operand) along its larger dimension until a
+/// leaf of at most [`LEAF`] elements, and run each leaf, in order: the TN
+/// leaves whose edges [`tn_accum`] defines.
+fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+    if c.nrows() * c.ncols() <= LEAF {
+        tn_dispatch(alpha, a, b, c);
+    } else if c.ncols() >= c.nrows() {
+        let j = c.ncols() / 2;
+        let (c1, c2) = c.split_at_col_mut(j);
+        let (b1, b2) = b.split_at_col(j);
+        split_rec(alpha, a, b1, c1);
+        split_rec(alpha, a, b2, c2);
+    } else {
+        let i = c.nrows() / 2;
+        let (c1, c2) = c.split_at_row_mut(i);
+        let (a1, a2) = a.split_at_col(i);
+        split_rec(alpha, a1, b, c1);
+        split_rec(alpha, a2, b, c2);
+    }
+}
+
+/// One TN leaf: [`tn_body`] compiled for AVX2+FMA, or [`x86::tn_wide`]
+/// with the explicit 512-bit tiles, by the host's tier.
+fn tn_dispatch<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+    fma_dispatch!(tn_body::<T>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>);
+        avx512 = x86::tn_wide);
+    tn_body(alpha, a, b, c)
+}
+
+/// One TN leaf as the portable and AVX2+FMA tiers run it.
+#[inline(always)]
+fn tn_body<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+    tn_accum::<T, false>(alpha, a, b, c)
+}
+
 /// k-lanes of the TN kernel: each C entry sums its products in this many
 /// independent partial sums.
 const LANES: usize = 8;
 
-/// `C += alpha * A^T * B`.
+/// `C += alpha * A^T * B` on one leaf.
 ///
 /// Here both operands stream contiguously along k (their stored columns), so
 /// the microkernel keeps an unrolled bank of 8 k-lanes per C entry and
@@ -423,7 +464,7 @@ const LANES: usize = 8;
 /// `l = lane, lane + 8, ...` in turn, the `k mod 8` tail sums separately, and
 /// `tail + (((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7)))` closes it.
 ///
-/// That order covers the entries in the first `m - m mod 2` rows and
+/// That order covers the entries in the leaf's first `m - m mod 2` rows and
 /// `n - n mod 4` columns; the rest (an odd last row, the `n mod 4` last
 /// columns) are plain dot products. The interior runs in register tiles of
 /// 2 columns of A by `TJ` of B, with the B columns as the outer loop, so
@@ -484,7 +525,6 @@ fn tn_accum<T: Real, const WIDE: bool>(
         }
     }
 }
-
 /// The TN register tile: C entries `(i0..i0 + 2, j0..j0 + TJ)`, a bank of
 /// `LANES` accumulators each.
 #[inline(always)]
@@ -590,60 +630,85 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
     unsafe { core::slice::from_raw_parts(col.as_ptr().cast::<[T; LANES]>(), chunks) }
 }
 
-/// The AVX-512 leaf and its explicit 512-bit tiles.
+/// The AVX-512 kernels and their explicit 512-bit tiles.
 ///
-/// Each tile gives every C element the operations [`leaf_body`]'s portable
-/// tiles give it, in the same order, so the leaf returns their bits:
+/// Each tile gives every C element the operations the compiled tiles give
+/// it, in the same order, so every tier returns their bits:
 ///
-/// - NN/NT: `2 * MR` rows (32 f32 or 16 f64, two `zmm` per column) by up
-///   to 6 columns of C against a packed panel, one broadcast per panel
-///   entry: each C element still gets `fma(a, alpha * b, c)` in k order.
-///   A row tile runs every panel of its KC block in turn, from a contiguous
-///   copy of its A rows that stays in L1 (read in place, a power-of-two
-///   leading dimension maps them onto a few cache sets).
+/// - NN/NT: the whole packed tile, `2 * MR` rows (32 f32 or 16 f64, two
+///   `zmm` per column) by 12 columns, 24 accumulators: per k, two aligned
+///   loads of the A micro-panel and one broadcast per B entry, so each C
+///   element still gets `fma(a, alpha * b, c)` in k order. Edge tiles load
+///   and store C under a row mask, and run 4, 8 or 12 columns.
 /// - TN, f32: four A columns by four pairs of B columns (two for a last
 ///   block of 4). One `zmm` holds the 8 k-lanes of C entries `(i, j)` and
 ///   `(i, j + 1)`, so the chunk of A column `i` is one 256-bit broadcast (a
-///   load-port operation) and each 8-column block of B is packed once,
-///   chunk by chunk, as `[b_j chunk | b_{j+1} chunk]`. Sixteen
-///   accumulators and the five vectors they read fit in the 32 registers,
-///   and A streams past once per 8 columns of C.
+///   load-port operation) and each block of B is packed chunk by chunk as
+///   `[b_j chunk | b_{j+1} chunk]`. Sixteen accumulators and the five
+///   vectors they read fit in the 32 registers.
 /// - TN, f64: a bank of 8 f64 lanes is one `zmm` already, so the tile is
 ///   four A columns by four B columns, read in place.
 ///
-/// The TN tiles keep `tn_tile`'s lanes, its `k mod 8` tail summed from
+/// The f32 TN tiles walk k in blocks of [`TK`] outermost, so a packed
+/// block of B and the A columns of a tile stay in L1 while the tiles run
+/// down C, and a k block of A serves every column block; their lanes are
+/// stored in the arena between blocks and reloaded exactly. They keep `tn_tile`'s lanes, its `k mod 8` tail summed from
 /// zero, its tree ([`tn_tree`]) and `c + alpha * s`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{leaf_body, tn_tree, Op, LANES};
+    use super::{nn_accum, tn_accum, Op, Scratch, LANES, NR};
     use crate::mat::{MatMut, MatRef};
     use crate::real::Real;
     use core::any::TypeId;
     use core::arch::x86_64::*;
+    use core::mem::MaybeUninit;
 
-    /// The fewest rows of C the f32 TN tiles take: packing a block of B
-    /// costs about as much as one 4-row tile saves, so it pays from two on;
-    /// twice as many once the block outgrows [`TN_STACK`] (k > 512),
-    /// where the extra pass over B runs at memory speed.
-    const TN_PACK_ROWS: usize = 8;
-    /// The f32 TN packing buffer on the stack: 16 KB.
-    const TN_STACK: usize = 4096;
+    /// The k block of the f32 TN tiles: 16 KB of packed B and a tile's 8 KB
+    /// of A columns stay in L1 together.
+    const TK: usize = 512;
 
-    /// [`leaf_body`] with the explicit 512-bit tiles.
+    /// [`nn_accum`] with the explicit 512-bit tile.
     ///
     /// # Safety
     /// The host must support AVX-512F, AVX2 and FMA.
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn seq_wide<T: Real>(
+    pub(super) unsafe fn nn_wide<T: Real>(
         alpha: T,
-        op_a: Op,
         a: MatRef<'_, T>,
         op_b: Op,
         b: MatRef<'_, T>,
-        beta: T,
         c: MatMut<'_, T>,
     ) {
-        leaf_body::<T, true>(alpha, op_a, a, op_b, b, beta, c)
+        nn_accum::<T, true>(alpha, a, op_b, b, c)
+    }
+
+    /// [`tn_accum`] with the explicit 512-bit tiles. An f32 leaf of fewer
+    /// than 4 rows, which they do not take, runs the AVX2+FMA copy: there
+    /// the 2-row tiles run faster compiled for AVX2 than for AVX-512.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn tn_wide<T: Real>(
+        alpha: T,
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        c: MatMut<'_, T>,
+    ) {
+        if TypeId::of::<T>() == TypeId::of::<f32>() && c.nrows() < 4 {
+            // SAFETY: the caller vouches for AVX2 and FMA.
+            return unsafe { tn_avx2(alpha, a, b, c) };
+        }
+        tn_accum::<T, true>(alpha, a, b, c)
+    }
+
+    /// [`tn_accum`] compiled for AVX2+FMA.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tn_avx2<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+        tn_accum::<T, false>(alpha, a, b, c)
     }
 
     /// `T`'s view of an `f32` or `f64` matrix: `U` must be `T`.
@@ -670,132 +735,210 @@ mod x86 {
         TypeId::of::<T>() == TypeId::of::<f32>() || TypeId::of::<T>() == TypeId::of::<f64>()
     }
 
-    /// Run the NN/NT tile of `2 * MR` rows (32 f32 or 16 f64) over every
-    /// row of C, a row tile at a time and every panel per row tile.
-    /// `panels` holds the `lb x n` packed block: the panel of columns
-    /// `j0..j0 + jb` (`jb = min(6, n - j0)`) at `j0 * lb`, its row `l`
-    /// holding `alpha * op_b(B)[l, j]` for those columns.
+    /// Up to `2 * MR` rows of C (32 f32 or 16 f64) from one packed A
+    /// micro-panel `ap` (`kc` rows of `2 * MR` entries) against every B
+    /// micro-panel in `bp` (`kc` rows of `NR` entries of `alpha * op_b(B)`
+    /// each).
     ///
     /// # Safety
     /// The host must support AVX-512F, AVX2 and FMA; [`has_tiles`] holds
-    /// for `T`; `a` has `lb <= KC` columns and at least `c.nrows()` rows,
-    /// `c.nrows()` is a multiple of `2 * MR`, and `panels` holds
-    /// `lb * c.ncols()` entries.
+    /// for `T`; `c` has at most `128 / size_of::<T>()` rows, `ap` holds
+    /// `128 / size_of::<T>() * kc` entries and `bp` at least `ceil(c.ncols()
+    /// / NR)` B micro-panels of that `kc`.
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn nn_rows<T: Real>(a: MatRef<'_, T>, panels: &[T], c: MatMut<'_, T>) {
-        debug_assert!(a.nrows() >= c.nrows() && a.ncols() <= super::KC);
-        debug_assert_eq!(panels.len(), a.ncols() * c.ncols());
+    pub(super) unsafe fn nn_row<T: Real>(ap: &[T], bp: &[T], c: MatMut<'_, T>) {
+        let kc = core::mem::size_of_val(ap) / 128;
+        debug_assert!(c.nrows() * core::mem::size_of::<T>() <= 128);
+        debug_assert!(bp.len() >= kc * c.ncols().next_multiple_of(NR));
         // SAFETY: each branch runs only when `T` is the kernel's type; the
-        // caller vouches for the host and the shapes.
+        // caller vouches for the host and the packs.
         unsafe {
             if TypeId::of::<T>() == TypeId::of::<f32>() {
-                nn_rows_f32(retype(a), panels.as_ptr().cast(), retype_mut(c));
+                nn_row_f32(ap.as_ptr().cast(), bp.as_ptr().cast(), kc, retype_mut(c));
             } else {
                 debug_assert!(TypeId::of::<T>() == TypeId::of::<f64>());
-                nn_rows_f64(retype(a), panels.as_ptr().cast(), retype_mut(c));
+                nn_row_f64(ap.as_ptr().cast(), bp.as_ptr().cast(), kc, retype_mut(c));
             }
         }
     }
 
-    /// `nn_rows_f32`/`nn_rows_f64` and their tiles: the intrinsics work on
-    /// `$w` lanes of `$t`, two vectors per column of the tile.
+    /// [`super::pack_a`] with 512-bit row-masked loads into a micro-panel
+    /// of `128 / size_of::<T>()` rows: the masked-off rows load as the zero
+    /// pad.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA; [`has_tiles`] holds
+    /// for `T`; `a` has at most `128 / size_of::<T>()` rows, and `buf` holds
+    /// that many times `a.ncols()` entries.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn pack_a<'s, T: Real>(
+        a: MatRef<'_, T>,
+        buf: &'s mut [MaybeUninit<T>],
+    ) -> &'s [T] {
+        debug_assert!(a.nrows() * core::mem::size_of::<T>() <= 128);
+        let buf = &mut buf[..a.ncols() * 128 / core::mem::size_of::<T>()];
+        // SAFETY: each branch runs only when `T` is the kernel's type, and
+        // writes all of `buf`; the caller vouches for the rest.
+        unsafe {
+            if TypeId::of::<T>() == TypeId::of::<f32>() {
+                pack_a_f32(retype(a), buf.as_mut_ptr().cast());
+            } else {
+                debug_assert!(TypeId::of::<T>() == TypeId::of::<f64>());
+                pack_a_f64(retype(a), buf.as_mut_ptr().cast());
+            }
+            super::assume_init(buf)
+        }
+    }
+
+    /// `pack_a_f32`/`pack_a_f64`: a micro-panel of two vectors of `$w`
+    /// lanes of `$t` per column.
+    macro_rules! pack_kernel {
+        ($pack:ident, $t:ty, $m:ty, $w:expr, $maskz_load:ident, $store:ident) => {
+            /// # Safety
+            /// As for [`pack_a`], with `dst` pointing at its buffer.
+            #[inline]
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn $pack(a: MatRef<'_, $t>, dst: *mut $t) {
+                let (mc, kc, lda) = (a.nrows(), a.ncols(), a.ld());
+                let mask = |r: usize| -> $m {
+                    if r >= $w {
+                        !0
+                    } else {
+                        (1 << r) - 1
+                    }
+                };
+                let masks = [mask(mc), mask(mc.saturating_sub($w))];
+                let ap = a.as_ptr();
+                for l in 0..kc {
+                    // SAFETY: the `mc` rows of column `l`, under the masks,
+                    // into the micro-panel's column `l`; the second
+                    // vector's address is formed with `wrapping_add`.
+                    unsafe {
+                        let s = ap.add(l * lda);
+                        $store(dst.add(l * 2 * $w), $maskz_load(masks[0], s));
+                        $store(
+                            dst.add(l * 2 * $w + $w),
+                            $maskz_load(masks[1], s.wrapping_add($w)),
+                        );
+                    }
+                }
+            }
+        };
+    }
+
+    pack_kernel!(
+        pack_a_f32,
+        f32,
+        u16,
+        16,
+        _mm512_maskz_loadu_ps,
+        _mm512_storeu_ps
+    );
+    pack_kernel!(
+        pack_a_f64,
+        f64,
+        u8,
+        8,
+        _mm512_maskz_loadu_pd,
+        _mm512_storeu_pd
+    );
+
+    /// `nn_row_f32`/`nn_row_f64` and their tile bodies: the
+    /// intrinsics work on `$w` lanes of `$t` under `$m` row masks, two
+    /// vectors per column of the tile.
     macro_rules! nn_kernel {
         (
-            $rows:ident,
-            $tile:ident,
+            $row:ident,
+            $body:ident,
             $t:ty,
+            $m:ty,
             $w:expr,
             $zero:ident,
             $load:ident,
-            $store:ident,
+            $maskz_load:ident,
+            $mask_store:ident,
             $set1:ident,
             $fmadd:ident
         ) => {
             /// # Safety
-            /// As for [`nn_rows`], with `panels` pointing at its entries.
+            /// As for [`nn_row`], with `a` and `b` pointing at its packs of
+            /// `kc` rows.
             #[inline]
             #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn $rows(a: MatRef<'_, $t>, panels: *const $t, mut c: MatMut<'_, $t>) {
-                let (m, n, lb) = (c.nrows(), c.ncols(), a.ncols());
-                let (ap, lda, ldc) = (a.as_ptr(), a.ld(), c.ld());
+            unsafe fn $row(a: *const $t, b: *const $t, kc: usize, mut c: MatMut<'_, $t>) {
+                let (m, n, ldc) = (c.nrows(), c.ncols(), c.ld());
+                let mask = |r: usize| -> $m {
+                    if r >= $w {
+                        !0
+                    } else {
+                        (1 << r) - 1
+                    }
+                };
+                let masks = [mask(m), mask(m.saturating_sub($w))];
                 let cp = c.as_mut_ptr();
-                // The row tile's A rows, copied contiguous so they stay in
-                // L1 across the panels (in place, a power-of-two `lda`
-                // maps them onto a few cache sets).
-                let mut rows = core::mem::MaybeUninit::<[[$t; $w]; 2 * super::KC]>::uninit();
-                let rp = rows.as_mut_ptr().cast::<$t>();
-                let mut i0 = 0;
-                while i0 < m {
-                    // SAFETY: rows `i0..i0 + 2 $w <= m` of A's `lb <= KC`
-                    // columns, into the first `2 lb` vectors of `rows`,
-                    // which the tiles below read back.
+                for j in (0..n).step_by(NR) {
+                    let cols = NR.min(n - j);
+                    // SAFETY: the caller vouches for the packs, whose
+                    // micro-panel for columns `j..` starts at `j kc`;
+                    // columns `j..j + cols` of C hold `m` rows, and the
+                    // masks keep every access of C inside them.
                     unsafe {
-                        for l in 0..lb {
-                            let p = ap.add(l * lda + i0);
-                            $store(rp.add(2 * l * $w), $load(p));
-                            $store(rp.add((2 * l + 1) * $w), $load(p.add($w)));
+                        let (bp, ct) = (b.add(j * kc), cp.add(j * ldc));
+                        match cols.div_ceil(4) {
+                            1 => $body::<4>(a, bp, kc, ct, ldc, cols, masks),
+                            2 => $body::<8>(a, bp, kc, ct, ldc, cols, masks),
+                            _ => $body::<12>(a, bp, kc, ct, ldc, cols, masks),
                         }
                     }
-                    let mut j0 = 0;
-                    while j0 < n {
-                        // SAFETY: rows `i0..i0 + 2 $w <= m` of A and C,
-                        // columns `j0..j0 + jb <= n` of C, and the panel at
-                        // `j0 * lb`.
-                        unsafe {
-                            let panel = panels.add(j0 * lb);
-                            let c = cp.add(j0 * ldc + i0);
-                            match n - j0 {
-                                1 => $tile::<1>(rp, lb, panel, c, ldc),
-                                2 => $tile::<2>(rp, lb, panel, c, ldc),
-                                3 => $tile::<3>(rp, lb, panel, c, ldc),
-                                4 => $tile::<4>(rp, lb, panel, c, ldc),
-                                5 => $tile::<5>(rp, lb, panel, c, ldc),
-                                _ => $tile::<6>(rp, lb, panel, c, ldc),
-                            }
-                        }
-                        j0 += super::NR;
-                    }
-                    i0 += 2 * $w;
                 }
             }
 
-            /// The `2 $w x NB` tile: `2 $w` rows of A's `lb` columns
-            /// (contiguous at `a`) against an `lb x NB` panel, onto the C
-            /// tile at `c` (columns `ldc` apart).
+            /// The tile over the first `NB` columns of the B micro-panel,
+            /// onto the `cols <= NB` columns of C at `c` (`ldc` apart),
+            /// whose rows `masks` select.
             ///
             /// # Safety
             /// The host must support AVX-512F, AVX2 and FMA, and every
             /// pointer must cover what it is read or written for.
             #[inline]
             #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn $tile<const NB: usize>(
+            unsafe fn $body<const NB: usize>(
                 a: *const $t,
-                lb: usize,
-                panel: *const $t,
+                b: *const $t,
+                kc: usize,
                 c: *mut $t,
                 ldc: usize,
+                cols: usize,
+                masks: [$m; 2],
             ) {
-                // SAFETY: the caller vouches for every pointer.
+                // SAFETY: the caller vouches for every pointer; the second
+                // vector of a column is only touched through its mask, so
+                // its address is formed with `wrapping_add`.
                 unsafe {
                     let mut acc = [[$zero(); 2]; NB];
-                    for (jj, accj) in acc.iter_mut().enumerate() {
+                    for (jj, accj) in acc.iter_mut().enumerate().take(cols) {
                         let p = c.add(jj * ldc);
-                        *accj = [$load(p), $load(p.add($w))];
+                        *accj = [
+                            $maskz_load(masks[0], p),
+                            $maskz_load(masks[1], p.wrapping_add($w)),
+                        ];
                     }
-                    for l in 0..lb {
+                    for l in 0..kc {
                         let p = a.add(l * 2 * $w);
                         let (a0, a1) = ($load(p), $load(p.add($w)));
+                        let q = b.add(l * NR);
                         for (jj, accj) in acc.iter_mut().enumerate() {
-                            let bv = $set1(*panel.add(l * NB + jj));
+                            let bv = $set1(*q.add(jj));
                             accj[0] = $fmadd(a0, bv, accj[0]);
                             accj[1] = $fmadd(a1, bv, accj[1]);
                         }
                     }
-                    for (jj, accj) in acc.iter().enumerate() {
+                    for (jj, accj) in acc.iter().enumerate().take(cols) {
                         let p = c.add(jj * ldc);
-                        $store(p, accj[0]);
-                        $store(p.add($w), accj[1]);
+                        $mask_store(p, masks[0], accj[0]);
+                        $mask_store(p.wrapping_add($w), masks[1], accj[1]);
                     }
                 }
             }
@@ -803,24 +946,28 @@ mod x86 {
     }
 
     nn_kernel!(
-        nn_rows_f32,
-        nn_tile_f32,
+        nn_row_f32,
+        nn_body_f32,
         f32,
+        u16,
         16,
         _mm512_setzero_ps,
         _mm512_loadu_ps,
-        _mm512_storeu_ps,
+        _mm512_maskz_loadu_ps,
+        _mm512_mask_storeu_ps,
         _mm512_set1_ps,
         _mm512_fmadd_ps
     );
     nn_kernel!(
-        nn_rows_f64,
-        nn_tile_f64,
+        nn_row_f64,
+        nn_body_f64,
         f64,
+        u8,
         8,
         _mm512_setzero_pd,
         _mm512_loadu_pd,
-        _mm512_storeu_pd,
+        _mm512_maskz_loadu_pd,
+        _mm512_mask_storeu_pd,
         _mm512_set1_pd,
         _mm512_fmadd_pd
     );
@@ -858,33 +1005,76 @@ mod x86 {
         }
     }
 
-    /// Close the C entries of one TN tile: `banks[ii][jj]` holds the lanes
-    /// of entry `(i0 + ii, j0 + jj)`.
+    /// Close the C entries of one TN tile: `sums[ii][jj]` holds the tree
+    /// sum of entry `(i0 + ii, j0 + jj)`'s lanes; add its `k mod 8` tail
+    /// (summed from zero) in front, then `c + alpha * s`.
     #[inline(always)]
-    fn tn_store<T: Real, const TJ: usize>(
+    fn tn_close<T: Real, const TJ: usize>(
         alpha: T,
         a: MatRef<'_, T>,
         b: MatRef<'_, T>,
         c: &mut MatMut<'_, T>,
-        banks: &[[[T; LANES]; TJ]; 4],
+        sums: &[[T; TJ]; 4],
         (i0, j0): (usize, usize),
     ) {
-        for (ii, banks_i) in banks.iter().enumerate() {
-            for (jj, lanes) in banks_i.iter().enumerate() {
-                let (i, j) = (i0 + ii, j0 + jj);
-                let (x, y) = (a.col(i), b.col(j));
-                let whole = x.len() - x.len() % LANES;
-                let tail = (whole..x.len()).fold(T::ZERO, |s, l| x[l].mul_add(y[l], s));
-                let v = c.get(i, j) + alpha * tn_tree(lanes, tail);
-                c.set(i, j, v);
+        let k = a.nrows();
+        let whole = k - k % LANES;
+        for (jj, j) in (j0..j0 + TJ).enumerate() {
+            let y = &b.col(j)[whole..];
+            let col = &mut c.col_mut(j)[i0..i0 + 4];
+            for (ii, cij) in col.iter_mut().enumerate() {
+                let x = &a.col(i0 + ii)[whole..];
+                let tail = x
+                    .iter()
+                    .zip(y)
+                    .fold(T::ZERO, |s, (&xl, &yl)| xl.mul_add(yl, s));
+                *cij += alpha * (tail + sums[ii][jj]);
             }
         }
     }
 
-    /// The f32 TN tiles: per block of 8 of the first `nj` columns (the
-    /// last may have 4), pack the block, then run 4-row tiles down C. A C
-    /// with fewer rows than [`TN_PACK_ROWS`] asks for runs none (returns
-    /// 0).
+    /// [`super::tn_tree`] on both 8-lane banks of `v` at once: lanes 0 and 8 of
+    /// the result hold `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))`
+    /// of the low and the high bank (addition commutes exactly, so each
+    /// pair's order does not matter).
+    ///
+    /// # Safety
+    /// The host must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn tree_f32(v: __m512) -> __m512 {
+        let u = _mm512_add_ps(v, _mm512_shuffle_f32x4(v, v, 0b10_11_00_01));
+        let w = _mm512_add_ps(u, _mm512_permute_ps(u, 0b10_11_00_01));
+        _mm512_add_ps(w, _mm512_permute_ps(w, 0b01_00_11_10))
+    }
+
+    /// [`super::tn_tree`] on the 8-lane bank of `v`: lane 0 of the result holds
+    /// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))`.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn tree_f64(v: __m512d) -> __m512d {
+        let u = _mm512_add_pd(v, _mm512_shuffle_f64x2(v, v, 0b01_00_11_10));
+        let w = _mm512_add_pd(u, _mm512_permute_pd(u, 0b0101_0101));
+        _mm512_add_pd(w, _mm512_permutex_pd(w, 0b01_00_11_10))
+    }
+
+    /// The k blocks of the TN tiles, as `(first chunk, chunks, first block,
+    /// last block)`: `blk` chunks of `LANES` each, at least one block.
+    fn tn_blocks(chunks: usize, blk: usize) -> impl Iterator<Item = (usize, usize, bool, bool)> {
+        let blocks = chunks.div_ceil(blk.max(1)).max(1);
+        (0..blocks).map(move |q| {
+            let ch0 = q * blk;
+            (ch0, blk.min(chunks - ch0), q == 0, q + 1 == blocks)
+        })
+    }
+
+    /// The f32 TN tiles: per k block and per block of 8 of the first `nj`
+    /// columns (the last may have 4), pack that block of B, then run 4-row
+    /// tiles down C. Packing pays even for one tile (TN 4x8x64: about 17
+    /// GFLOP/s from the 2-row tiles, 22 to 24 from one packed tile).
     ///
     /// # Safety
     /// As for [`tn_rows`].
@@ -898,45 +1088,52 @@ mod x86 {
     ) -> usize {
         let m = c.nrows();
         let rows = m - m % 4;
-        let chunks = a.nrows() / LANES;
-        // One packed block, reused by every block and filled before it is
-        // read: on the stack while it fits in 16 KB, on the heap past that.
-        let len = chunks * 8 * LANES;
-        let on_stack = len <= TN_STACK;
-        if rows < TN_PACK_ROWS || (rows < 2 * TN_PACK_ROWS && !on_stack) {
+        if rows == 0 {
             return 0;
         }
-        let mut stack = [const { core::mem::MaybeUninit::<f32>::uninit() }; TN_STACK];
-        let mut heap: Vec<f32> = Vec::new();
-        let pk = if on_stack {
-            stack.as_mut_ptr().cast::<f32>()
-        } else {
-            heap.reserve_exact(len);
-            heap.as_mut_ptr()
-        };
-        let mut j0 = 0;
-        while j0 < nj {
-            // SAFETY: the caller vouches for the host and the shapes, `nj`
-            // is a multiple of 4, and `pk` has room for `chunks` rows of
-            // 8 chunks.
-            unsafe {
-                if nj - j0 >= 8 {
-                    tn_block_f32::<4, 8>(alpha, a, b, c.rb(), rows, j0, pk);
-                } else {
-                    tn_block_f32::<2, 4>(alpha, a, b, c.rb(), rows, j0, pk);
+        let chunks = a.nrows() / LANES;
+        let blk = chunks.min(TK / LANES);
+        // The packed block, then every tile's lanes between k blocks.
+        let pk_len = blk * 8 * LANES;
+        let lanes_len = if chunks > blk { rows * nj * LANES } else { 0 };
+        let mut scratch = Scratch::take::<f32>(pk_len + lanes_len);
+        let (pk, lanes) = scratch
+            .slice::<f32>(pk_len + lanes_len)
+            .split_at_mut(pk_len);
+        let (pk, lanes) = (
+            pk.as_mut_ptr().cast::<f32>(),
+            lanes.as_mut_ptr().cast::<f32>(),
+        );
+        for kb in tn_blocks(chunks, blk) {
+            for j0 in (0..nj).step_by(8) {
+                // SAFETY: the caller vouches for the host and the shapes,
+                // `nj` is a multiple of 4, `pk` has room for `blk` rows of
+                // 8 chunks and, when k has two blocks, `lanes` for the
+                // `rows x nj` banks, those of columns `j0..` from `rows j0`.
+                unsafe {
+                    let lanes = lanes.wrapping_add(rows * j0 * LANES);
+                    if nj - j0 >= 8 {
+                        tn_block_f32::<4, 8>(alpha, a, b, c.rb(), (rows, j0), kb, pk, lanes);
+                    } else {
+                        tn_block_f32::<2, 4>(alpha, a, b, c.rb(), (rows, j0), kb, pk, lanes);
+                    }
                 }
             }
-            j0 += 8;
         }
         rows
     }
 
-    /// Columns `j0..j0 + TJ` (`P = TJ / 2` pairs) of the first `rows` rows
-    /// of C: pack the block into `pk`, then run the `4 x TJ` tile down C.
+    /// One k block `(ch0, chn, first, last)` of columns `j0..j0 + TJ` (`P
+    /// = TJ / 2` pairs) of the first `rows` rows of C: pack the block of B
+    /// into `pk`, then run the `4 x TJ` tile down C, its lanes starting
+    /// from zero in the first block, kept in `lanes` until the last block
+    /// closes them.
     ///
     /// # Safety
-    /// As for [`tn_rows`], with `rows % 4 == 0`, `j0 + TJ <= c.ncols()` and
-    /// `pk` writable for `TJ * (a.nrows() / 8) * 8` entries.
+    /// As for [`tn_rows`], with `rows % 4 == 0`, `j0 + TJ <= c.ncols()`,
+    /// `pk` writable for `TJ * chn * LANES` entries and, unless the block
+    /// is both first and last, `lanes` for `rows * TJ * LANES`.
+    #[allow(clippy::too_many_arguments)] // the operands, the tile's place and its buffers
     #[inline]
     #[target_feature(enable = "avx512f,avx2,fma")]
     unsafe fn tn_block_f32<const P: usize, const TJ: usize>(
@@ -944,27 +1141,38 @@ mod x86 {
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         mut c: MatMut<'_, f32>,
-        rows: usize,
-        j0: usize,
+        (rows, j0): (usize, usize),
+        (ch0, chn, first, last): (usize, usize, bool, bool),
         pk: *mut f32,
+        lanes: *mut f32,
     ) {
-        let chunks = a.nrows() / LANES;
         // SAFETY: every load reads a whole chunk of a column of A or B,
-        // every store and load of `pk` one of its `chunks * TJ` chunks.
+        // every access of `pk` one of its `chn * P` chunk pairs, and every
+        // access of `lanes` one of the tile's `4 * P` vectors, stored in an
+        // earlier block before a later one loads it.
         unsafe {
             for p in 0..P {
-                let (b0, b1) = (b.col(j0 + 2 * p).as_ptr(), b.col(j0 + 2 * p + 1).as_ptr());
-                for ch in 0..chunks {
+                let b0 = b.col(j0 + 2 * p).as_ptr().add(ch0 * LANES);
+                let b1 = b.col(j0 + 2 * p + 1).as_ptr().add(ch0 * LANES);
+                for ch in 0..chn {
                     let dst = pk.add((ch * P + p) * 2 * LANES);
                     _mm256_storeu_ps(dst, _mm256_loadu_ps(b0.add(ch * LANES)));
                     _mm256_storeu_ps(dst.add(LANES), _mm256_loadu_ps(b1.add(ch * LANES)));
                 }
             }
-            let mut i0 = 0;
-            while i0 < rows {
-                let acols: [*const f32; 4] = [0, 1, 2, 3].map(|ii| a.col(i0 + ii).as_ptr());
+            for i0 in (0..rows).step_by(4) {
+                let saved = lanes.wrapping_add(i0 * TJ * LANES);
+                let acols: [*const f32; 4] =
+                    [0, 1, 2, 3].map(|ii| a.col(i0 + ii).as_ptr().add(ch0 * LANES));
                 let mut acc = [[_mm512_setzero_ps(); P]; 4];
-                for ch in 0..chunks {
+                if !first {
+                    for (ii, acc_i) in acc.iter_mut().enumerate() {
+                        for (p, s) in acc_i.iter_mut().enumerate() {
+                            *s = _mm512_loadu_ps(saved.add((ii * P + p) * 2 * LANES));
+                        }
+                    }
+                }
+                for ch in 0..chn {
                     let mut bv = [_mm512_setzero_ps(); P];
                     for (p, bv_p) in bv.iter_mut().enumerate() {
                         *bv_p = _mm512_loadu_ps(pk.add((ch * P + p) * 2 * LANES));
@@ -977,22 +1185,34 @@ mod x86 {
                         }
                     }
                 }
-                let mut banks = [[[0.0f32; LANES]; TJ]; 4];
-                for (banks_i, acc_i) in banks.iter_mut().zip(&acc) {
-                    for (pair, s) in banks_i.chunks_exact_mut(2).zip(acc_i) {
-                        _mm512_storeu_ps(pair.as_mut_ptr().cast::<f32>(), *s);
+                if last {
+                    let mut sums = [[0.0f32; TJ]; 4];
+                    for (sums_i, acc_i) in sums.iter_mut().zip(&acc) {
+                        for (pair, &s) in sums_i.chunks_exact_mut(2).zip(acc_i) {
+                            let mut lanes = [0.0f32; 2 * LANES];
+                            _mm512_storeu_ps(lanes.as_mut_ptr(), tree_f32(s));
+                            pair.copy_from_slice(&[lanes[0], lanes[LANES]]);
+                        }
+                    }
+                    tn_close(alpha, a, b, &mut c, &sums, (i0, j0));
+                } else {
+                    for (ii, acc_i) in acc.iter().enumerate() {
+                        for (p, s) in acc_i.iter().enumerate() {
+                            _mm512_storeu_ps(saved.add((ii * P + p) * 2 * LANES), *s);
+                        }
                     }
                 }
-                tn_store(alpha, a, b, &mut c, &banks, (i0, j0));
-                i0 += 4;
             }
         }
     }
 
     /// The f64 TN tiles: per block of 4 of the first `nj` columns, 4-row
-    /// tiles down C, B read in place. Sixteen banks and the eight chunks
-    /// they read fit in the 32 vector registers, and a block as wide as
-    /// `tn_tile`'s streams A no more often.
+    /// tiles down C over the whole of k, B read in place. Sixteen banks and
+    /// the eight chunks they read fit in the 32 vector registers, and a
+    /// block as wide as `tn_tile`'s streams A no more often. Walking k in
+    /// blocks with the lanes kept between them, as the f32 tiles do, ran
+    /// TN 64x64x1024 at 0.38 of the FMA loop against 0.50 for this loop in
+    /// a probe of 300 ms budgets.
     ///
     /// # Safety
     /// As for [`tn_rows`].
@@ -1052,13 +1272,13 @@ mod x86 {
                         }
                     }
                 }
-                let mut banks = [[[0.0f64; LANES]; TJ]; 4];
-                for (banks_i, acc_i) in banks.iter_mut().zip(&acc) {
-                    for (bank, s) in banks_i.iter_mut().zip(acc_i) {
-                        _mm512_storeu_pd(bank.as_mut_ptr(), *s);
+                let mut sums = [[0.0f64; TJ]; 4];
+                for (sums_i, acc_i) in sums.iter_mut().zip(&acc) {
+                    for (sum, &s) in sums_i.iter_mut().zip(acc_i) {
+                        *sum = _mm512_cvtsd_f64(tree_f64(s));
                     }
                 }
-                tn_store(alpha, a, b, &mut c, &banks, (i0, j0));
+                tn_close(alpha, a, b, &mut c, &sums, (i0, j0));
                 i0 += 4;
             }
         }
@@ -1071,14 +1291,7 @@ mod x86 {
 /// x_j)` onto every `y_i` in ascending `j`, one FMA each, skipping every `j`
 /// with `alpha * x_j == 0`; Trans sets `y_j = alpha * d_j + y_j` in one FMA,
 /// with `d_j` the [`dots`](crate::blas1::dots) of column `j` and `x`.
-pub fn gemv<T: Real>(
-    alpha: T,
-    op: Op,
-    a: MatRef<'_, T>,
-    x: &[T],
-    beta: T,
-    y: &mut [T],
-) {
+pub fn gemv<T: Real>(alpha: T, op: Op, a: MatRef<'_, T>, x: &[T], beta: T, y: &mut [T]) {
     let (m, n) = op_dims(op, a);
     assert_eq!(x.len(), n, "gemv: x length");
     assert_eq!(y.len(), m, "gemv: y length");
@@ -1222,7 +1435,12 @@ mod tests {
         for j in 0..a.ncols() {
             for i in 0..a.nrows() {
                 let d = (a[(i, j)] - b[(i, j)]).abs();
-                assert!(d <= tol, "mismatch at ({i},{j}): {} vs {}", a[(i, j)], b[(i, j)]);
+                assert!(
+                    d <= tol,
+                    "mismatch at ({i},{j}): {} vs {}",
+                    a[(i, j)],
+                    b[(i, j)]
+                );
             }
         }
     }
@@ -1245,8 +1463,24 @@ mod tests {
             let c0 = filled(m, n, 3);
             let mut c_fast = c0.clone();
             let mut c_ref = c0.clone();
-            gemm(alpha, op_a, a.as_ref(), op_b, b.as_ref(), beta, c_fast.as_mut());
-            gemm_naive(alpha, op_a, a.as_ref(), op_b, b.as_ref(), beta, c_ref.as_mut());
+            gemm(
+                alpha,
+                op_a,
+                a.as_ref(),
+                op_b,
+                b.as_ref(),
+                beta,
+                c_fast.as_mut(),
+            );
+            gemm_naive(
+                alpha,
+                op_a,
+                a.as_ref(),
+                op_b,
+                b.as_ref(),
+                beta,
+                c_ref.as_mut(),
+            );
             assert_close(&c_fast, &c_ref, 1e-10 * (k as f64).max(1.0));
         }
     }
@@ -1283,8 +1517,24 @@ mod tests {
         let c0 = filled(150, 145, 9);
         let mut c_fast = c0.clone();
         let mut c_ref = c0;
-        gemm(1.5, Op::Trans, a.as_ref(), Op::Trans, b.as_ref(), 0.5, c_fast.as_mut());
-        gemm_naive(1.5, Op::Trans, a.as_ref(), Op::Trans, b.as_ref(), 0.5, c_ref.as_mut());
+        gemm(
+            1.5,
+            Op::Trans,
+            a.as_ref(),
+            Op::Trans,
+            b.as_ref(),
+            0.5,
+            c_fast.as_mut(),
+        );
+        gemm_naive(
+            1.5,
+            Op::Trans,
+            a.as_ref(),
+            Op::Trans,
+            b.as_ref(),
+            0.5,
+            c_ref.as_mut(),
+        );
         assert_close(&c_fast, &c_ref, 1e-10 * 40.0);
     }
 
@@ -1310,7 +1560,15 @@ mod tests {
         let b: Mat<f64> = Mat::zeros(0, 2);
         let mut c = filled(3, 2, 9);
         let expect = Mat::from_fn(3, 2, |i, j| 2.0 * c[(i, j)]);
-        gemm(1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 2.0, c.as_mut());
+        gemm(
+            1.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            2.0,
+            c.as_mut(),
+        );
         assert_close(&c, &expect, 0.0);
     }
 
@@ -1320,7 +1578,15 @@ mod tests {
         let b: Mat<f64> = Mat::identity(2, 2);
         let mut c = Mat::zeros(2, 2);
         c[(0, 0)] = f64::NAN;
-        gemm(1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
+        gemm(
+            1.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            0.0,
+            c.as_mut(),
+        );
         assert!(c.all_finite());
         assert_eq!(c[(0, 0)], 1.0);
     }
@@ -1331,7 +1597,15 @@ mod tests {
         let b = filled(4, 4, 2);
         let mut c = filled(4, 4, 3);
         let expect = Mat::from_fn(4, 4, |i, j| 0.5 * c[(i, j)]);
-        gemm(0.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.5, c.as_mut());
+        gemm(
+            0.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            0.5,
+            c.as_mut(),
+        );
         assert_close(&c, &expect, 0.0);
     }
 
@@ -1355,7 +1629,15 @@ mod tests {
         let a: Mat<f64> = Mat::zeros(2, 3);
         let b: Mat<f64> = Mat::zeros(4, 2);
         let mut c: Mat<f64> = Mat::zeros(2, 2);
-        gemm(1.0, Op::NoTrans, a.as_ref(), Op::NoTrans, b.as_ref(), 0.0, c.as_mut());
+        gemm(
+            1.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            b.as_ref(),
+            0.0,
+            c.as_mut(),
+        );
     }
 
     #[test]
@@ -1367,7 +1649,15 @@ mod tests {
         // Reference via gemm on column vectors.
         let xm = Mat::from_col_major(5, 1, x.clone());
         let mut ym = Mat::from_col_major(7, 1, vec![1.0f64; 7]);
-        gemm_naive(2.0, Op::NoTrans, a.as_ref(), Op::NoTrans, xm.as_ref(), 3.0, ym.as_mut());
+        gemm_naive(
+            2.0,
+            Op::NoTrans,
+            a.as_ref(),
+            Op::NoTrans,
+            xm.as_ref(),
+            3.0,
+            ym.as_mut(),
+        );
         for i in 0..7 {
             assert!((y[i] - ym[(i, 0)]).abs() < 1e-12);
         }
@@ -1376,7 +1666,15 @@ mod tests {
         gemv(1.0, Op::Trans, a.as_ref(), &y, -1.0, &mut z);
         let ym2 = Mat::from_col_major(7, 1, y.clone());
         let mut zm = Mat::from_col_major(5, 1, vec![0.5f64; 5]);
-        gemm_naive(1.0, Op::Trans, a.as_ref(), Op::NoTrans, ym2.as_ref(), -1.0, zm.as_mut());
+        gemm_naive(
+            1.0,
+            Op::Trans,
+            a.as_ref(),
+            Op::NoTrans,
+            ym2.as_ref(),
+            -1.0,
+            zm.as_mut(),
+        );
         for j in 0..5 {
             assert!((z[j] - zm[(j, 0)]).abs() < 1e-12);
         }
@@ -1416,11 +1714,38 @@ mod tests {
         }
     }
 
-    /// The per-element order one sequential leaf promises, in plain scalar
-    /// code: NN/NT accumulate `a * (alpha * b)` onto the scaled C in k order;
-    /// TT builds `D = B A` that way from zero and adds it; TN sums 8 k-lanes,
-    /// a tail and a fixed tree inside its 2x4 tiles and uses `dot`'s 4-lane
-    /// order at the edges, then adds `alpha * s`.
+    /// Where entry `(i, j)` of an `m x n` TN product lands: `(i, j, m, n)`
+    /// within its leaf. Walks the recursion's halving on its own: split the
+    /// larger side (columns on a tie) in half until at most `LEAF` entries
+    /// remain.
+    fn tn_leaf_of(
+        mut m: usize,
+        mut n: usize,
+        mut i: usize,
+        mut j: usize,
+    ) -> (usize, usize, usize, usize) {
+        while m * n > LEAF {
+            let (half, side, at) = if n >= m {
+                (n / 2, &mut n, &mut j)
+            } else {
+                (m / 2, &mut m, &mut i)
+            };
+            if *at < half {
+                *side = half;
+            } else {
+                *at -= half;
+                *side -= half;
+            }
+        }
+        (i, j, m, n)
+    }
+
+    /// The per-element order `gemm` promises, in plain scalar code: NN/NT
+    /// accumulate `a * (alpha * b)` onto the scaled C in k order; TT builds
+    /// `D = B A` that way from zero and adds it; TN sums 8 k-lanes, a tail
+    /// and a fixed tree, except at its leaf's edges (an odd last row, the
+    /// `n mod 4` last columns), which use `dot`'s 4-lane order, then adds
+    /// `alpha * s`.
     #[allow(clippy::too_many_arguments)]
     fn leaf_spec<T: Real>(
         alpha: T,
@@ -1455,7 +1780,8 @@ mod tests {
             }
             (Op::Trans, Op::NoTrans) => {
                 let (x, y) = (a.col(i), b.col(j));
-                let s = if i < m - m % 2 && j < n - n % 4 {
+                let (li, lj, lm, ln) = tn_leaf_of(m, n, i, j);
+                let s = if li < lm - lm % 2 && lj < ln - ln % 4 {
                     let mut lanes = [T::ZERO; 8];
                     for l in 0..k - k % 8 {
                         lanes[l % 8] = x[l].mul_add(y[l], lanes[l % 8]);
@@ -1476,18 +1802,25 @@ mod tests {
         }
     }
 
-    /// `gemm` under every tier in `tiers` against the portable leaf, bit
-    /// for bit, and the portable leaf against [`leaf_spec`].
+    /// `gemm` under every tier in `tiers` against the portable tier, bit
+    /// for bit, and the portable tier against [`leaf_spec`] wherever that
+    /// costs under 4M scalar steps.
     fn gemm_oracle_for<T: Real>(tiers: &[Tier]) {
-        // Shapes straddle the NN/NT row tiles (16 and 32 rows in f32, 8 and
-        // 16 in f64) and their NR = 6 columns, KC = 256, the TN tiles (2
-        // rows by 4 or 6 columns, 4 rows by 4 pairs in f32 or 4 columns in
-        // f64, 8 k-lanes with k mod 8 != 0) and LEAF = 128 * 128 (the last
-        // two of the first list split). Then whole leaves (one full and one
-        // single-column last KC block, and both remainders at once). Then
-        // the edges of the 512-bit tiles: row counts around 32 and 64 and
-        // every m mod 4, by every n mod 6 and n mod 4 (a lone last column
-        // of a pair included), at a short k and at a k past KC.
+        // Shapes straddle the NN/NT micro-panels (16 and 32 rows in f32, 8
+        // and 16 in f64, NR = 12 columns run as 4, 8 or 12, and the compiled
+        // tiers' 6-column sub-tiles), KC = 256, the TN tiles (2 rows by 4
+        // or 6 columns, 4 rows by 4 pairs in f32 or 4 columns in f64, 8
+        // k-lanes with k mod 8 != 0) and LEAF = 128 * 128 (the TN leaves of
+        // 131x127, 129x133 and 257x67 have odd rows and n mod 4 != 0 edges
+        // of their own). Then whole leaves (one full and one single-column
+        // last KC block, and both remainders at once), and the block edges:
+        // m of several A micro-panels, k past two KC blocks, n past NC =
+        // 1008, and TN k = 1000 + r and 2000 + r (r = 1..7), whose lanes
+        // cross a k block of the AVX-512 TN tiles (512 in f32, 1024 in f64)
+        // before the last block takes their tail. Then the edges of the
+        // 512-bit tiles: row counts around 32 and 64 and every m mod 4, by
+        // every n mod 12 and n mod 4 (a lone last column of a pair
+        // included), at a short k and at a k past KC.
         let shapes = [
             (1, 1, 1),
             (2, 4, 8),
@@ -1500,16 +1833,23 @@ mod tests {
             (20, 10, 300),
             (131, 127, 21),
             (129, 133, 11),
+            (257, 67, 9),
             (128, 128, 1024),
             (128, 128, 257),
             (98, 130, 64),
+            (300, 13, 40),
+            (40, 13, 530),
+            (9, 1013, 12),
         ];
+        let k_blocks = (1..=7).flat_map(|r| [(12, 9, 1000 + r), (8, 12, 2000 + r)]);
         let edges = [4, 5, 6, 7, 16, 17, 31, 32, 33, 34, 47, 48, 63, 64, 65]
             .into_iter()
             .flat_map(|m| {
-                (1..=13usize).map(move |n| (m, n, if n.is_multiple_of(2) { 19 } else { 261 }))
+                (1..=13usize)
+                    .chain([23, 24, 25])
+                    .map(move |n| (m, n, if n.is_multiple_of(2) { 19 } else { 261 }))
             });
-        for (m, n, k) in shapes.into_iter().chain(edges) {
+        for (m, n, k) in shapes.into_iter().chain(k_blocks).chain(edges) {
             for (op_a, op_b) in [
                 (Op::NoTrans, Op::NoTrans),
                 (Op::Trans, Op::NoTrans),
@@ -1536,14 +1876,16 @@ mod tests {
                         );
                         let mut want = cbig.clone();
                         let want_c = want.as_mut().submatrix_mut(1, 1, m, n);
-                        gemm_with(seq_body, alpha, op_a, a, op_b, b, beta, want_c);
+                        with_cap(Tier::Portable, || {
+                            gemm(alpha, op_a, a, op_b, b, beta, want_c)
+                        });
                         for &tier in tiers {
                             let mut got = cbig.clone();
                             let got_c = got.as_mut().submatrix_mut(1, 1, m, n);
                             with_cap(tier, || gemm(alpha, op_a, a, op_b, b, beta, got_c));
                             assert_same_bits(&format!("{tier:?} {what}"), got.data(), want.data());
                         }
-                        if m * n <= LEAF {
+                        if m * n * k <= 1 << 22 {
                             let c = cbig.as_ref().submatrix(1, 1, m, n);
                             for j in 0..n {
                                 for i in 0..m {
@@ -1551,7 +1893,7 @@ mod tests {
                                     assert_eq!(
                                         bits(want[(i + 1, j + 1)]),
                                         bits(spec),
-                                        "{what}: ({i},{j}) departs from the leaf order"
+                                        "{what}: ({i},{j}) departs from the promised order"
                                     );
                                 }
                             }
@@ -1723,14 +2065,30 @@ mod tests {
         (cm, cn, k): (usize, usize, usize),
         budget: std::time::Duration,
     ) -> f64 {
-        let (ar, ac) = if op_a == Op::NoTrans { (cm, k) } else { (k, cm) };
-        let (br, bc) = if op_b == Op::NoTrans { (k, cn) } else { (cn, k) };
+        let (ar, ac) = if op_a == Op::NoTrans {
+            (cm, k)
+        } else {
+            (k, cm)
+        };
+        let (br, bc) = if op_b == Op::NoTrans {
+            (k, cn)
+        } else {
+            (cn, k)
+        };
         let a: Mat<T> = filled(ar, ac, 1).convert();
         let b: Mat<T> = filled(br, bc, 2).convert();
         let mut c: Mat<T> = filled(cm, cn, 3).convert();
         let minus_one = T::from_f64(-1.0);
         let secs = best_secs(budget, &mut || {
-            gemm(minus_one, op_a, a.as_ref(), op_b, b.as_ref(), T::ONE, c.as_mut());
+            gemm(
+                minus_one,
+                op_a,
+                a.as_ref(),
+                op_b,
+                b.as_ref(),
+                T::ONE,
+                c.as_mut(),
+            );
             std::hint::black_box(c.data());
         });
         2.0 * (cm * cn * k) as f64 / secs * 1e-9
@@ -1748,8 +2106,14 @@ mod tests {
     fn gemm_shape_grid_timing() {
         let budget = std::time::Duration::from_millis(40);
         let (nn, tn, nt) = (Op::NoTrans, Op::Trans, Op::NoTrans);
-        let tiers: Vec<Tier> = host_tiers().into_iter().filter(|&t| t > Tier::Portable).collect();
-        let names: Vec<String> = tiers.iter().map(|t| format!("{:>8}", format!("{t:?}"))).collect();
+        let tiers: Vec<Tier> = host_tiers()
+            .into_iter()
+            .filter(|&t| t > Tier::Portable)
+            .collect();
+        let names: Vec<String> = tiers
+            .iter()
+            .map(|t| format!("{:>8}", format!("{t:?}")))
+            .collect();
         println!("  op    m    n    k {}  (GFLOP/s)", names.join(" "));
         for m in [128, 160, 192, 224, 256] {
             let nn_shapes = [16, 24, 32, 48, 64].map(|n| ("NN", nn, nn, m, n, n));
@@ -1770,14 +2134,85 @@ mod tests {
         }
     }
 
+    /// `acc = acc * x + y` on 12 independent f32 vectors as wide as the
+    /// tier [`with_cap`] allows (a scalar in the portable tier), `rounds`
+    /// times; returns the lanes' sum and how many there are.
+    fn fma_loop(rounds: usize) -> (f32, usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::*;
+            /// # Safety
+            /// The host must support AVX-512F.
+            #[target_feature(enable = "avx512f")]
+            unsafe fn zmm(rounds: usize) -> f32 {
+                let (x, y) = (_mm512_set1_ps(0.5), _mm512_set1_ps(1.0));
+                let mut acc = [_mm512_setzero_ps(); 12];
+                for _ in 0..rounds {
+                    for s in &mut acc {
+                        *s = _mm512_fmadd_ps(*s, x, y);
+                    }
+                }
+                acc.iter().map(|&v| _mm512_reduce_add_ps(v)).sum()
+            }
+            /// # Safety
+            /// The host must support AVX and FMA.
+            #[target_feature(enable = "avx,fma")]
+            unsafe fn ymm(rounds: usize) -> f32 {
+                let (x, y) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
+                let mut acc = [_mm256_setzero_ps(); 12];
+                for _ in 0..rounds {
+                    for s in &mut acc {
+                        *s = _mm256_fmadd_ps(*s, x, y);
+                    }
+                }
+                let mut lanes = [0.0f32; 8];
+                acc.iter().fold(0.0, |sum, &v| {
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+                    sum + lanes.iter().sum::<f32>()
+                })
+            }
+            match crate::fma::tier() {
+                // SAFETY: `tier` confirmed AVX-512F (or AVX2 and FMA).
+                Tier::Avx512 => return (unsafe { zmm(rounds) }, 12 * 16),
+                Tier::Avx2 => return (unsafe { ymm(rounds) }, 12 * 8),
+                Tier::Portable => {}
+            }
+        }
+        let (x, y) = (std::hint::black_box(0.5f32), std::hint::black_box(1.0f32));
+        let mut acc = [0.0f32; 12];
+        for _ in 0..rounds {
+            for s in &mut acc {
+                *s = s.mul_add(x, y);
+            }
+        }
+        (acc.iter().sum(), 12)
+    }
+
+    /// GFLOP/s of [`fma_loop`] in `T`'s terms (half the f32 rate for f64),
+    /// best of calls over `budget`: the host's FMA peak in the current
+    /// tier, as near as one thread reaches it.
+    fn fma_loop_gflops<T: Real>(budget: std::time::Duration) -> f64 {
+        let rounds = 1 << 14;
+        let mut lanes = 0;
+        let secs = best_secs(budget, &mut || {
+            let (sum, n) = fma_loop(std::hint::black_box(rounds));
+            std::hint::black_box(sum);
+            lanes = n;
+        });
+        2.0 * (rounds * lanes) as f64 / secs * 1e-9 * 4.0 / core::mem::size_of::<T>() as f64
+    }
+
     /// Wall rate of the products the benchmark's update paths run, per
     /// tier this host has, in f32 and f64: the RGSQRF trailing updates
-    /// (TN `QᵀA` and NN `A - QR` at two panel widths), the CAQR panel
-    /// products of a 16384-row least-squares problem, and the TSQR Q
-    /// update. Prints best-of-run GFLOP/s, the tiers taking turns three
-    /// times per shape so a slow spell of a shared host hits them alike;
-    /// run with `cargo test -p densemat --release update_shape --
-    /// --nocapture`.
+    /// (TN `QᵀA` and NN `A - QR` at two panel widths), their panel products
+    /// at the next two widths down, the CAQR panel products of a
+    /// 16384-row least-squares problem, and the TSQR Q update. Prints
+    /// best-of-run GFLOP/s and, in parentheses, the median over three
+    /// rounds of its ratio to an FMA-only loop run just after it in the
+    /// same tier: a shared host's speed drifts between minutes, and the
+    /// ratio drifts less. The tiers take turns per round, so a slow spell
+    /// hits them alike; run with `cargo test -p densemat --release
+    /// update_shape -- --nocapture`.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing: run with --release")]
     fn update_shape_timing() {
@@ -1788,6 +2223,9 @@ mod tests {
             (nn, (1024, 256, 256)),
             (tn, (128, 128, 1024)),
             (nn, (1024, 128, 128)),
+            (tn, (64, 64, 1024)),
+            (tn, (32, 32, 1024)),
+            (nn, (1024, 64, 64)),
             (tn, (64, 64, 16384)),
             (tn, (32, 32, 16384)),
             (nn, (16384, 64, 64)),
@@ -1795,21 +2233,42 @@ mod tests {
             (nn, (256, 32, 32)),
         ];
         let tiers = host_tiers();
-        let names: Vec<String> = tiers.iter().map(|t| format!("{:>8}", format!("{t:?}"))).collect();
-        println!("type op     m     n     k {}  (GFLOP/s)", names.join(" "));
+        let names: Vec<String> = tiers
+            .iter()
+            .map(|t| format!("{:>15}", format!("{t:?}")))
+            .collect();
+        println!(
+            "type op     m     n     k {}  (GFLOP/s, fraction of the FMA loop)",
+            names.join(" ")
+        );
         for name in ["f32", "f64"] {
             for &(op_a, (m, n, k)) in &shapes {
                 let mut best = vec![0.0f64; tiers.len()];
+                let mut fracs = vec![Vec::new(); tiers.len()];
                 for _ in 0..3 {
-                    for (b, &tier) in best.iter_mut().zip(&tiers) {
-                        let gflops = with_cap(tier, || match name {
-                            "f32" => gemm_gflops::<f32>(op_a, nn, (m, n, k), budget),
-                            _ => gemm_gflops::<f64>(op_a, nn, (m, n, k), budget),
+                    for ((b, f), &tier) in best.iter_mut().zip(&mut fracs).zip(&tiers) {
+                        let (gflops, peak) = with_cap(tier, || match name {
+                            "f32" => (
+                                gemm_gflops::<f32>(op_a, nn, (m, n, k), budget),
+                                fma_loop_gflops::<f32>(budget),
+                            ),
+                            _ => (
+                                gemm_gflops::<f64>(op_a, nn, (m, n, k), budget),
+                                fma_loop_gflops::<f64>(budget),
+                            ),
                         });
                         *b = b.max(gflops);
+                        f.push(gflops / peak);
                     }
                 }
-                let rates: Vec<String> = best.iter().map(|g| format!("{g:>8.2}")).collect();
+                let rates: Vec<String> = best
+                    .iter()
+                    .zip(&mut fracs)
+                    .map(|(g, f)| {
+                        f.sort_by(f64::total_cmp);
+                        format!("{g:>8.2} ({:.2})", f[1])
+                    })
+                    .collect();
                 let op = if op_a == tn { "TN" } else { "NN" };
                 println!("{name:>4} {op:>2} {m:>5} {n:>5} {k:>5} {}", rates.join(" "));
             }
