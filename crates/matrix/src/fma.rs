@@ -115,7 +115,7 @@ pub(crate) mod tests {
     }
 
     /// The tier [`with_cap`] holds this thread to.
-    pub(super) fn cap() -> Tier {
+    pub(crate) fn cap() -> Tier {
         CAP.with(Cell::get)
     }
 

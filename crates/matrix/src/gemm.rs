@@ -26,6 +26,10 @@
 //! - **TT** (no hot path uses it) builds `D = B (alpha A)` with the NN
 //!   kernel into scratch and adds `D^T`.
 //!
+//! A product of at least `PAR` multiply-adds runs as two halves on two
+//! threads (rows of C for NN/NT, the recursion's first split for TN), each
+//! computing its C elements exactly as one thread would.
+//!
 //! The pack buffers come from a per-thread arena that grows to the largest
 //! call's shape and is reused by every later call; each buffer is written
 //! before it is read. Rust does not reassociate floating point, so every
@@ -64,6 +68,15 @@ const KC: usize = 256;
 const NC: usize = 1008;
 /// Width of a packed B micro-panel: the NN/NT register tile's columns.
 const NR: usize = 12;
+/// Products of at least this many multiply-adds run in two halves on two
+/// threads: NN/NT by rows of C, TN by the recursion's first split, so
+/// every C element keeps its order. A scoped thread costs about 20 us to
+/// start, and halves of products a quarter this size ran no faster. This
+/// crate's unit tests split from 64K on, so the oracle runs the split too.
+#[cfg(not(test))]
+const PAR: usize = 1 << 26;
+#[cfg(test)]
+const PAR: usize = 1 << 16;
 /// Stop splitting a TN C below this many output elements.
 const LEAF: usize = 128 * 128;
 
@@ -99,9 +112,21 @@ pub fn gemm<T: Real>(
     if ak == 0 || alpha == T::ZERO {
         return;
     }
+    let par = am * bn * ak >= PAR;
     match (op_a, op_b) {
+        (Op::NoTrans, _) if par && am >= 64 => {
+            // Whole f32 micro-panels per half; each half packs B itself.
+            let i = (am / 2).next_multiple_of(32);
+            let (a1, a2) = a.split_at_row(i);
+            let (c1, c2) = c.split_at_row_mut(i);
+            both(
+                true,
+                || nn_dispatch(alpha, a1, op_b, b, c1),
+                || nn_dispatch(alpha, a2, op_b, b, c2),
+            );
+        }
         (Op::NoTrans, _) => nn_dispatch(alpha, a, op_b, b, c),
-        (Op::Trans, Op::NoTrans) => split_rec(alpha, a, b, c),
+        (Op::Trans, Op::NoTrans) => split_rec(alpha, a, b, c, par),
         (Op::Trans, Op::Trans) => {
             // C += alpha (B A)^T: compute D = B A into scratch, add D^T.
             let mut d: Mat<T> = Mat::zeros(c.ncols(), c.nrows());
@@ -138,6 +163,8 @@ struct Line([u8; 64]);
 thread_local! {
     /// This thread's arena: the largest pack buffer a call has needed yet.
     static ARENA: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
+    /// The arena this thread lends to the second thread of a split product.
+    static LENT: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
 }
 
 /// A pack buffer taken from this thread's arena and given back on drop, so
@@ -234,7 +261,10 @@ fn nn_accum<T: Real, const WIDE: bool>(
 /// tile. A packed A block of more than one micro-panel measured slower on
 /// the small shapes (NN 256x32x32 f32: about 1 us of a 5 us call went to
 /// writing it out of L1) and no faster on the large ones, whose micro-panel
-/// (32 KB at KC) stays in L1 across the B micro-panels either way.
+/// (32 KB at KC) stays in L1 across the B micro-panels either way. Neither
+/// the textbook order (B micro-panels outside a packed block of A rows) nor
+/// software prefetch of the next C tile and A micro-panel ran qr-ec's
+/// update products faster.
 #[inline(always)]
 fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
     alpha: T,
@@ -261,17 +291,17 @@ fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
             let bp = pack_b(alpha, op_b, b_blk, b_buf);
             for ic in (0..m).step_by(mp) {
                 let mc = mp.min(m - ic);
-                let a_blk = a.submatrix(ic, pc, mc, kc);
+                let ap = pack_a(mp, a.submatrix(ic, pc, mc, kc), a_buf);
                 let c_row = c.rb().submatrix_mut(ic, jc, mc, nc);
                 #[cfg(target_arch = "x86_64")]
                 if WIDE && x86::has_tiles::<T>() {
-                    // SAFETY: only the AVX-512 kernel sets `WIDE`; `a_buf`
-                    // holds `2 MR` rows of `kc_max >= kc`, and `bp` every B
-                    // micro-panel of the block.
-                    unsafe { x86::nn_row(x86::pack_a(a_blk, a_buf), bp, c_row) };
+                    // SAFETY: only the AVX-512 kernel sets `WIDE`; `ap` holds
+                    // `2 MR` rows of `kc`, and `bp` every B micro-panel of
+                    // the block.
+                    unsafe { x86::nn_row(ap, bp, c_row) };
                     continue;
                 }
-                nn_row::<T, MR>(pack_a(mp, a_blk, a_buf), bp, c_row);
+                nn_row::<T, MR>(ap, bp, c_row);
             }
         }
     }
@@ -417,23 +447,60 @@ fn nn_sub<T: Real, const MR: usize>(
 }
 
 /// Split C (and the matching operand) along its larger dimension until a
-/// leaf of at most [`LEAF`] elements, and run each leaf, in order: the TN
-/// leaves whose edges [`tn_accum`] defines.
-fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
+/// leaf of at most [`LEAF`] elements, and run each leaf: the TN leaves
+/// whose edges [`tn_accum`] defines. With `par`, the first split's halves
+/// run on two threads.
+fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>, par: bool) {
     if c.nrows() * c.ncols() <= LEAF {
         tn_dispatch(alpha, a, b, c);
     } else if c.ncols() >= c.nrows() {
         let j = c.ncols() / 2;
         let (c1, c2) = c.split_at_col_mut(j);
         let (b1, b2) = b.split_at_col(j);
-        split_rec(alpha, a, b1, c1);
-        split_rec(alpha, a, b2, c2);
+        both(
+            par,
+            || split_rec(alpha, a, b1, c1, false),
+            || split_rec(alpha, a, b2, c2, false),
+        );
     } else {
         let i = c.nrows() / 2;
         let (c1, c2) = c.split_at_row_mut(i);
         let (a1, a2) = a.split_at_col(i);
-        split_rec(alpha, a1, b, c1);
-        split_rec(alpha, a2, b, c2);
+        both(
+            par,
+            || split_rec(alpha, a1, b, c1, false),
+            || split_rec(alpha, a2, b, c2, false),
+        );
+    }
+}
+
+/// Run `f` then `g`, or, when `par`, `f` on a second thread alongside `g`.
+/// The second thread packs into an arena this thread lends it and keeps
+/// for the next split, so it allocates nothing; it runs the caller's tier.
+fn both(par: bool, f: impl FnOnce() + Send, g: impl FnOnce()) {
+    if !par {
+        f();
+        g();
+        return;
+    }
+    #[cfg(test)]
+    let f = {
+        let cap = crate::fma::tests::cap();
+        move || crate::fma::tests::with_cap(cap, f)
+    };
+    let lent = LENT.with(Cell::take);
+    let back = std::thread::scope(|s| {
+        let second = s.spawn(move || {
+            ARENA.with(|a| a.set(lent));
+            f();
+            ARENA.with(Cell::take)
+        });
+        g();
+        second.join()
+    });
+    match back {
+        Ok(arena) => LENT.with(|l| l.set(arena)),
+        Err(panic) => std::panic::resume_unwind(panic),
     }
 }
 
@@ -661,7 +728,6 @@ mod x86 {
     use crate::real::Real;
     use core::any::TypeId;
     use core::arch::x86_64::*;
-    use core::mem::MaybeUninit;
 
     /// The k block of the f32 TN tiles: 16 KB of packed B and a tile's 8 KB
     /// of A columns stay in L1 together.
@@ -762,88 +828,6 @@ mod x86 {
             }
         }
     }
-
-    /// [`super::pack_a`] with 512-bit row-masked loads into a micro-panel
-    /// of `128 / size_of::<T>()` rows: the masked-off rows load as the zero
-    /// pad.
-    ///
-    /// # Safety
-    /// The host must support AVX-512F, AVX2 and FMA; [`has_tiles`] holds
-    /// for `T`; `a` has at most `128 / size_of::<T>()` rows, and `buf` holds
-    /// that many times `a.ncols()` entries.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn pack_a<'s, T: Real>(
-        a: MatRef<'_, T>,
-        buf: &'s mut [MaybeUninit<T>],
-    ) -> &'s [T] {
-        debug_assert!(a.nrows() * core::mem::size_of::<T>() <= 128);
-        let buf = &mut buf[..a.ncols() * 128 / core::mem::size_of::<T>()];
-        // SAFETY: each branch runs only when `T` is the kernel's type, and
-        // writes all of `buf`; the caller vouches for the rest.
-        unsafe {
-            if TypeId::of::<T>() == TypeId::of::<f32>() {
-                pack_a_f32(retype(a), buf.as_mut_ptr().cast());
-            } else {
-                debug_assert!(TypeId::of::<T>() == TypeId::of::<f64>());
-                pack_a_f64(retype(a), buf.as_mut_ptr().cast());
-            }
-            super::assume_init(buf)
-        }
-    }
-
-    /// `pack_a_f32`/`pack_a_f64`: a micro-panel of two vectors of `$w`
-    /// lanes of `$t` per column.
-    macro_rules! pack_kernel {
-        ($pack:ident, $t:ty, $m:ty, $w:expr, $maskz_load:ident, $store:ident) => {
-            /// # Safety
-            /// As for [`pack_a`], with `dst` pointing at its buffer.
-            #[inline]
-            #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn $pack(a: MatRef<'_, $t>, dst: *mut $t) {
-                let (mc, kc, lda) = (a.nrows(), a.ncols(), a.ld());
-                let mask = |r: usize| -> $m {
-                    if r >= $w {
-                        !0
-                    } else {
-                        (1 << r) - 1
-                    }
-                };
-                let masks = [mask(mc), mask(mc.saturating_sub($w))];
-                let ap = a.as_ptr();
-                for l in 0..kc {
-                    // SAFETY: the `mc` rows of column `l`, under the masks,
-                    // into the micro-panel's column `l`; the second
-                    // vector's address is formed with `wrapping_add`.
-                    unsafe {
-                        let s = ap.add(l * lda);
-                        $store(dst.add(l * 2 * $w), $maskz_load(masks[0], s));
-                        $store(
-                            dst.add(l * 2 * $w + $w),
-                            $maskz_load(masks[1], s.wrapping_add($w)),
-                        );
-                    }
-                }
-            }
-        };
-    }
-
-    pack_kernel!(
-        pack_a_f32,
-        f32,
-        u16,
-        16,
-        _mm512_maskz_loadu_ps,
-        _mm512_storeu_ps
-    );
-    pack_kernel!(
-        pack_a_f64,
-        f64,
-        u8,
-        8,
-        _mm512_maskz_loadu_pd,
-        _mm512_storeu_pd
-    );
 
     /// `nn_row_f32`/`nn_row_f64` and their tile bodies: the
     /// intrinsics work on `$w` lanes of `$t` under `$m` row masks, two
@@ -1803,8 +1787,9 @@ mod tests {
     }
 
     /// `gemm` under every tier in `tiers` against the portable tier, bit
-    /// for bit, and the portable tier against [`leaf_spec`] wherever that
-    /// costs under 4M scalar steps.
+    /// for bit, and the portable tier against [`leaf_spec`] on every shape
+    /// of at most one TN leaf and wherever else that costs under 4M scalar
+    /// steps.
     fn gemm_oracle_for<T: Real>(tiers: &[Tier]) {
         // Shapes straddle the NN/NT micro-panels (16 and 32 rows in f32, 8
         // and 16 in f64, NR = 12 columns run as 4, 8 or 12, and the compiled
@@ -1885,7 +1870,7 @@ mod tests {
                             with_cap(tier, || gemm(alpha, op_a, a, op_b, b, beta, got_c));
                             assert_same_bits(&format!("{tier:?} {what}"), got.data(), want.data());
                         }
-                        if m * n * k <= 1 << 22 {
+                        if m * n <= LEAF || m * n * k <= 1 << 22 {
                             let c = cbig.as_ref().submatrix(1, 1, m, n);
                             for j in 0..n {
                                 for i in 0..m {
