@@ -5,7 +5,7 @@ use densemat::splitmix64;
 use std::sync::atomic::{AtomicU8, Ordering};
 use tensor_engine::{
     AvailStats, Counters, EngineConfig, EngineFaultPlan, FaultPlan, FaultStats, GpuSim, Ledger,
-    Phase, PrecisionOverride,
+    PrecisionOverride,
 };
 use tcqr_trace::Tracer;
 
@@ -150,13 +150,6 @@ impl EnginePool {
         }
     }
 
-    /// Clear every engine's fault plan.
-    pub fn disarm(&self) {
-        for eng in &self.engines {
-            eng.set_fault_plan(None);
-        }
-    }
-
     /// Set (or clear) a precision override on engine `i` only.
     pub fn set_precision_override(&self, i: usize, o: Option<PrecisionOverride>) {
         self.engines[i].set_precision_override(o);
@@ -265,24 +258,7 @@ impl EnginePool {
         let mut fp = Fingerprint::new();
         for eng in &self.engines {
             fp.push_f64(eng.clock());
-            let led = eng.ledger();
-            for p in Phase::ALL {
-                fp.push_f64(led.get(p));
-            }
-            let c = eng.counters();
-            fp.push_f64(c.tc_flops);
-            fp.push_f64(c.fp32_flops);
-            fp.push_f64(c.fp64_flops);
-            fp.push_u64(c.gemm_calls);
-            fp.push_u64(c.panel_calls);
-            fp.push_u64(c.overflow_ops);
-            fp.push_u64(c.round.total);
-            fp.push_u64(c.round.overflow);
-            fp.push_u64(c.round.underflow);
-            fp.push_u64(c.round.nan);
-            let fs = eng.fault_stats();
-            fp.push_u64(fs.injected);
-            fp.push_u64(fs.detected);
+            eng.push_accounting(&mut fp);
         }
         fp.finish()
     }
@@ -297,6 +273,7 @@ fn derive_seed(base: u64, lane: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor_engine::Phase;
 
     #[test]
     fn engines_are_independent() {
@@ -307,7 +284,7 @@ mod tests {
         assert!(!pool.engine(0).fault_armed());
         assert!(pool.engine(1).fault_armed());
         assert!(!pool.engine(2).fault_armed());
-        pool.disarm();
+        pool.set_fault_plan(1, None);
         assert!(!pool.engine(1).fault_armed());
     }
 

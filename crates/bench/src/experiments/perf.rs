@@ -265,24 +265,3 @@ pub fn fig7() -> Table {
     }
     t
 }
-
-/// Headline numbers quoted in the abstract, extracted for EXPERIMENTS.md:
-/// (min speedup, max speedup, peak TFLOPS) of TC RGSQRF vs cuSOLVER over
-/// the Figure 6 grid.
-pub fn headline() -> (f64, f64, f64) {
-    let cfg = RgsqrfConfig::default();
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    let mut peak = 0.0f64;
-    for &(m, n) in PERF_GRID {
-        let rgs = GpuSim::default();
-        cost::rgsqrf(&rgs, m, n, &cfg);
-        let cus = GpuSim::default();
-        cost::sgeqrf(&cus, m, n);
-        let s = cus.clock() / rgs.clock();
-        lo = lo.min(s);
-        hi = hi.max(s);
-        peak = peak.max(rgsqrf_flops(m, n) / rgs.clock() / 1e12);
-    }
-    (lo, hi, peak)
-}

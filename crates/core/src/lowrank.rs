@@ -10,14 +10,14 @@
 
 use crate::error::TcqrError;
 use crate::lls::try_rgsqrf_scaled;
-use crate::recovery::{run_with_recovery, RecoveryPolicy};
+use crate::recovery::RecoveryPolicy;
 use crate::rgsqrf::RgsqrfConfig;
 use densemat::blas1::scal;
 use densemat::lapack::Householder;
 use densemat::svd::jacobi_svd;
 use densemat::{gemm, Mat, Op};
 use tcqr_trace::Value;
-use tensor_engine::{CachedOperand, Class, GpuSim, Phase};
+use tensor_engine::{Class, GpuSim, Phase};
 
 /// Which QR algorithm feeds the QR-SVD pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,10 +53,6 @@ pub struct QrSvd {
 
 impl QrSvd {
     /// Reconstruct the rank-`r` approximation `A_r` in `f64`.
-    ///
-    /// Shapes are taken from the factors themselves so both the classic
-    /// QR-SVD (`Q: m x n`, `V: n x n`) and the sketched variant from
-    /// [`randomized_svd`] (`Q: m x l`, `V: n x l`) reconstruct correctly.
     pub fn truncate(&self, rank: usize) -> Mat<f64> {
         let m = self.q.nrows();
         let inner = self.q.ncols();
@@ -137,183 +133,6 @@ pub fn try_qr_svd(
         s: svd.s,
         v: svd.v,
     })
-}
-
-/// Configuration for [`randomized_svd`].
-#[derive(Clone, Copy, Debug)]
-pub struct RandomizedSvdConfig {
-    /// Oversampling columns beyond the target rank (Halko et al. suggest
-    /// 5-10).
-    pub oversample: usize,
-    /// Power (subspace) iterations; each sharpens the captured spectrum at
-    /// the cost of two more big GEMMs.
-    pub power_iters: usize,
-    /// Seed for the Gaussian test matrix.
-    pub seed: u64,
-}
-
-impl Default for RandomizedSvdConfig {
-    fn default() -> Self {
-        RandomizedSvdConfig {
-            oversample: 8,
-            power_iters: 1,
-            seed: 0x5eed,
-        }
-    }
-}
-
-/// Randomized truncated SVD with RGSQRF as the range finder — an extension
-/// application: the Halko/Martinsson/Tropp sketch `Y = A Omega` needs
-/// exactly the tall-skinny orthogonalization this paper accelerates, and the
-/// orthogonality loss of one Gram-Schmidt pass is automatically repaired by
-/// re-orthogonalization ("twice is enough") inside the range finder.
-///
-/// Every big multiply routes through the engine (TensorCore when enabled),
-/// so the modeled clock covers the full pipeline.
-pub fn randomized_svd(
-    eng: &GpuSim,
-    a: &Mat<f32>,
-    rank: usize,
-    rs_cfg: &RandomizedSvdConfig,
-    qr_cfg: &RgsqrfConfig,
-) -> QrSvd {
-    try_randomized_svd(eng, a, rank, rs_cfg, qr_cfg, &RecoveryPolicy::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fault-tolerant [`randomized_svd`]: the whole sketch/range-find/project
-/// pipeline retries as one unit up `policy`'s ladder when an armed fault
-/// campaign corrupts any of its engine GEMMs.
-pub fn try_randomized_svd(
-    eng: &GpuSim,
-    a: &Mat<f32>,
-    rank: usize,
-    rs_cfg: &RandomizedSvdConfig,
-    qr_cfg: &RgsqrfConfig,
-    policy: &RecoveryPolicy,
-) -> Result<QrSvd, TcqrError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n {
-        return Err(TcqrError::shape(
-            "randomized_svd",
-            format!("need a tall matrix (got {m} x {n})"),
-        ));
-    }
-    let l = (rank + rs_cfg.oversample).min(n);
-    let _span = eng.tracer().span(
-        "randomized_svd",
-        &[
-            ("m", Value::from(m)),
-            ("n", Value::from(n)),
-            ("rank", Value::from(rank)),
-            ("sketch_cols", Value::from(l)),
-            ("power_iters", Value::from(rs_cfg.power_iters)),
-        ],
-    );
-    run_with_recovery(
-        eng,
-        "randomized_svd",
-        policy,
-        |_att| randomized_svd_attempt(eng, a, rank, rs_cfg, qr_cfg),
-        |f| f.q.all_finite() && f.s.iter().all(|s| s.is_finite()),
-    )
-}
-
-/// One full pass of the randomized SVD pipeline (all engine work).
-fn randomized_svd_attempt(
-    eng: &GpuSim,
-    a: &Mat<f32>,
-    rank: usize,
-    rs_cfg: &RandomizedSvdConfig,
-    qr_cfg: &RgsqrfConfig,
-) -> QrSvd {
-    use densemat::gen;
-    use tensor_engine::Phase;
-
-    let m = a.nrows();
-    let n = a.ncols();
-    let l = (rank + rs_cfg.oversample).min(n);
-
-    // A is read-only through the whole pipeline and feeds 2 + 2p big GEMMs
-    // (sketch, two per power iteration, projection): round it through the
-    // half format once up front instead of once per GEMM.
-    let a_half = eng.cache_operand(Phase::Update, a.as_ref());
-    let a_op = CachedOperand::new(a.as_ref(), a_half.as_ref());
-
-    // Sketch: Y = A Omega (m x l).
-    let omega: Mat<f32> =
-        gen::gaussian(n, l, &mut gen::rng(rs_cfg.seed)).convert();
-    let mut y: Mat<f32> = Mat::zeros(m, l);
-    eng.gemm_f32_cached(
-        Phase::Update,
-        true,
-        1.0,
-        Op::NoTrans,
-        a_op,
-        Op::NoTrans,
-        CachedOperand::fresh(omega.as_ref()),
-        0.0,
-        y.as_mut(),
-    );
-
-    // Range finder: Q = orth(Y) via RGSQRF + reortho, with optional power
-    // iterations Y <- A (A^T Q) to sharpen the subspace.
-    let mut q = crate::reortho::rgsqrf_reortho(eng, y.as_ref(), qr_cfg).q;
-    for _ in 0..rs_cfg.power_iters {
-        let mut z: Mat<f32> = Mat::zeros(n, l);
-        eng.gemm_f32_cached(
-            Phase::Update,
-            true,
-            1.0,
-            Op::Trans,
-            a_op,
-            Op::NoTrans,
-            CachedOperand::fresh(q.as_ref()),
-            0.0,
-            z.as_mut(),
-        );
-        let zq = crate::reortho::rgsqrf_reortho(eng, z.as_ref(), qr_cfg).q;
-        let mut y2: Mat<f32> = Mat::zeros(m, l);
-        eng.gemm_f32_cached(
-            Phase::Update,
-            true,
-            1.0,
-            Op::NoTrans,
-            a_op,
-            Op::NoTrans,
-            CachedOperand::fresh(zq.as_ref()),
-            0.0,
-            y2.as_mut(),
-        );
-        q = crate::reortho::rgsqrf_reortho(eng, y2.as_ref(), qr_cfg).q;
-    }
-
-    // Project: B = Q^T A (l x n), then the small SVD of B.
-    let mut b: Mat<f32> = Mat::zeros(l, n);
-    eng.gemm_f32_cached(
-        Phase::Update,
-        true,
-        1.0,
-        Op::Trans,
-        CachedOperand::fresh(q.as_ref()),
-        Op::NoTrans,
-        a_op,
-        0.0,
-        b.as_mut(),
-    );
-    // B is l x n with l <= n: SVD via B^T = V S U^T.
-    let b64: Mat<f64> = b.convert();
-    let bt = b64.transpose();
-    let svd = jacobi_svd(bt.as_ref());
-    eng.charge_gemm(Phase::Other, Class::Fp32, l, l, 5 * n);
-    // A ~ Q B = Q (U_b S V_b^T) with U_b = svd.v, V_b = svd.u.
-    QrSvd {
-        q,
-        u: svd.v,
-        s: svd.s,
-        v: svd.u,
-    }
 }
 
 #[cfg(test)]
@@ -416,83 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn randomized_svd_captures_the_dominant_subspace() {
-        // Rapidly decaying spectrum: sketching with modest oversampling must
-        // land close to the optimal truncation.
-        let eng = GpuSim::default();
-        let a64 = gen::rand_svd(
-            512,
-            96,
-            gen::Spectrum::Geometric { cond: 1e5 },
-            &mut rng(20),
-        );
-        let sref = singular_values(a64.as_ref());
-        let rank = 16;
-        let f = randomized_svd(
-            &eng,
-            &a64.convert(),
-            rank,
-            &RandomizedSvdConfig::default(),
-            &small_cfg(),
-        );
-        // Leading singular values recovered to fp16-grade relative accuracy.
-        for (got, want) in f.s.iter().zip(&sref).take(8) {
-            assert!(
-                (got - want).abs() < 3e-2 * want + 1e-6,
-                "sigma {got} vs {want}"
-            );
-        }
-        let ar = f.truncate(rank);
-        assert_eq!(ar.ncols(), 96, "reconstruction has the original width");
-        let err = lowrank_error(a64.as_ref(), ar.as_ref());
-        let optimal = sref[rank] / sref[0];
-        assert!(
-            err < 10.0 * optimal + 5e-3,
-            "rank {rank}: err {err} vs optimal {optimal}"
-        );
-    }
-
-    #[test]
-    fn randomized_svd_power_iterations_help_on_flat_spectra() {
-        // A slowly decaying spectrum is the hard case for plain sketching;
-        // power iterations must not make things worse (and usually help).
-        let eng = GpuSim::default();
-        let a64 = gen::rand_svd(
-            384,
-            64,
-            gen::Spectrum::Arithmetic { cond: 1e2 },
-            &mut rng(21),
-        );
-        let a32: Mat<f32> = a64.convert();
-        let rank = 12;
-        let err_of = |iters: usize| {
-            let f = randomized_svd(
-                &eng,
-                &a32,
-                rank,
-                &RandomizedSvdConfig {
-                    power_iters: iters,
-                    ..RandomizedSvdConfig::default()
-                },
-                &small_cfg(),
-            );
-            lowrank_error(a64.as_ref(), f.truncate(rank).as_ref())
-        };
-        let e0 = err_of(0);
-        let e2 = err_of(2);
-        assert!(e2 <= e0 * 1.2, "power iterations hurt: {e0} -> {e2}");
-    }
-
-    #[test]
-    fn randomized_svd_is_charged_on_the_engine() {
-        let eng = GpuSim::default();
-        let a64 = gen::rand_svd(256, 48, gen::Spectrum::Geometric { cond: 100.0 }, &mut rng(22));
-        let _ = randomized_svd(&eng, &a64.convert(), 8, &RandomizedSvdConfig::default(), &small_cfg());
-        assert!(eng.clock() > 0.0);
-        assert!(eng.counters().tc_flops > 0.0);
-    }
-
-    #[test]
     fn try_variants_report_typed_shape_errors() {
         let eng = GpuSim::default();
         let wide: Mat<f32> = gen::gaussian(8, 16, &mut rng(7)).convert();
@@ -500,16 +242,6 @@ mod tests {
         let err = try_qr_svd(&eng, &wide, QrKind::Rgsqrf, &small_cfg(), &policy).unwrap_err();
         assert_eq!(err.op(), "qr_svd");
         assert!(err.to_string().contains("need a tall matrix"), "{err}");
-        let err = try_randomized_svd(
-            &eng,
-            &wide,
-            4,
-            &RandomizedSvdConfig::default(),
-            &small_cfg(),
-            &policy,
-        )
-        .unwrap_err();
-        assert_eq!(err.op(), "randomized_svd");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use core::cmp::Ordering;
 use core::fmt;
-use core::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Convert an `f32` to bfloat16 bits with round-to-nearest-even.
 pub fn f32_to_bf16_bits(f: f32) -> u16 {
@@ -30,7 +29,7 @@ pub fn bf16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 
-/// bfloat16 value with correctly-rounded scalar arithmetic via `f32`.
+/// bfloat16 value: a storage format only, like [`F16`](crate::F16).
 #[derive(Clone, Copy, Default, PartialEq)]
 pub struct Bf16(pub u16);
 
@@ -126,31 +125,6 @@ impl PartialOrd for Bf16 {
     }
 }
 
-macro_rules! impl_bf16_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl $trait for Bf16 {
-            type Output = Bf16;
-            #[inline]
-            fn $method(self, rhs: Bf16) -> Bf16 {
-                Bf16::from_f32(self.to_f32() $op rhs.to_f32())
-            }
-        }
-    };
-}
-
-impl_bf16_binop!(Add, add, +);
-impl_bf16_binop!(Sub, sub, -);
-impl_bf16_binop!(Mul, mul, *);
-impl_bf16_binop!(Div, div, /);
-
-impl Neg for Bf16 {
-    type Output = Bf16;
-    #[inline]
-    fn neg(self) -> Bf16 {
-        Bf16(self.0 ^ 0x8000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,14 +176,5 @@ mod tests {
         // (1 + 2^-7) + 2^-8 ties upward to the even 1 + 2^-6.
         let x = 1.0 + 2.0f32.powi(-7) + 2.0f32.powi(-8);
         assert_eq!(Bf16::from_f32(x).to_f32(), 1.0 + 2.0f32.powi(-6));
-    }
-
-    #[test]
-    fn arithmetic_is_rounded() {
-        let a = Bf16::from_f32(1.0);
-        let b = Bf16::from_f32(2.0f32.powi(-9));
-        assert_eq!((a + b).to_f32(), 1.0);
-        assert!((Bf16::MAX + Bf16::MAX).is_infinite());
-        assert_eq!((-Bf16::ONE).to_f32(), -1.0);
     }
 }

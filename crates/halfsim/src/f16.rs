@@ -6,7 +6,6 @@
 
 use core::cmp::Ordering;
 use core::fmt;
-use core::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Convert an `f32` to binary16 bits with round-to-nearest-even.
 pub fn f32_to_f16_bits(f: f32) -> u16 {
@@ -102,10 +101,9 @@ fn rne_shift(x: u32, s: u32) -> u32 {
     }
 }
 
-/// IEEE 754 binary16 value. Arithmetic converts to `f32`, operates, and
-/// rounds back — exactly the behaviour of a correctly-rounded FP16 ALU,
-/// because every binary16 value is exactly representable in binary32 and the
-/// double-rounding through binary32 is harmless for a single operation.
+/// IEEE 754 binary16 value: a storage format only. The emulated TensorCore
+/// rounds GEMM inputs to it and computes in `f32`, so there is no binary16
+/// arithmetic here.
 #[derive(Clone, Copy, Default, PartialEq)]
 pub struct F16(pub u16);
 
@@ -229,16 +227,6 @@ impl F16 {
     pub fn abs(self) -> F16 {
         F16(self.0 & 0x7fff)
     }
-
-    /// Correctly-rounded square root.
-    #[inline]
-    pub fn sqrt(self) -> F16 {
-        // f32 sqrt is correctly rounded and binary16 embeds exactly in
-        // binary32; rounding the binary32 result once more is exact-to-ieee
-        // because sqrt of a f16 value can never fall exactly on a f32
-        // rounding boundary that flips the f16 rounding (> 2p+2 bits margin).
-        F16::from_f32(self.to_f32().sqrt())
-    }
 }
 
 /// Bits of the next representable value toward +inf (finite positives only).
@@ -293,31 +281,6 @@ impl From<f32> for F16 {
     }
 }
 
-macro_rules! impl_f16_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl $trait for F16 {
-            type Output = F16;
-            #[inline]
-            fn $method(self, rhs: F16) -> F16 {
-                F16::from_f32(self.to_f32() $op rhs.to_f32())
-            }
-        }
-    };
-}
-
-impl_f16_binop!(Add, add, +);
-impl_f16_binop!(Sub, sub, -);
-impl_f16_binop!(Mul, mul, *);
-impl_f16_binop!(Div, div, /);
-
-impl Neg for F16 {
-    type Output = F16;
-    #[inline]
-    fn neg(self) -> F16 {
-        F16(self.0 ^ 0x8000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +294,6 @@ mod tests {
         assert_eq!(F16::EPSILON.to_f32(), 2.0f32.powi(-10));
         assert!(F16::NAN.is_nan());
         assert!(F16::INFINITY.is_infinite());
-        assert_eq!((-F16::ONE).to_f32(), -1.0);
     }
 
     #[test]
@@ -403,16 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_rounds_each_operation() {
-        let a = F16::from_f32(1.0);
-        let b = F16::from_f32(2.0f32.powi(-12)); // below half ulp of 1.0
-        assert_eq!((a + b).to_f32(), 1.0, "swamping: tiny addend lost");
-        let c = F16::from_f32(3.0);
-        assert_eq!((a / c).to_f32(), F16::from_f32(1.0 / 3.0).to_f32());
-        assert!((F16::MAX + F16::MAX).is_infinite());
-    }
-
-    #[test]
     fn from_f64_matches_direct_rounding_on_grid() {
         // On values exactly representable in f32 the two paths must agree.
         for bits in (0..=u16::MAX).step_by(3) {
@@ -460,12 +412,5 @@ mod tests {
             assert_eq!(F16::from_f64(x).0, want, "x={x:e}");
             assert_eq!(F16::from_f64(-x).0, want | 0x8000, "x=-{x:e}");
         }
-    }
-
-    #[test]
-    fn sqrt_exact_cases() {
-        assert_eq!(F16::from_f32(4.0).sqrt().to_f32(), 2.0);
-        assert_eq!(F16::from_f32(2.0).sqrt().to_f32(), F16::from_f32(2.0f32.sqrt()).to_f32());
-        assert!(F16::from_f32(-1.0).sqrt().is_nan());
     }
 }

@@ -224,37 +224,6 @@ fn finite_f16_pair(r: &mut Rng) -> (F16, F16) {
 }
 
 #[test]
-fn f16_sum_matches_correctly_rounded_reference() {
-    for_each_seed(CASES, |r| {
-        let (a, b) = finite_f16_pair(r);
-        // Reference: exact sum in f64, rounded once to f16.
-        let exact = a.to_f64() + b.to_f64();
-        let reference = F16::from_f64(exact);
-        let computed = a + b;
-        if reference.is_nan() {
-            assert!(computed.is_nan());
-        } else {
-            assert_eq!(computed.to_bits(), reference.to_bits(), "a={a} b={b}");
-        }
-    });
-}
-
-#[test]
-fn f16_product_matches_correctly_rounded_reference() {
-    for_each_seed(CASES, |r| {
-        let (a, b) = finite_f16_pair(r);
-        let exact = a.to_f64() * b.to_f64(); // exact: 11x11 bits < 53
-        let reference = F16::from_f64(exact);
-        let computed = a * b;
-        if reference.is_nan() {
-            assert!(computed.is_nan());
-        } else {
-            assert_eq!(computed.to_bits(), reference.to_bits(), "a={a} b={b}");
-        }
-    });
-}
-
-#[test]
 fn f16_product_is_exact_in_f32() {
     // The foundational fact behind the whole TensorCore emulation:
     // products of two binary16 values are exact in binary32.

@@ -48,7 +48,6 @@ pub mod lu;
 pub mod mat;
 pub mod metrics;
 pub mod norms;
-pub mod pivot;
 pub mod real;
 pub mod svd;
 pub mod tri;

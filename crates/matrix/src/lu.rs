@@ -1,4 +1,4 @@
-//! LU factorization with partial pivoting (xGETRF/xGETRS).
+//! LU factorization with partial pivoting (xGETRF).
 //!
 //! The substrate for the LU-with-iterative-refinement comparator the paper's
 //! §5 positions itself against (Haidar et al. 2017/2018 accelerate *LU* on
@@ -13,9 +13,9 @@
 
 use crate::blas1::iamax;
 use crate::gemm::{gemm, Op};
-use crate::mat::{Mat, MatMut, MatRef};
+use crate::mat::MatMut;
 use crate::real::Real;
-use crate::tri::{trsm_left_unit_lower, trsv_unit_lower, trsv_upper};
+use crate::tri::trsm_left_unit_lower;
 
 /// Error: a pivot column was exactly zero (matrix singular to working
 /// precision).
@@ -32,9 +32,6 @@ impl core::fmt::Display for SingularLu {
 }
 
 impl std::error::Error for SingularLu {}
-
-/// Default blocked-LU panel width.
-pub const DEFAULT_LU_BLOCK: usize = 32;
 
 /// Swap rows `i` and `p` across all columns of `a`.
 fn swap_rows<T: Real>(a: &mut MatMut<'_, T>, i: usize, p: usize) {
@@ -132,11 +129,6 @@ pub fn getrf_blocked<T: Real>(
     Ok(())
 }
 
-/// Blocked LU with the default panel width.
-pub fn getrf<T: Real>(a: MatMut<'_, T>, piv: &mut [usize]) -> Result<(), SingularLu> {
-    getrf_blocked(a, piv, DEFAULT_LU_BLOCK)
-}
-
 /// Apply the pivot sequence to a right-hand side (forward order).
 pub fn apply_pivots<T: Real>(piv: &[usize], b: &mut [T]) {
     for (k, &p) in piv.iter().enumerate() {
@@ -146,66 +138,25 @@ pub fn apply_pivots<T: Real>(piv: &[usize], b: &mut [T]) {
     }
 }
 
-/// Solve `A x = b` from a factorization produced by [`getrf`], in place.
-pub fn getrs<T: Real>(lu: MatRef<'_, T>, piv: &[usize], b: &mut [T]) {
-    let n = lu.nrows();
-    assert_eq!(b.len(), n, "getrs: rhs length");
-    apply_pivots(piv, b);
-    trsv_unit_lower(Op::NoTrans, lu, b);
-    trsv_upper(Op::NoTrans, lu, b);
-}
-
-/// Convenience owner pairing the factored storage with its pivots.
-pub struct Lu<T> {
-    factored: Mat<T>,
-    piv: Vec<usize>,
-}
-
-impl<T: Real> Lu<T> {
-    /// Factor a square matrix (consumed).
-    pub fn factor(mut a: Mat<T>) -> Result<Self, SingularLu> {
-        let n = a.nrows();
-        let mut piv = vec![0usize; n];
-        getrf(a.as_mut(), &mut piv)?;
-        Ok(Lu { factored: a, piv })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn n(&self) -> usize {
-        self.factored.nrows()
-    }
-
-    /// Solve `A x = b`, returning x.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        getrs(self.factored.as_ref(), &self.piv, &mut x);
-        x
-    }
-
-    /// Borrow the packed LU storage.
-    pub fn lu(&self) -> MatRef<'_, T> {
-        self.factored.as_ref()
-    }
-
-    /// The pivot sequence.
-    pub fn pivots(&self) -> &[usize] {
-        &self.piv
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::gemv;
     use crate::gen::{self, rng};
+    use crate::mat::Mat;
+    use crate::tri::{trsv_unit_lower, trsv_upper};
 
     fn solve_check(n: usize, seed: u64, tol: f64) {
-        let a = gen::gaussian(n, n, &mut rng(seed));
+        let mut a = gen::gaussian(n, n, &mut rng(seed));
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut b = vec![0.0; n];
-        gemv(1.0, Op::NoTrans, a.as_ref(), &xtrue, 0.0, &mut b);
-        let lu = Lu::factor(a).expect("nonsingular");
-        let x = lu.solve(&b);
+        let mut x = vec![0.0; n];
+        gemv(1.0, Op::NoTrans, a.as_ref(), &xtrue, 0.0, &mut x);
+        let mut piv = vec![0usize; n];
+        getrf_blocked(a.as_mut(), &mut piv, 32).expect("nonsingular");
+        // The exact solve `lu_ir` runs: P b, then L, then U.
+        apply_pivots(&piv, &mut x);
+        trsv_unit_lower(Op::NoTrans, a.as_ref(), &mut x);
+        trsv_upper(Op::NoTrans, a.as_ref(), &mut x);
         for i in 0..n {
             assert!((x[i] - xtrue[i]).abs() < tol, "x[{i}]: {} vs {}", x[i], xtrue[i]);
         }
@@ -286,7 +237,7 @@ mod tests {
         let a = gen::gaussian(40, 40, &mut rng(7));
         let mut f = a.clone();
         let mut piv = vec![0usize; 40];
-        getrf(f.as_mut(), &mut piv).unwrap();
+        getrf_blocked(f.as_mut(), &mut piv, 32).unwrap();
         for j in 0..40 {
             for i in j + 1..40 {
                 assert!(f[(i, j)].abs() <= 1.0 + 1e-12, "multiplier ({i},{j})");
@@ -301,9 +252,10 @@ mod tests {
             a[(i, 0)] = 1.0; // rank-1
             a[(0, i)] = 1.0;
         }
-        let err = match Lu::factor(a) {
+        let mut piv = vec![0usize; 5];
+        let err = match getrf_blocked(a.as_mut(), &mut piv, 32) {
             Err(e) => e,
-            Ok(_) => panic!("rank-1 matrix must not factor"),
+            Ok(()) => panic!("rank-1 matrix must not factor"),
         };
         assert!(err.column >= 1, "breakdown past the first column: {err}");
     }
@@ -315,7 +267,7 @@ mod tests {
         let a = Mat::from_fn(n, n, |i, j| if i == j { 10.0 } else { 0.1 });
         let mut f = a.clone();
         let mut piv = vec![0usize; n];
-        getrf(f.as_mut(), &mut piv).unwrap();
+        getrf_blocked(f.as_mut(), &mut piv, 32).unwrap();
         assert_eq!(piv, (0..n).collect::<Vec<_>>());
     }
 }

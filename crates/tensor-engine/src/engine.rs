@@ -22,9 +22,10 @@
 //! Every routed operation additionally emits one structured [`tcqr_trace`]
 //! event carrying the op kind, shape, [`Class`], [`Phase`], the modeled
 //! seconds charged, and the rounding statistics of its half-precision
-//! inputs. Events go to the engine's [`Tracer`] — by default the
-//! process-global one (a no-op until `tcqr_trace::install_global` runs), or
-//! an engine-local tracer via [`GpuSim::with_tracer`]/[`GpuSim::set_tracer`].
+//! inputs. Events go to the engine's [`Tracer`], fixed when the engine is
+//! built: by default the process-global one (a no-op until
+//! `tcqr_trace::install_global` runs), or an engine-local tracer via
+//! [`GpuSim::with_tracer`].
 //! The event's `secs` field is the *same* `f64` charged to the [`Ledger`],
 //! so summing a trace per phase reproduces the ledger exactly (up to f64
 //! re-association). The first FP16 overflow→∞ observed during input
@@ -55,26 +56,11 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use tcqr_trace::schema::{FaultDetected, FaultInjected};
-use tcqr_trace::{Fingerprint, Tracer, TracerKind, Value};
+use tcqr_trace::{Fingerprint, Tracer, Value};
 
 /// Process-wide engine-id source, used to tag [`HalfMat`] caches with the
 /// engine that created them.
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// `tracer_mode` encoding: never enabled.
-const TRACE_OFF: u8 = 0;
-/// `tracer_mode` encoding: always enabled (engine-local sink).
-const TRACE_LOCAL: u8 = 1;
-/// `tracer_mode` encoding: enabled iff a global sink is installed.
-const TRACE_GLOBAL: u8 = 2;
-
-fn trace_mode_of(tracer: &Tracer) -> u8 {
-    match tracer.kind() {
-        TracerKind::Disabled => TRACE_OFF,
-        TracerKind::Local => TRACE_LOCAL,
-        TracerKind::Global => TRACE_GLOBAL,
-    }
-}
 
 /// Which 16-bit format the simulated tensor cores ingest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,18 +260,17 @@ pub struct GpuSim {
     cfg: EngineConfig,
     pm: PerfModel,
     state: Mutex<State>,
-    tracer: Mutex<Tracer>,
-    /// Cached [`TracerKind`] of `tracer`, so the per-op hot path can decide
-    /// "is tracing possibly on?" with one relaxed atomic load instead of a
-    /// mutex lock + `Tracer` clone. Kept in sync by `set_tracer`.
-    tracer_mode: AtomicU8,
+    /// Where events go, fixed at construction. A global-facade tracer is
+    /// enabled only while a global sink is installed, so a traced op checks
+    /// it per op and takes no lock.
+    tracer: Tracer,
     /// Process-unique id, stamped into [`HalfMat`] caches.
     id: u64,
     /// Bumped by [`GpuSim::reset`]; a [`HalfMat`] from an older generation
     /// is stale and rejected.
     generation: AtomicU64,
     /// Fast-path flag mirroring "an *active* [`FaultPlan`] is installed":
-    /// one relaxed load per GEMM when disarmed, like `tracer_mode`.
+    /// one relaxed load per GEMM when disarmed.
     fault_armed: AtomicBool,
     /// Injection state (plan, RNG, campaign counters) when a plan is set.
     fault: Mutex<Option<FaultState>>,
@@ -323,7 +308,6 @@ impl GpuSim {
     /// are picked up here, so engines created inside an experiment inherit
     /// the campaign / precision mode the bench harness armed.
     pub fn with_tracer(cfg: EngineConfig, tracer: Tracer) -> Self {
-        let mode = trace_mode_of(&tracer);
         let plan = fault::global_plan();
         let armed = plan.as_ref().is_some_and(FaultPlan::is_active);
         let precision = encode_override(global_precision());
@@ -331,8 +315,7 @@ impl GpuSim {
             cfg,
             pm: PerfModel,
             state: Mutex::new(State::default()),
-            tracer: Mutex::new(tracer),
-            tracer_mode: AtomicU8::new(mode),
+            tracer,
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
             fault_armed: AtomicBool::new(armed),
@@ -445,11 +428,28 @@ impl GpuSim {
     /// plans are deliberately excluded — two clean engines fingerprint
     /// identically regardless of what campaigns they are armed with.
     pub fn state_fingerprint(&self) -> u64 {
+        let av = self.avail_stats();
+        let mut fp = Fingerprint::new();
+        self.push_accounting(&mut fp);
+        fp.push_u64(av.ops);
+        fp.push_u64(av.hangs);
+        fp.push_u64(av.slowed_ops);
+        fp.push_f64(av.stall_secs);
+        fp.push_u64(av.crashed_at.map_or(0, |a| a.wrapping_add(1)));
+        fp.push_u64(self.dead.load(Ordering::Relaxed) as u64);
+        fp.push_u64(self.precision_override.load(Ordering::Relaxed) as u64);
+        fp.finish()
+    }
+
+    /// Absorb the engine's accounting into `fp`, in a fixed order: the
+    /// per-phase ledger seconds, every [`Counters`] field, then the fault
+    /// campaign's injected and detected counts. Shared by
+    /// [`GpuSim::state_fingerprint`] and the batch pool's fingerprint, whose
+    /// digests depend on this order.
+    pub fn push_accounting(&self, fp: &mut Fingerprint) {
         let led = self.ledger();
         let c = self.counters();
         let fs = self.fault_stats();
-        let av = self.avail_stats();
-        let mut fp = Fingerprint::new();
         for p in Phase::ALL {
             fp.push_f64(led.get(p));
         }
@@ -465,14 +465,6 @@ impl GpuSim {
         fp.push_u64(c.round.nan);
         fp.push_u64(fs.injected);
         fp.push_u64(fs.detected);
-        fp.push_u64(av.ops);
-        fp.push_u64(av.hangs);
-        fp.push_u64(av.slowed_ops);
-        fp.push_f64(av.stall_secs);
-        fp.push_u64(av.crashed_at.map_or(0, |a| a.wrapping_add(1)));
-        fp.push_u64(self.dead.load(Ordering::Relaxed) as u64);
-        fp.push_u64(self.precision_override.load(Ordering::Relaxed) as u64);
-        fp.finish()
     }
 
     /// Resolve the armed availability plan's action for the op being
@@ -490,8 +482,8 @@ impl GpuSim {
             AvailAction::Slow(f) => (0.0, f),
             AvailAction::Crash { at_op } => {
                 self.dead.store(true, Ordering::Release);
-                if self.tracing_enabled() {
-                    self.tracer().warn(
+                if self.tracer.enabled() {
+                    self.tracer.warn(
                         "engine.crash",
                         &[
                             ("engine_id", Value::from(self.id)),
@@ -560,27 +552,7 @@ impl GpuSim {
 
     /// A clone of the engine's tracer handle.
     pub fn tracer(&self) -> Tracer {
-        self.tracer.lock().unwrap().clone()
-    }
-
-    /// Replace the engine's tracer.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        let mode = trace_mode_of(&tracer);
-        *self.tracer.lock().unwrap() = tracer;
-        self.tracer_mode.store(mode, Ordering::Release);
-    }
-
-    /// Whether an event emitted now could reach a sink, without touching
-    /// the tracer mutex. Disabled tracing therefore costs one relaxed load
-    /// per op (plus one acquire load of the global-sink flag when the
-    /// tracer is the global facade).
-    #[inline]
-    fn tracing_enabled(&self) -> bool {
-        match self.tracer_mode.load(Ordering::Relaxed) {
-            TRACE_OFF => false,
-            TRACE_LOCAL => true,
-            _ => Tracer::global().enabled(),
-        }
+        self.tracer.clone()
     }
 
     /// Modeled seconds elapsed so far.
@@ -615,7 +587,7 @@ impl GpuSim {
             }
         }
         self.generation.fetch_add(1, Ordering::Relaxed);
-        self.tracer().reset_sink();
+        self.tracer.reset_sink();
     }
 
     /// Update accounting for one routed op and emit its trace event. The
@@ -665,10 +637,10 @@ impl GpuSim {
                 }
             }
         }
-        // Fast path: when tracing is off, skip the tracer mutex + clone
+        // Fast path: when tracing is off, skip building the fields
         // entirely — disabled tracing must cost nothing per op.
-        if self.tracing_enabled() {
-            let tracer = self.tracer();
+        if self.tracer.enabled() {
+            let tracer = &self.tracer;
             let mut fields: Vec<(&str, Value)> = Vec::with_capacity(10 + dims.len());
             fields.push(("phase", Value::from(rec.phase.as_str())));
             if let Some(class) = rec.class {
@@ -1150,10 +1122,10 @@ impl GpuSim {
     /// kept injection and a `fault.detected` warning for a checksum /
     /// non-finite violation.
     fn emit_fault_events(&self, phase: Phase, m: usize, n: usize, k: usize, out: &ArmedOutcome) {
-        if (out.injected.is_none() && out.violation.is_none()) || !self.tracing_enabled() {
+        if (out.injected.is_none() && out.violation.is_none()) || !self.tracer.enabled() {
             return;
         }
-        let tracer = self.tracer();
+        let tracer = &self.tracer;
         if let Some(f) = &out.injected {
             FaultInjected {
                 kind: f.kind.as_str().into(),
@@ -1165,7 +1137,7 @@ impl GpuSim {
                 col: f.col as u64,
                 bit: f.bit as u64,
             }
-            .emit(&tracer);
+            .emit(tracer);
         }
         if let Some(v) = &out.violation {
             FaultDetected {
@@ -1179,7 +1151,7 @@ impl GpuSim {
                       reference; treating the op as corrupted (recovery may retry)"
                     .into(),
             }
-            .emit(&tracer);
+            .emit(tracer);
         }
     }
 

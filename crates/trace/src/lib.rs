@@ -79,4 +79,4 @@ pub use sink::{
     stderr_color_enabled, stdout_color_enabled, ConsoleSink, FanoutSink, JsonlSink, MemSink,
     NullSink, TraceSink,
 };
-pub use tracer::{clear_global, current_span, in_span, install_global, Span, Tracer, TracerKind};
+pub use tracer::{clear_global, current_span, in_span, install_global, Span, Tracer};

@@ -116,25 +116,6 @@ enum Backend {
     Global,
 }
 
-/// Which flavour of backend a [`Tracer`] routes to. Lets callers that emit
-/// at very high rates (e.g. `GpuSim::commit`) cache the answer to "can this
-/// tracer ever be enabled?" instead of re-deriving it per event:
-///
-/// - [`TracerKind::Disabled`] — never enabled;
-/// - [`TracerKind::Local`] — always enabled;
-/// - [`TracerKind::Global`] — enabled iff a global sink is currently
-///   installed (one atomic load via [`Tracer::enabled`], which stays
-///   accurate even when `install_global`/`clear_global` run later).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracerKind {
-    /// Every emit is a no-op, forever.
-    Disabled,
-    /// Bound to a specific sink; always enabled.
-    Local,
-    /// Dispatches to the process-global sink; enabled iff one is installed.
-    Global,
-}
-
 /// A cheap, cloneable handle that emits events to a sink.
 ///
 /// Comes in three flavours: disabled ([`Tracer::disabled`]), bound to a
@@ -187,17 +168,6 @@ impl Tracer {
     pub fn global() -> Self {
         Tracer {
             backend: Backend::Global,
-        }
-    }
-
-    /// Classify this tracer's backend (see [`TracerKind`]). Unlike
-    /// [`Tracer::enabled`], the answer for a given tracer never changes, so
-    /// hot paths may cache it.
-    pub fn kind(&self) -> TracerKind {
-        match &self.backend {
-            Backend::Null => TracerKind::Disabled,
-            Backend::Local(_) => TracerKind::Local,
-            Backend::Global => TracerKind::Global,
         }
     }
 
