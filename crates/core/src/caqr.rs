@@ -1,12 +1,18 @@
 //! Communication-avoiding QR panel (§3.1.3, equation (8)).
 //!
 //! A tall panel is split into row blocks (256 rows in the paper — one GPU
-//! threadblock's shared-memory tile; here factorized in order). Each block
-//! is QR-factorized independently with modified Gram-Schmidt, the stacked R
-//! factors are reduced recursively the same way until they fit one block,
-//! and the block Q factors are multiplied back in a batch of small GEMMs.
-//! The result is the QR of the original panel (step 5 of eq. (8)): the
-//! product of orthonormal factors is orthonormal.
+//! threadblock's shared-memory tile). Each block is QR-factorized
+//! independently with modified Gram-Schmidt, the stacked R factors are
+//! reduced recursively the same way until they fit one block, and the
+//! block Q factors are multiplied back in a batch of small GEMMs. The
+//! result is the QR of the original panel (step 5 of eq. (8)): the product
+//! of orthonormal factors is orthonormal.
+//!
+//! Here a level of at least `PAR_BLOCKS` blocks runs its two halves of
+//! blocks on two threads ([`densemat::par::both`]), for the block
+//! factorizations and for the Q updates. The blocks share no output, so
+//! every block gets the bits one thread gives it; the `caqr.block` events
+//! are emitted on the calling thread after the join, in block order.
 //!
 //! Time on the simulated device is charged by the caller as one aggregate
 //! panel cost — the paper benchmarks its hand-written CUDA panel the same
@@ -14,11 +20,18 @@
 
 use crate::error::TcqrError;
 use crate::mgs::mgs_qr;
+use densemat::par::both;
 use densemat::{gemm, lapack, Mat, MatMut, Op, Real};
 use tcqr_trace::{Tracer, Value};
 
 /// Row-block size: the paper's shared-memory tile height.
 pub const DEFAULT_BLOCK_ROWS: usize = 256;
+
+/// A reduction level of at least this many blocks runs its two halves of
+/// blocks on two threads: at 256-row blocks, panels of at least 2048 rows.
+/// lls-tall-skinny's 16384x32 panels (64 blocks, then 8) split; qr-f16's
+/// 1024-row panels (4 blocks) stay on one thread.
+const PAR_BLOCKS: usize = 8;
 
 /// Per-block QR kernel of the tall-skinny reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,31 +154,63 @@ fn tsqr_level<T: Real>(
             ("blocks", Value::from(nb)),
         ],
     );
+    // A level of at least `PAR_BLOCKS` blocks factors and updates its two
+    // halves of blocks on two threads; each half owns its Q blocks, its rows
+    // of the stack and its product buffer.
+    let half = if nb >= PAR_BLOCKS { nb / 2 } else { nb };
     let mut stack: Mat<T> = Mat::zeros(nb * n, n);
     {
-        let sblocks = split_rows(stack.as_mut(), n);
-        for (qb, sb) in blocks.iter_mut().zip(sblocks) {
-            block_qr(kernel, qb.rb(), sb);
-            tracer.op(
-                "caqr.block",
-                &[
-                    ("rows", Value::from(qb.nrows())),
-                    ("cols", Value::from(qb.ncols())),
-                    ("level", Value::from(level)),
-                ],
-            );
-        }
+        let mut sblocks = split_rows(stack.as_mut(), n);
+        let (q1, q2) = blocks.split_at_mut(half);
+        let (s1, s2) = sblocks.split_at_mut(half);
+        both(
+            half < nb,
+            || factor_blocks(kernel, q1, s1),
+            || factor_blocks(kernel, q2, s2),
+        );
+    }
+    for qb in &blocks {
+        tracer.op(
+            "caqr.block",
+            &[
+                ("rows", Value::from(qb.nrows())),
+                ("cols", Value::from(qb.ncols())),
+                ("level", Value::from(level)),
+            ],
+        );
     }
 
     // Steps 2-3: reduce the stacked R factors recursively.
     tsqr_level(tracer, stack.as_mut(), r, block_rows, kernel, level + 1);
 
-    // Step 4: batched Q updates, Q_i <- Q_i * Q2_i, through one product
-    // buffer as tall as the tallest block (`beta = 0` clears it each time).
+    // Step 4: batched Q updates, Q_i <- Q_i * Q2_i.
     let q2blocks = split_rows(stack.as_mut(), n);
-    let tallest = blocks.iter().map(|qb| qb.nrows()).max().unwrap_or(0);
+    let (q1, q2) = blocks.split_at_mut(half);
+    let (s1, s2) = q2blocks.split_at(half);
+    both(
+        half < nb,
+        || update_blocks(q1, s1),
+        || update_blocks(q2, s2),
+    );
+    drop(span);
+}
+
+/// Step 1 of [`tsqr_level`] on a run of blocks: factor each Q block in
+/// place, its R factor into the matching rows of the stack.
+fn factor_blocks<T: Real>(kernel: TsqrKernel, qs: &mut [MatMut<'_, T>], ss: &mut [MatMut<'_, T>]) {
+    for (qb, sb) in qs.iter_mut().zip(ss) {
+        block_qr(kernel, qb.rb(), sb.rb());
+    }
+}
+
+/// Step 4 of [`tsqr_level`] on a run of blocks: `Q_i <- Q_i * Q2_i` through
+/// one product buffer as tall as the run's tallest block (`beta = 0` clears
+/// it each time).
+fn update_blocks<T: Real>(qs: &mut [MatMut<'_, T>], q2s: &[MatMut<'_, T>]) {
+    let n = q2s.first().map_or(0, |q2b| q2b.ncols());
+    let tallest = qs.iter().map(|qb| qb.nrows()).max().unwrap_or(0);
     let mut buf = vec![T::ZERO; tallest * n];
-    for (qb, q2b) in blocks.iter_mut().zip(q2blocks) {
+    for (qb, q2b) in qs.iter_mut().zip(q2s) {
         let rows = qb.nrows();
         let mut tmp = MatMut::from_col_major_slice_mut(&mut buf[..rows * n], rows, n);
         gemm(
@@ -179,7 +224,6 @@ fn tsqr_level<T: Real>(
         );
         qb.copy_from(tmp.as_ref());
     }
-    drop(span);
 }
 
 #[cfg(test)]
@@ -194,6 +238,102 @@ mod tests {
         let mut r = Mat::zeros(n, n);
         tsqr(&Tracer::disabled(), q.as_mut(), r.as_mut(), block_rows, TsqrKernel::Mgs).unwrap();
         (q, r)
+    }
+
+    /// `tsqr` as one thread ran it: blocks factored in order, the stack
+    /// reduced, then Q blocks updated in order. Pushes the `caqr.block`
+    /// events it would emit as (rows, cols, level).
+    fn one_thread_tsqr(
+        q: MatMut<'_, f64>,
+        r: MatMut<'_, f64>,
+        block_rows: usize,
+        kernel: TsqrKernel,
+        level: usize,
+        events: &mut Vec<(u64, u64, u64)>,
+    ) {
+        let (m, n) = (q.nrows(), q.ncols());
+        if m <= block_rows {
+            block_qr(kernel, q, r);
+            events.push((m as u64, n as u64, level as u64));
+            return;
+        }
+        let mut blocks = split_rows(q, block_rows);
+        let mut stack: Mat<f64> = Mat::zeros(blocks.len() * n, n);
+        for (qb, sb) in blocks.iter_mut().zip(split_rows(stack.as_mut(), n)) {
+            block_qr(kernel, qb.rb(), sb);
+            events.push((qb.nrows() as u64, n as u64, level as u64));
+        }
+        one_thread_tsqr(stack.as_mut(), r, block_rows, kernel, level + 1, events);
+        for (qb, q2b) in blocks.iter_mut().zip(split_rows(stack.as_mut(), n)) {
+            let mut prod: Mat<f64> = Mat::zeros(qb.nrows(), n);
+            gemm(
+                1.0,
+                Op::NoTrans,
+                qb.as_ref(),
+                Op::NoTrans,
+                q2b.as_ref(),
+                0.0,
+                prod.as_mut(),
+            );
+            qb.copy_from(prod.as_ref());
+        }
+    }
+
+    #[test]
+    fn split_levels_match_the_one_thread_block_order_bit_for_bit() {
+        use std::sync::Arc;
+        use tcqr_trace::{EventKind, MemSink};
+        // (rows, cols, block rows):
+        // - 37 blocks (odd, 5 rows folded into the last), then 18, 9 (odd)
+        //   and 4: three split levels above two unsplit ones;
+        // - 8 blocks with 5 rows folded in, over a one-block level;
+        // - 9 blocks (odd) with 3 rows folded in.
+        for (m, n, block_rows) in [(301, 4, 8), (2053, 32, 256), (579, 8, 64)] {
+            for kernel in [TsqrKernel::Mgs, TsqrKernel::Householder] {
+                let what = format!("{m}x{n} in {block_rows}-row blocks, {kernel:?}");
+                let a = gen::gaussian(m, n, &mut rng(m as u64));
+                let sink = Arc::new(MemSink::new());
+                let (mut q, mut r) = (a.clone(), Mat::zeros(n, n));
+                tsqr(
+                    &Tracer::new(sink.clone()),
+                    q.as_mut(),
+                    r.as_mut(),
+                    block_rows,
+                    kernel,
+                )
+                .unwrap();
+                let (mut q1, mut r1) = (a.clone(), Mat::zeros(n, n));
+                let mut want = Vec::new();
+                one_thread_tsqr(q1.as_mut(), r1.as_mut(), block_rows, kernel, 0, &mut want);
+                let bits = |x: &Mat<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&q), bits(&q1), "{what}: Q");
+                assert_eq!(bits(&r), bits(&r1), "{what}: R");
+
+                let events = sink.snapshot();
+                let level_spans: Vec<u64> = events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::SpanOpen && e.name == "caqr.tsqr")
+                    .map(|e| e.id)
+                    .collect();
+                let got: Vec<(u64, u64, u64)> = events
+                    .iter()
+                    .filter(|e| e.name == "caqr.block")
+                    .map(|e| {
+                        assert!(
+                            level_spans.contains(&e.span),
+                            "{what}: block outside a level"
+                        );
+                        let field = |k| e.u64_field(k).expect("caqr.block field");
+                        (field("rows"), field("cols"), field("level"))
+                    })
+                    .collect();
+                assert_eq!(got, want, "{what}: caqr.block events");
+                assert!(
+                    want.iter().filter(|b| b.2 == 0).count() >= PAR_BLOCKS,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

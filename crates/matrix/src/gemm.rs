@@ -27,15 +27,17 @@
 //!   kernel into scratch and adds `D^T`.
 //!
 //! A product of at least `PAR` multiply-adds runs as two halves on two
-//! threads (rows of C for NN/NT, the recursion's first split for TN), each
-//! computing its C elements exactly as one thread would.
+//! threads (rows of C for NN/NT, the recursion's first split for TN), and
+//! `gemv` on at least `GEMV_PAR` entries of A splits y in two the same way,
+//! each half computing its outputs exactly as one thread would (see
+//! [`crate::par::both`]).
 //!
-//! The pack buffers come from a per-thread arena that grows to the largest
-//! call's shape and is reused by every later call; each buffer is written
-//! before it is read. Rust does not reassociate floating point, so every
-//! kernel keeps its SIMD lanes on *independent* accumulators (rows of C for
-//! NN/NT, k-lanes for TN) and the blocking never changes any C element's
-//! order of operations.
+//! The pack buffers come from a per-thread arena (`par.rs`) that grows to
+//! the largest call's shape and is reused by every later call; each buffer
+//! is written before it is read. Rust does not reassociate floating point,
+//! so every kernel keeps its SIMD lanes on *independent* accumulators (rows
+//! of C for NN/NT, k-lanes for TN) and the blocking never changes any C
+//! element's order of operations.
 //!
 //! Every kernel runs in the host's tier (see `fma.rs`), dispatched once per
 //! NN/NT call and once per TN leaf. The portable and AVX2+FMA tiers compile
@@ -45,10 +47,10 @@
 //! packed tile for NN/NT, and for TN 4-row tiles over k blocks whose packed
 //! B block and A stream fit L1. Every tier returns the same bits.
 
-use core::cell::Cell;
 use core::mem::MaybeUninit;
 
 use crate::mat::{Mat, MatMut, MatRef};
+use crate::par::{both, Scratch};
 use crate::real::Real;
 
 /// Transpose selector for a GEMM operand.
@@ -152,62 +154,6 @@ fn scale_c<T: Real>(beta: T, mut c: MatMut<'_, T>) {
         c.fill(T::ZERO);
     } else {
         c.scale(beta);
-    }
-}
-
-/// One cache line of arena memory.
-#[derive(Clone, Copy)]
-#[repr(C, align(64))]
-struct Line([u8; 64]);
-
-thread_local! {
-    /// This thread's arena: the largest pack buffer a call has needed yet.
-    static ARENA: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
-    /// The arena this thread lends to the second thread of a split product.
-    static LENT: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
-}
-
-/// A pack buffer taken from this thread's arena and given back on drop, so
-/// later calls reuse it. A call made while one is out gets a fresh one.
-struct Scratch(Vec<MaybeUninit<Line>>);
-
-impl Scratch {
-    /// The arena's buffer, grown to hold `len` elements of `T` if it holds
-    /// fewer. Growing leaves the new memory uninitialized.
-    fn take<T>(len: usize) -> Self {
-        let bytes = len
-            .checked_mul(core::mem::size_of::<T>())
-            .expect("Scratch: length overflows");
-        let mut lines = ARENA.try_with(Cell::take).unwrap_or_default();
-        if lines.len() < bytes.div_ceil(64) {
-            lines.resize(bytes.div_ceil(64), MaybeUninit::uninit());
-        }
-        Scratch(lines)
-    }
-
-    /// The first `len` elements of `T`, 64-byte aligned and uninitialized:
-    /// a caller writes what it reads.
-    fn slice<T>(&mut self, len: usize) -> &mut [MaybeUninit<T>] {
-        assert!(
-            core::mem::align_of::<T>() <= 64,
-            "Scratch: over-aligned element"
-        );
-        assert!(
-            len.checked_mul(core::mem::size_of::<T>())
-                .is_some_and(|bytes| bytes <= self.0.len() * 64),
-            "Scratch: taken too small"
-        );
-        // SAFETY: the buffer holds at least `len * size_of::<T>()` bytes,
-        // aligned for `T`, and `MaybeUninit<T>` is valid for any bytes.
-        unsafe { core::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), len) }
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let lines = core::mem::take(&mut self.0);
-        // A thread whose arena is already gone just frees the buffer.
-        let _ = ARENA.try_with(|a| a.set(lines));
     }
 }
 
@@ -471,36 +417,6 @@ fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_
             || split_rec(alpha, a1, b, c1, false),
             || split_rec(alpha, a2, b, c2, false),
         );
-    }
-}
-
-/// Run `f` then `g`, or, when `par`, `f` on a second thread alongside `g`.
-/// The second thread packs into an arena this thread lends it and keeps
-/// for the next split, so it allocates nothing; it runs the caller's tier.
-fn both(par: bool, f: impl FnOnce() + Send, g: impl FnOnce()) {
-    if !par {
-        f();
-        g();
-        return;
-    }
-    #[cfg(test)]
-    let f = {
-        let cap = crate::fma::tests::cap();
-        move || crate::fma::tests::with_cap(cap, f)
-    };
-    let lent = LENT.with(Cell::take);
-    let back = std::thread::scope(|s| {
-        let second = s.spawn(move || {
-            ARENA.with(|a| a.set(lent));
-            f();
-            ARENA.with(Cell::take)
-        });
-        g();
-        second.join()
-    });
-    match back {
-        Ok(arena) => LENT.with(|l| l.set(arena)),
-        Err(panic) => std::panic::resume_unwind(panic),
     }
 }
 
@@ -1274,7 +1190,9 @@ mod x86 {
 /// After `y *= beta` (`beta == 0` clears it), NoTrans adds `a_j * (alpha *
 /// x_j)` onto every `y_i` in ascending `j`, one FMA each, skipping every `j`
 /// with `alpha * x_j == 0`; Trans sets `y_j = alpha * d_j + y_j` in one FMA,
-/// with `d_j` the [`dots`](crate::blas1::dots) of column `j` and `x`.
+/// with `d_j` the [`dots`](crate::blas1::dots) of column `j` and `x`. An A
+/// of at least `GEMV_PAR` entries runs as two halves of y on two threads,
+/// split at a multiple of 64 (rows of A for NoTrans, columns for Trans).
 pub fn gemv<T: Real>(alpha: T, op: Op, a: MatRef<'_, T>, x: &[T], beta: T, y: &mut [T]) {
     let (m, n) = op_dims(op, a);
     assert_eq!(x.len(), n, "gemv: x length");
@@ -1284,21 +1202,57 @@ pub fn gemv<T: Real>(alpha: T, op: Op, a: MatRef<'_, T>, x: &[T], beta: T, y: &m
     } else if beta != T::ONE {
         crate::blas1::scal(beta, y);
     }
+    let kernel = gemv_kernel::<T>(op);
+    let half = (m / 2).next_multiple_of(64);
+    if a.nrows() * a.ncols() < GEMV_PAR || half >= m {
+        return kernel(alpha, a, x, y);
+    }
+    let (a1, a2) = match op {
+        Op::NoTrans => a.split_at_row(half),
+        Op::Trans => a.split_at_col(half),
+    };
+    let (y1, y2) = y.split_at_mut(half);
+    both(
+        true,
+        || kernel(alpha, a1, x, y1),
+        || kernel(alpha, a2, x, y2),
+    );
+}
+
+/// `gemv` on matrices of at least this many entries runs two halves of y
+/// on two threads. The product is bound by streaming A, and a scoped thread
+/// took 20-100 us to start on a 2-CPU host: NoTrans on a 2^21-entry f64 A
+/// went from 0.72-0.74 ms to 0.46-0.49 ms (best of 100), at 2^20 entries
+/// the split won two of three medians, and at 2^19 it lost. This crate's
+/// unit tests split from 4K on, so the oracle runs the split too.
+#[cfg(not(test))]
+const GEMV_PAR: usize = 1 << 20;
+#[cfg(test)]
+const GEMV_PAR: usize = 1 << 12;
+
+/// The one-thread body of [`gemv`] for `op`, after `y *= beta`.
+fn gemv_kernel<T: Real>(op: Op) -> fn(T, MatRef<'_, T>, &[T], &mut [T]) {
     match op {
-        Op::NoTrans => {
-            fma_dispatch!(gemv_n_body::<T>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]));
-            gemv_n_body(alpha, a, x, y)
-        }
-        Op::Trans => {
-            // The dots go through a stack buffer, a block of columns at a time.
-            let mut d = [T::ZERO; 64];
-            for (j0, yb) in (0..m).step_by(d.len()).zip(y.chunks_mut(d.len())) {
-                let d = &mut d[..yb.len()];
-                crate::blas1::dots(x, a.submatrix(0, j0, n, yb.len()), d);
-                for (yj, &dj) in yb.iter_mut().zip(d.iter()) {
-                    *yj = alpha.mul_add(dj, *yj);
-                }
-            }
+        Op::NoTrans => gemv_n,
+        Op::Trans => gemv_t,
+    }
+}
+
+/// `y += A * (alpha * x)`: [`gemv_n_body`] in the host's tier.
+fn gemv_n<T: Real>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]) {
+    fma_dispatch!(gemv_n_body::<T>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]));
+    gemv_n_body(alpha, a, x, y)
+}
+
+/// `y_j = alpha * d_j + y_j`, the dots going through a stack buffer a
+/// block of 64 columns at a time.
+fn gemv_t<T: Real>(alpha: T, a: MatRef<'_, T>, x: &[T], y: &mut [T]) {
+    let mut d = [T::ZERO; 64];
+    for (j0, yb) in (0..y.len()).step_by(d.len()).zip(y.chunks_mut(d.len())) {
+        let d = &mut d[..yb.len()];
+        crate::blas1::dots(x, a.submatrix(0, j0, x.len(), yb.len()), d);
+        for (yj, &dj) in yb.iter_mut().zip(d.iter()) {
+            *yj = alpha.mul_add(dj, *yj);
         }
     }
 }
@@ -2026,6 +1980,38 @@ mod tests {
         }
     }
 
+    /// `gemv` split in two halves of y against the one-thread body on the
+    /// whole of y: both ops, `beta` of 0, 1 and -1, x with zero entries (the
+    /// NoTrans skips), and y lengths that are not multiples of 8 or 64.
+    fn gemv_split_oracle_for<T: Real>() {
+        for (m, n) in [(203, 71), (130, 197), (333, 77)] {
+            assert!(m * n >= GEMV_PAR, "{m}x{n} is below the split threshold");
+            let abig: Mat<T> = level2_input(m, n, 80 + m as u64, 7);
+            let a = abig.as_ref().submatrix(1, 1, m, n);
+            for op in [Op::NoTrans, Op::Trans] {
+                let (ylen, xlen) = op_dims(op, a);
+                assert!(
+                    (ylen / 2).next_multiple_of(64) < ylen,
+                    "{m}x{n} {op:?} splits"
+                );
+                let x: Vec<T> = level2_vec(xlen, 90 + xlen as u64, 7);
+                let y0: Vec<T> = level2_vec(ylen, 100 + ylen as u64, 4);
+                for (alpha, beta) in [(1.0, 0.0), (-0.5, 1.0), (2.0, -1.0)] {
+                    let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                    let what = format!("{} {m}x{n} {op:?} alpha={alpha} beta={beta}", T::NAME);
+                    let mut got = y0.clone();
+                    gemv(alpha, op, a, &x, beta, &mut got);
+                    let mut want: Vec<T> = y0
+                        .iter()
+                        .map(|&v| if beta == T::ZERO { T::ZERO } else { v * beta })
+                        .collect();
+                    gemv_kernel::<T>(op)(alpha, a, &x, &mut want);
+                    assert_same_bits(&format!("gemv split {what}"), &got, &want);
+                }
+            }
+        }
+    }
+
     /// The best wall time of one call of `f`, over calls run for at least
     /// `budget` and at least five times.
     fn best_secs(budget: std::time::Duration, f: &mut dyn FnMut()) -> f64 {
@@ -2275,6 +2261,8 @@ mod tests {
                 blas1_oracle_for::<f64>();
                 level2_oracle_for::<f32>();
                 level2_oracle_for::<f64>();
+                gemv_split_oracle_for::<f32>();
+                gemv_split_oracle_for::<f64>();
                 crate::svd::tests::jacobi_oracle_for::<f32>();
                 crate::svd::tests::jacobi_oracle_for::<f64>();
             });

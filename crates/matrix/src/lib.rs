@@ -7,6 +7,8 @@
 //!   [`MatMut`]) that make the paper's recursive column-splitting free;
 //! - register-tiled BLAS kernels ([`gemm()`], [`gemv`],
 //!   triangular solves/multiplies, Cholesky);
+//! - [`par::both`], the one two-way thread split the kernels use, each
+//!   half keeping the bits one thread gives its outputs;
 //! - LAPACK-style blocked Householder QR ([`lapack`]) — the `SGEQRF` /
 //!   `DGEQRF` baselines the paper measures against;
 //! - one-sided Jacobi SVD ([`svd`]);
@@ -48,6 +50,7 @@ pub mod lu;
 pub mod mat;
 pub mod metrics;
 pub mod norms;
+pub mod par;
 pub mod real;
 pub mod svd;
 pub mod tri;
