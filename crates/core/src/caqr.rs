@@ -8,11 +8,12 @@
 //! result is the QR of the original panel (step 5 of eq. (8)): the product
 //! of orthonormal factors is orthonormal.
 //!
-//! Here a level of at least `PAR_BLOCKS` blocks runs its two halves of
-//! blocks on two threads ([`densemat::par::both`]), for the block
-//! factorizations and for the Q updates. The blocks share no output, so
-//! every block gets the bits one thread gives it; the `caqr.block` events
-//! are emitted on the calling thread after the join, in block order.
+//! Here a level of at least `PAR_BLOCKS` blocks (RGSQRF's 1024-row panel
+//! leaves among them) runs its two halves of blocks on two threads
+//! ([`densemat::par::both`]), for the block factorizations and for the Q
+//! updates. The blocks share no output, so every block gets the bits one
+//! thread gives it; the `caqr.block` events are emitted on the calling
+//! thread after the join, in block order.
 //!
 //! Time on the simulated device is charged by the caller as one aggregate
 //! panel cost — the paper benchmarks its hand-written CUDA panel the same
@@ -28,10 +29,11 @@ use tcqr_trace::{Tracer, Value};
 pub const DEFAULT_BLOCK_ROWS: usize = 256;
 
 /// A reduction level of at least this many blocks runs its two halves of
-/// blocks on two threads: at 256-row blocks, panels of at least 2048 rows.
-/// lls-tall-skinny's 16384x32 panels (64 blocks, then 8) split; qr-f16's
-/// 1024-row panels (4 blocks) stay on one thread.
-const PAR_BLOCKS: usize = 8;
+/// blocks on two threads: at 256-row blocks, panels of at least 1024 rows.
+/// lls-tall-skinny's 16384x32 panels (64 blocks, then 8) split at both
+/// levels, and so do the first level of qr-f16's and qr-ec's 1024x32 panel
+/// leaves (4 blocks); the 128-row stack above them is one block.
+const PAR_BLOCKS: usize = 4;
 
 /// Per-block QR kernel of the tall-skinny reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,9 +245,9 @@ mod tests {
     /// `tsqr` as one thread ran it: blocks factored in order, the stack
     /// reduced, then Q blocks updated in order. Pushes the `caqr.block`
     /// events it would emit as (rows, cols, level).
-    fn one_thread_tsqr(
-        q: MatMut<'_, f64>,
-        r: MatMut<'_, f64>,
+    fn one_thread_tsqr<T: Real>(
+        q: MatMut<'_, T>,
+        r: MatMut<'_, T>,
         block_rows: usize,
         kernel: TsqrKernel,
         level: usize,
@@ -258,82 +260,97 @@ mod tests {
             return;
         }
         let mut blocks = split_rows(q, block_rows);
-        let mut stack: Mat<f64> = Mat::zeros(blocks.len() * n, n);
+        let mut stack: Mat<T> = Mat::zeros(blocks.len() * n, n);
         for (qb, sb) in blocks.iter_mut().zip(split_rows(stack.as_mut(), n)) {
             block_qr(kernel, qb.rb(), sb);
             events.push((qb.nrows() as u64, n as u64, level as u64));
         }
         one_thread_tsqr(stack.as_mut(), r, block_rows, kernel, level + 1, events);
         for (qb, q2b) in blocks.iter_mut().zip(split_rows(stack.as_mut(), n)) {
-            let mut prod: Mat<f64> = Mat::zeros(qb.nrows(), n);
+            let mut prod: Mat<T> = Mat::zeros(qb.nrows(), n);
             gemm(
-                1.0,
+                T::ONE,
                 Op::NoTrans,
                 qb.as_ref(),
                 Op::NoTrans,
                 q2b.as_ref(),
-                0.0,
+                T::ZERO,
                 prod.as_mut(),
             );
             qb.copy_from(prod.as_ref());
         }
     }
 
-    #[test]
-    fn split_levels_match_the_one_thread_block_order_bit_for_bit() {
+    /// Split `tsqr` on an `m x n` Gaussian `T` matrix in `block_rows`-row
+    /// blocks against [`one_thread_tsqr`]: Q and R bit for bit, and the
+    /// `caqr.block` events in block order inside their levels' spans.
+    fn split_levels_match_for<T: Real>(m: usize, n: usize, block_rows: usize) {
         use std::sync::Arc;
         use tcqr_trace::{EventKind, MemSink};
-        // (rows, cols, block rows):
-        // - 37 blocks (odd, 5 rows folded into the last), then 18, 9 (odd)
-        //   and 4: three split levels above two unsplit ones;
+        for kernel in [TsqrKernel::Mgs, TsqrKernel::Householder] {
+            let what = format!("{} {m}x{n} in {block_rows}-row blocks, {kernel:?}", T::NAME);
+            let a: Mat<T> = gen::gaussian(m, n, &mut rng(m as u64)).convert();
+            let sink = Arc::new(MemSink::new());
+            let (mut q, mut r) = (a.clone(), Mat::zeros(n, n));
+            tsqr(
+                &Tracer::new(sink.clone()),
+                q.as_mut(),
+                r.as_mut(),
+                block_rows,
+                kernel,
+            )
+            .unwrap();
+            let (mut q1, mut r1) = (a.clone(), Mat::zeros(n, n));
+            let mut want = Vec::new();
+            one_thread_tsqr(q1.as_mut(), r1.as_mut(), block_rows, kernel, 0, &mut want);
+            let bits = |x: &Mat<T>| {
+                x.data()
+                    .iter()
+                    .map(|v| v.to_f64().to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&q), bits(&q1), "{what}: Q");
+            assert_eq!(bits(&r), bits(&r1), "{what}: R");
+
+            let events = sink.snapshot();
+            let level_spans: Vec<u64> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::SpanOpen && e.name == "caqr.tsqr")
+                .map(|e| e.id)
+                .collect();
+            let got: Vec<(u64, u64, u64)> = events
+                .iter()
+                .filter(|e| e.name == "caqr.block")
+                .map(|e| {
+                    assert!(
+                        level_spans.contains(&e.span),
+                        "{what}: block outside a level"
+                    );
+                    let field = |k| e.u64_field(k).expect("caqr.block field");
+                    (field("rows"), field("cols"), field("level"))
+                })
+                .collect();
+            assert_eq!(got, want, "{what}: caqr.block events");
+            assert!(
+                want.iter().filter(|b| b.2 == 0).count() >= PAR_BLOCKS,
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_levels_match_the_one_thread_block_order_bit_for_bit() {
+        // (rows, cols, block rows), in f64:
+        // - 37 blocks (odd, 5 rows folded into the last), then 18, 9 (odd),
+        //   4 and 2: four split levels above one unsplit one;
         // - 8 blocks with 5 rows folded in, over a one-block level;
         // - 9 blocks (odd) with 3 rows folded in.
         for (m, n, block_rows) in [(301, 4, 8), (2053, 32, 256), (579, 8, 64)] {
-            for kernel in [TsqrKernel::Mgs, TsqrKernel::Householder] {
-                let what = format!("{m}x{n} in {block_rows}-row blocks, {kernel:?}");
-                let a = gen::gaussian(m, n, &mut rng(m as u64));
-                let sink = Arc::new(MemSink::new());
-                let (mut q, mut r) = (a.clone(), Mat::zeros(n, n));
-                tsqr(
-                    &Tracer::new(sink.clone()),
-                    q.as_mut(),
-                    r.as_mut(),
-                    block_rows,
-                    kernel,
-                )
-                .unwrap();
-                let (mut q1, mut r1) = (a.clone(), Mat::zeros(n, n));
-                let mut want = Vec::new();
-                one_thread_tsqr(q1.as_mut(), r1.as_mut(), block_rows, kernel, 0, &mut want);
-                let bits = |x: &Mat<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&q), bits(&q1), "{what}: Q");
-                assert_eq!(bits(&r), bits(&r1), "{what}: R");
-
-                let events = sink.snapshot();
-                let level_spans: Vec<u64> = events
-                    .iter()
-                    .filter(|e| e.kind == EventKind::SpanOpen && e.name == "caqr.tsqr")
-                    .map(|e| e.id)
-                    .collect();
-                let got: Vec<(u64, u64, u64)> = events
-                    .iter()
-                    .filter(|e| e.name == "caqr.block")
-                    .map(|e| {
-                        assert!(
-                            level_spans.contains(&e.span),
-                            "{what}: block outside a level"
-                        );
-                        let field = |k| e.u64_field(k).expect("caqr.block field");
-                        (field("rows"), field("cols"), field("level"))
-                    })
-                    .collect();
-                assert_eq!(got, want, "{what}: caqr.block events");
-                assert!(
-                    want.iter().filter(|b| b.2 == 0).count() >= PAR_BLOCKS,
-                    "{what}"
-                );
-            }
+            split_levels_match_for::<f64>(m, n, block_rows);
         }
+        // The RGSQRF panel leaf of qr-f16 and qr-ec: 4 blocks, split, over
+        // a one-block level.
+        split_levels_match_for::<f32>(1024, 32, 256);
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!   kernel into scratch and adds `D^T`.
 //!
 //! A product of at least `PAR` multiply-adds runs as two halves on two
-//! threads (rows of C for NN/NT, the recursion's first split for TN), and
-//! `gemv` on at least `GEMV_PAR` entries of A splits y in two the same way,
-//! each half computing its outputs exactly as one thread would (see
+//! threads (rows of C for NN/NT; for TN, the recursion's first split, or
+//! the columns of a lone leaf at a multiple of 4), and `gemv` on at least
+//! `GEMV_PAR` entries of A splits y in two the same way, each half
+//! computing its outputs exactly as one thread would (see
 //! [`crate::par::both`]).
 //!
 //! The pack buffers come from a per-thread arena (`par.rs`) that grows to
@@ -71,12 +72,15 @@ const NC: usize = 1008;
 /// Width of a packed B micro-panel: the NN/NT register tile's columns.
 const NR: usize = 12;
 /// Products of at least this many multiply-adds run in two halves on two
-/// threads: NN/NT by rows of C, TN by the recursion's first split, so
-/// every C element keeps its order. A scoped thread costs about 20 us to
-/// start, and halves of products a quarter this size ran no faster. This
-/// crate's unit tests split from 64K on, so the oracle runs the split too.
+/// threads: NN/NT by rows of C, TN by the recursion's first split (a lone
+/// leaf by its columns), so every C element keeps its order. Posting a
+/// half to the helper thread costs the caller under 2 us, and a parked
+/// helper begins it about 15 us later, against the 340 us or so one of
+/// qr-ec's 2^24-sized update products (NN 1024x128x128, TN 128x128x1024)
+/// takes on one thread. This crate's unit tests split from 64K on, so the
+/// oracle runs the split too.
 #[cfg(not(test))]
-const PAR: usize = 1 << 26;
+const PAR: usize = 1 << 24;
 #[cfg(test)]
 const PAR: usize = 1 << 16;
 /// Stop splitting a TN C below this many output elements.
@@ -395,10 +399,23 @@ fn nn_sub<T: Real, const MR: usize>(
 /// Split C (and the matching operand) along its larger dimension until a
 /// leaf of at most [`LEAF`] elements, and run each leaf: the TN leaves
 /// whose edges [`tn_accum`] defines. With `par`, the first split's halves
-/// run on two threads.
+/// run on two threads, and a C that is one leaf already runs as two column
+/// blocks split at a multiple of 4: the first has no `n mod 4` edge and the
+/// second keeps the leaf's, and both keep its rows, so every entry keeps
+/// the leaf's order.
 fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>, par: bool) {
     if c.nrows() * c.ncols() <= LEAF {
-        tn_dispatch(alpha, a, b, c);
+        let j = c.ncols() / 2 / 4 * 4;
+        if !par || j == 0 {
+            return tn_dispatch(alpha, a, b, c);
+        }
+        let (c1, c2) = c.split_at_col_mut(j);
+        let (b1, b2) = b.split_at_col(j);
+        both(
+            true,
+            || tn_dispatch(alpha, a, b1, c1),
+            || tn_dispatch(alpha, a, b2, c2),
+        );
     } else if c.ncols() >= c.nrows() {
         let j = c.ncols() / 2;
         let (c1, c2) = c.split_at_col_mut(j);
@@ -1220,13 +1237,14 @@ pub fn gemv<T: Real>(alpha: T, op: Op, a: MatRef<'_, T>, x: &[T], beta: T, y: &m
 }
 
 /// `gemv` on matrices of at least this many entries runs two halves of y
-/// on two threads. The product is bound by streaming A, and a scoped thread
-/// took 20-100 us to start on a 2-CPU host: NoTrans on a 2^21-entry f64 A
-/// went from 0.72-0.74 ms to 0.46-0.49 ms (best of 100), at 2^20 entries
-/// the split won two of three medians, and at 2^19 it lost. This crate's
-/// unit tests split from 4K on, so the oracle runs the split too.
+/// on two threads. The product is bound by streaming A, and handing a half
+/// to the helper thread costs about 15 us at most: timed in place on a
+/// 2-CPU host, the 2^19-entry f64 products (1024x512) of qr-ec's output
+/// checks went from 170-181 us to 69-94 us (medians of 450 calls) when
+/// split. This crate's unit tests split from 4K on, so the oracle runs the
+/// split too.
 #[cfg(not(test))]
-const GEMV_PAR: usize = 1 << 20;
+const GEMV_PAR: usize = 1 << 19;
 #[cfg(test)]
 const GEMV_PAR: usize = 1 << 12;
 
@@ -1756,8 +1774,11 @@ mod tests {
         // m of several A micro-panels, k past two KC blocks, n past NC =
         // 1008, and TN k = 1000 + r and 2000 + r (r = 1..7), whose lanes
         // cross a k block of the AVX-512 TN tiles (512 in f32, 1024 in f64)
-        // before the last block takes their tail. Then the edges of the
-        // 512-bit tiles: row counts around 32 and 64 and every m mod 4, by
+        // before the last block takes their tail. Single TN leaves above
+        // the split threshold run as two column blocks: 128x128x1024, and
+        // an odd m with each n mod 4 edge (127x125x600, 64x66x1100 and
+        // 33x71x4000) in the second block. Then the edges of the 512-bit
+        // tiles: row counts around 32 and 64 and every m mod 4, by
         // every n mod 12 and n mod 4 (a lone last column of a pair
         // included), at a short k and at a k past KC.
         let shapes = [
@@ -1779,6 +1800,9 @@ mod tests {
             (300, 13, 40),
             (40, 13, 530),
             (9, 1013, 12),
+            (127, 125, 600),
+            (64, 66, 1100),
+            (33, 71, 4000),
         ];
         let k_blocks = (1..=7).flat_map(|r| [(12, 9, 1000 + r), (8, 12, 2000 + r)]);
         let edges = [4, 5, 6, 7, 16, 17, 31, 32, 33, 34, 47, 48, 63, 64, 65]

@@ -1,19 +1,33 @@
-//! Two-way splits onto a second thread, and the per-thread pack arena.
+//! Two-way splits onto one parked helper thread, and the per-thread pack
+//! arena.
 //!
-//! [`both`] is the one place the workspace's kernels start a thread: gemm's
-//! largest products, gemv on large matrices and the wide levels of the CAQR
-//! reduction each hand it two halves whose outputs are disjoint. Each half
-//! computes its outputs with exactly the operations and order one thread
-//! gives them, so the split changes no bit.
+//! [`both`] is the one place the workspace's kernels hand work to a second
+//! thread: gemm's large products, gemv on large matrices and the CAQR
+//! reduction levels of four or more blocks each hand it two halves whose
+//! outputs are disjoint. Each half computes its outputs with exactly the
+//! operations and order one thread gives them, so the split changes no bit.
+//!
+//! The second thread is one helper per process, started by the first split.
+//! It takes a posted half from a single atomic slot, runs it, spins briefly
+//! for the next one and then parks. The caller runs its own half, then takes
+//! the posted half back and runs it inline if the helper has not begun it,
+//! so a split never waits for the helper to wake up. A split made while the
+//! slot is taken runs both halves inline: a split nested in a half, or one
+//! made by a second thread while the helper serves the first.
 //!
 //! gemm's pack buffers come from a per-thread arena (`Scratch`) that grows
-//! to the largest call's shape and is reused by every later call. [`both`]
-//! lends the second thread an arena of the caller's and takes it back after
-//! the join, so a repeated split allocates nothing.
+//! to the largest call's shape and is reused by every later call. The
+//! helper keeps its own arena for the life of the process, so a repeated
+//! split allocates nothing.
 
-use core::cell::Cell;
+use core::cell::{Cell, UnsafeCell};
 use core::mem::MaybeUninit;
+use core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// One cache line of arena memory.
 #[derive(Clone, Copy)]
@@ -23,8 +37,6 @@ struct Line([u8; 64]);
 thread_local! {
     /// This thread's arena: the largest pack buffer a call has needed yet.
     static ARENA: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
-    /// The arena this thread lends to the second thread of a split.
-    static LENT: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
 }
 
 /// A pack buffer taken from this thread's arena and given back on drop, so
@@ -71,44 +83,398 @@ impl Drop for Scratch {
     }
 }
 
-/// Whether this process may run on more than one CPU, read once: a
-/// one-CPU or CPU-quota-limited host runs both halves of every split
-/// inline and never pays a thread start.
-fn many_cpus() -> bool {
-    static MANY: OnceLock<bool> = OnceLock::new();
-    *MANY.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+/// The helper's slot: [`IDLE`], [`BUSY`] while a half runs on the helper,
+/// or the address of a posted [`Head`]. A caller posts with a `Release`
+/// exchange that the helper's `Acquire` take pairs with, so the helper sees
+/// the whole job; a caller that takes its job back saw it only itself.
+static SLOT: AtomicUsize = AtomicUsize::new(IDLE);
+/// The slot is free: a split may post its half.
+const IDLE: usize = 0;
+/// The helper runs a half (or a test holds the slot): splits run inline.
+const BUSY: usize = 1;
+
+/// How long the helper spins for its next half, and a caller for the
+/// helper's half, before parking.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// A panic's payload, carried from the helper to the caller.
+type Panic = Box<dyn Any + Send>;
+
+/// A posted half as the helper sees it: the head of a [`Job`] whose
+/// closure type `run` knows.
+struct Head {
+    /// Runs the job's half, catching a panic.
+    run: unsafe fn(*const Head) -> Result<(), Panic>,
+    /// The helper's panic, if any, written before `done`.
+    panic: UnsafeCell<Option<Panic>>,
+    /// Set (`Release`, paired with the caller's `Acquire` load) by the
+    /// helper once it no longer touches the job, after writing `panic`.
+    done: AtomicBool,
+    /// The thread that posted the job, unparked after `done`.
+    caller: Thread,
+}
+
+/// A half posted to the helper; lives on the caller's stack until both
+/// halves are done.
+#[repr(C)]
+struct Job<F> {
+    head: Head,
+    f: UnsafeCell<Option<F>>,
+}
+
+/// Run the half of the `Job<F>` that `head` starts.
+///
+/// # Safety
+/// `head` must be the head of a live `Job<F>` whose `f` no other thread
+/// touches until the job is done.
+unsafe fn run_job<F: FnOnce()>(head: *const Head) -> Result<(), Panic> {
+    // SAFETY: `Job` is `repr(C)` with the head first, and the caller
+    // vouches for the job and for sole access to `f`.
+    let f = unsafe { (*(*head.cast::<Job<F>>()).f.get()).take() };
+    catch_unwind(AssertUnwindSafe(|| f.expect("a posted half runs once")()))
+}
+
+/// The helper thread, started by the first call. `None` when the process
+/// may use only one CPU (then every split runs inline and no thread starts)
+/// or the thread could not be started. It is never joined: it lives as
+/// long as the process, and catches every panic of the halves it runs for
+/// their callers to resume.
+fn helper() -> Option<&'static Thread> {
+    static HELPER: OnceLock<Option<Thread>> = OnceLock::new();
+    HELPER
+        .get_or_init(|| {
+            if !thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
+                return None;
+            }
+            let spawned = thread::Builder::new()
+                .name("densemat-par".into())
+                .spawn(serve);
+            spawned.ok().map(|h| h.thread().clone())
+        })
+        .as_ref()
+}
+
+/// The helper's loop: take each posted half out of the slot (marking the
+/// slot busy), run it, free the slot, then tell the caller.
+fn serve() {
+    loop {
+        let mut posted = IDLE;
+        wait_for(|| {
+            posted = SLOT.load(Ordering::Relaxed);
+            posted > BUSY
+                && SLOT
+                    .compare_exchange(posted, BUSY, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+        });
+        // SAFETY: the caller keeps the job alive until `done`.
+        let head = unsafe { &*(posted as *const Head) };
+        // SAFETY: `run` is `run_job` for the job's own closure type, and
+        // taking the job out of the slot gave this thread sole access to it.
+        let out = unsafe { (head.run)(head) };
+        // SAFETY: the caller reads `panic` only after `done`.
+        unsafe { *head.panic.get() = out.err() };
+        let caller = head.caller.clone();
+        // Frees the slot for the next split; publishes nothing.
+        SLOT.store(IDLE, Ordering::Relaxed);
+        head.done.store(true, Ordering::Release);
+        caller.unpark();
+    }
+}
+
+/// Return once `ready` holds: call it in a spin loop for [`SPIN`], then
+/// park between calls (whoever makes it hold unparks this thread).
+fn wait_for(mut ready: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() < SPIN {
+            core::hint::spin_loop();
+        } else {
+            thread::park();
+        }
+    }
 }
 
 /// Run `f` then `g`, or, when `par` holds and the process may use more than
-/// one CPU, `f` on a second thread alongside `g` on this one.
+/// one CPU, `f` on the helper thread alongside `g` on this one.
 ///
-/// The second thread packs into an arena this thread lends it and keeps for
-/// the next split, so it allocates nothing; in this crate's unit tests it
-/// runs the caller's kernel tier. A panic in `f` resumes on this thread
-/// after `g` returns.
+/// This thread runs `f` itself, after `g`, if the helper has not begun it
+/// by then, and runs both inline when the helper is busy (a split nested in
+/// a half, or another thread's split). The helper packs into its own arena;
+/// in this crate's unit tests it runs the caller's kernel tier. Once `f`
+/// is posted, a panic in either half resumes on this thread after both
+/// halves have finished (`g`'s if both panicked).
 pub fn both(par: bool, f: impl FnOnce() + Send, g: impl FnOnce()) {
-    if !par || !many_cpus() {
+    let Some(helper) = par.then(helper).flatten() else {
         f();
         g();
         return;
-    }
+    };
     #[cfg(test)]
     let f = {
         let cap = crate::fma::tests::cap();
         move || crate::fma::tests::with_cap(cap, f)
     };
-    let lent = LENT.with(Cell::take);
-    let back = std::thread::scope(|s| {
-        let second = s.spawn(move || {
-            ARENA.with(|a| a.set(lent));
-            f();
-            ARENA.with(Cell::take)
+    split(helper, f, g)
+}
+
+/// [`both`]'s two-thread path, with `f`'s type named for [`run_job`].
+fn split<F: FnOnce() + Send>(helper: &Thread, f: F, g: impl FnOnce()) {
+    let mut job = Job {
+        head: Head {
+            run: run_job::<F>,
+            panic: UnsafeCell::new(None),
+            done: AtomicBool::new(false),
+            caller: thread::current(),
+        },
+        f: UnsafeCell::new(Some(f)),
+    };
+    let addr = &job.head as *const Head as usize;
+    if SLOT
+        .compare_exchange(IDLE, addr, Ordering::Release, Ordering::Relaxed)
+        .is_err()
+    {
+        // The helper is busy: both halves here, in order.
+        job.f.into_inner().expect("f is still posted")();
+        return g();
+    }
+    helper.unpark();
+    let g_out = catch_unwind(AssertUnwindSafe(g));
+    let f_out = if SLOT
+        .compare_exchange(addr, IDLE, Ordering::Relaxed, Ordering::Relaxed)
+        .is_ok()
+    {
+        // The helper never took `f`: run it here.
+        catch_unwind(AssertUnwindSafe(
+            job.f.get_mut().take().expect("f is still posted"),
+        ))
+    } else {
+        wait_for(|| job.head.done.load(Ordering::Acquire));
+        job.head.panic.get_mut().take().map_or(Ok(()), Err)
+    };
+    if let Err(panic) = g_out.and(f_out) {
+        resume_unwind(panic);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Barrier, Mutex};
+    use std::thread::ThreadId;
+
+    /// Run `f` with the slot held, so every split it makes (and every split
+    /// any other thread makes meanwhile) runs inline: the one-thread order.
+    fn one_thread<R>(f: impl FnOnce() -> R) -> R {
+        while SLOT
+            .compare_exchange(IDLE, BUSY, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            thread::yield_now();
+        }
+        let out = catch_unwind(AssertUnwindSafe(f));
+        SLOT.store(IDLE, Ordering::Release);
+        out.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    /// Repeat `attempt` until it reports that the path it wants ran, at most
+    /// 2000 times. On a one-CPU host only the inline path exists.
+    fn until_seen(what: &str, mut attempt: impl FnMut() -> bool) {
+        if helper().is_none() {
+            return;
+        }
+        for _ in 0..2000 {
+            if attempt() {
+                return;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        panic!("{what}: never ran");
+    }
+
+    /// Spin until `flag` is set, or give up after a second.
+    fn await_flag(flag: &AtomicBool) {
+        let start = Instant::now();
+        while !flag.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(1) {
+            core::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn a_panic_resumes_on_the_caller_after_both_halves_finish() {
+        for (f_panics, g_panics) in [(true, false), (false, true), (true, true)] {
+            until_seen("a panicking half on the helper", || {
+                let caller = thread::current().id();
+                let f_thread = Mutex::new(None);
+                let (f_done, g_done) = (AtomicBool::new(false), AtomicBool::new(false));
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    both(
+                        true,
+                        || {
+                            *f_thread.lock().unwrap() = Some(thread::current().id());
+                            f_done.store(true, Ordering::Release);
+                            if f_panics {
+                                panic!("f");
+                            }
+                        },
+                        || {
+                            // Leave the helper time to take `f`.
+                            await_flag(&f_done);
+                            g_done.store(true, Ordering::Release);
+                            if g_panics {
+                                panic!("g");
+                            }
+                        },
+                    )
+                }));
+                let panic = out.expect_err("a half panicked");
+                if f_thread.into_inner().unwrap() == Some(caller) {
+                    // The helper was busy, and `f` ran inline first.
+                    return false;
+                }
+                assert!(f_done.load(Ordering::Acquire) && g_done.load(Ordering::Acquire));
+                let want = if g_panics { "g" } else { "f" };
+                assert_eq!(panic.downcast_ref::<&str>(), Some(&want));
+                true
+            });
+        }
+        // Each case after the first also shows the helper outlived a panic.
+    }
+
+    #[test]
+    fn a_nested_split_runs_inline_without_deadlock() {
+        until_seen("a nested split under a helper half", || {
+            let caller = thread::current().id();
+            let f_thread = Mutex::new(None);
+            let ran = Mutex::new(Vec::new());
+            let leaf = |name: &'static str| {
+                let ran = &ran;
+                move || ran.lock().unwrap().push((name, thread::current().id()))
+            };
+            both(
+                true,
+                || {
+                    *f_thread.lock().unwrap() = Some(thread::current().id());
+                    both(true, leaf("f.f"), leaf("f.g"));
+                },
+                || {
+                    both(
+                        true,
+                        || both(true, leaf("g.f.f"), leaf("g.f.g")),
+                        leaf("g.g"),
+                    )
+                },
+            );
+            let f_thread = f_thread.into_inner().unwrap().expect("f ran");
+            let mut ran = ran.into_inner().unwrap();
+            ran.sort_unstable_by_key(|r| r.0);
+            let names: Vec<_> = ran.iter().map(|r| r.0).collect();
+            assert_eq!(names, ["f.f", "f.g", "g.f.f", "g.f.g", "g.g"]);
+            if f_thread == caller {
+                return false;
+            }
+            // A split inside a half on the helper finds the helper busy.
+            assert!(ran[..2].iter().all(|r| r.1 == f_thread), "{ran:?}");
+            true
         });
-        g();
-        second.join()
-    });
-    match back {
-        Ok(arena) => LENT.with(|l| l.set(arena)),
-        Err(panic) => std::panic::resume_unwind(panic),
+    }
+
+    #[test]
+    fn two_threads_splitting_at_once_get_the_one_thread_bits() {
+        use crate::{gemm, Mat, Op};
+        // NN and TN above the unit tests' split threshold (2^16).
+        let a: Mat<f64> = crate::gen::gaussian(256, 96, &mut crate::gen::rng(1));
+        let b: Mat<f64> = crate::gen::gaussian(256, 128, &mut crate::gen::rng(2));
+        let products = |c_nn: &mut Mat<f64>, c_tn: &mut Mat<f64>| {
+            let bt = b.as_ref().submatrix(0, 0, 96, 128);
+            gemm(
+                1.0,
+                Op::NoTrans,
+                a.as_ref(),
+                Op::NoTrans,
+                bt,
+                0.0,
+                c_nn.as_mut(),
+            );
+            gemm(
+                1.0,
+                Op::Trans,
+                a.as_ref(),
+                Op::NoTrans,
+                b.as_ref(),
+                0.0,
+                c_tn.as_mut(),
+            );
+        };
+        let (mut nn, mut tn) = (Mat::zeros(256, 128), Mat::zeros(96, 128));
+        one_thread(|| products(&mut nn, &mut tn));
+        let bits = |x: &Mat<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (nn, tn) = (bits(&nn), bits(&tn));
+        let start = Barrier::new(2);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        let (mut c_nn, mut c_tn) = (Mat::zeros(256, 128), Mat::zeros(96, 128));
+                        products(&mut c_nn, &mut c_tn);
+                        assert_eq!(bits(&c_nn), nn, "NN");
+                        assert_eq!(bits(&c_tn), tn, "TN");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn the_caller_runs_a_half_the_helper_never_took() {
+        until_seen("a reclaimed half", || {
+            let caller = thread::current().id();
+            let g_ran = AtomicBool::new(false);
+            let f_seen = Mutex::new(None);
+            both(
+                true,
+                || {
+                    let id = thread::current().id();
+                    *f_seen.lock().unwrap() = Some((id, g_ran.load(Ordering::Relaxed)));
+                },
+                || g_ran.store(true, Ordering::Relaxed),
+            );
+            // The inline path runs `f` first; only a reclaimed `f` runs on
+            // this thread after `g`.
+            f_seen.into_inner().unwrap() == Some((caller, true))
+        });
+    }
+
+    #[test]
+    fn the_process_starts_one_helper() {
+        let helpers: Mutex<Vec<ThreadId>> = Mutex::default();
+        until_seen("a half on the helper", || {
+            let start = Barrier::new(2);
+            thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        let caller = thread::current().id();
+                        for _ in 0..200 {
+                            let started = AtomicBool::new(false);
+                            let record = || {
+                                let id = thread::current().id();
+                                if id != caller {
+                                    helpers.lock().unwrap().push(id);
+                                }
+                                started.store(true, Ordering::Release);
+                            };
+                            // Waiting for `f` leaves the helper time to take it.
+                            both(true, record, || await_flag(&started));
+                        }
+                    });
+                }
+            });
+            !helpers.lock().unwrap().is_empty()
+        });
+        // Every half that left its caller ran on the one helper.
+        let helper = helper().map(Thread::id);
+        let helpers = helpers.into_inner().unwrap();
+        assert!(helpers.iter().all(|&id| Some(id) == helper), "{helpers:?}");
     }
 }
