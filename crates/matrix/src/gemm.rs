@@ -404,20 +404,15 @@ fn nn_sub<T: Real, const MR: usize>(
 /// second keeps the leaf's, and both keep its rows, so every entry keeps
 /// the leaf's order.
 fn split_rec<T: Real>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>, par: bool) {
-    if c.nrows() * c.ncols() <= LEAF {
-        let j = c.ncols() / 2 / 4 * 4;
-        if !par || j == 0 {
-            return tn_dispatch(alpha, a, b, c);
-        }
-        let (c1, c2) = c.split_at_col_mut(j);
-        let (b1, b2) = b.split_at_col(j);
-        both(
-            true,
-            || tn_dispatch(alpha, a, b1, c1),
-            || tn_dispatch(alpha, a, b2, c2),
-        );
-    } else if c.ncols() >= c.nrows() {
-        let j = c.ncols() / 2;
+    let leaf = c.nrows() * c.ncols() <= LEAF;
+    let j = if leaf {
+        c.ncols() / 2 / 4 * 4
+    } else {
+        c.ncols() / 2
+    };
+    if leaf && (!par || j == 0) {
+        tn_dispatch(alpha, a, b, c);
+    } else if leaf || c.ncols() >= c.nrows() {
         let (c1, c2) = c.split_at_col_mut(j);
         let (b1, b2) = b.split_at_col(j);
         both(
@@ -1776,9 +1771,9 @@ mod tests {
         // cross a k block of the AVX-512 TN tiles (512 in f32, 1024 in f64)
         // before the last block takes their tail. Single TN leaves above
         // the split threshold run as two column blocks: 128x128x1024, and
-        // an odd m with each n mod 4 edge (127x125x600, 64x66x1100 and
-        // 33x71x4000) in the second block. Then the edges of the 512-bit
-        // tiles: row counts around 32 and 64 and every m mod 4, by
+        // each n mod 4 edge in the second block, two of them under an odd
+        // last row (127x125x600, 64x66x1100, 33x71x4000). Then the edges
+        // of the 512-bit tiles: row counts around 32 and 64 and every m mod 4, by
         // every n mod 12 and n mod 4 (a lone last column of a pair
         // included), at a short k and at a k past KC.
         let shapes = [
