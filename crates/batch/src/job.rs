@@ -1,10 +1,10 @@
 //! Heterogeneous job descriptors over the [`tcqr_core::Solver`] workloads.
 //!
-//! Dispatch lives in `tcqr_core::solver`: each variant wraps a problem
-//! struct implementing [`Solver`], and [`Job::run`] delegates through the
-//! trait. The batch scheduler and the `tcqr-serve` service therefore share
-//! one dispatch surface — a new workload implements [`Solver`] once and
-//! rides in via [`Job::Custom`] without touching either scheduler.
+//! Dispatch lives in `tcqr_core::solver`: a [`Job`] boxes a problem struct
+//! implementing [`Solver`], and [`Job::run`] delegates through the trait.
+//! The batch scheduler and the `tcqr-serve` service therefore share one
+//! dispatch surface — a new workload implements [`Solver`] once and rides
+//! in via [`Job::custom`] without touching either scheduler.
 
 use crate::fingerprint::Fingerprint;
 use densemat::Mat;
@@ -19,31 +19,18 @@ use tensor_engine::{GpuSim, PrecisionOverride};
 pub use tcqr_core::solver::LlsMethod;
 pub use tcqr_core::solver::SolveOutput as JobOutput;
 
-/// One unit of batched work, delegating to the [`Solver`] implementations
-/// of [`tcqr_core`].
+/// One unit of batched work: any [`Solver`] workload, the built-in ones of
+/// [`tcqr_core`] or another one given to [`Job::custom`].
 #[derive(Debug)]
-pub enum Job {
-    /// Mixed-precision QR factorization (with column scaling).
-    Rgsqrf(RgsqrfProblem),
-    /// Least-squares solve `min ||Ax - b||`.
-    Lls(LlsProblem),
-    /// QR-SVD low-rank approximation pipeline (§3.4).
-    QrSvd(QrSvdProblem),
-    /// LU with iterative refinement on a square system.
-    LuIr(LuIrProblem),
-    /// Any other [`Solver`] workload: the extension point that lets new
-    /// solvers run on the batch scheduler and the serve front-end without
-    /// either learning a new variant.
-    Custom(Box<dyn Solver>),
-}
+pub struct Job(Box<dyn Solver>);
 
 impl Job {
-    /// Mixed-precision QR factorization job.
+    /// Mixed-precision QR factorization job (with column scaling).
     pub fn rgsqrf(a: Mat<f32>, cfg: RgsqrfConfig) -> Job {
-        Job::Rgsqrf(RgsqrfProblem { a, cfg })
+        Job::custom(RgsqrfProblem { a, cfg })
     }
 
-    /// Least-squares job via `method`.
+    /// Least-squares job `min ||Ax - b||` via `method`.
     pub fn lls(
         a: Mat<f64>,
         b: Vec<f64>,
@@ -51,7 +38,7 @@ impl Job {
         qr_cfg: RgsqrfConfig,
         refine: RefineConfig,
     ) -> Job {
-        Job::Lls(LlsProblem {
+        Job::custom(LlsProblem {
             a,
             b,
             method,
@@ -60,31 +47,26 @@ impl Job {
         })
     }
 
-    /// QR-SVD low-rank approximation job.
+    /// QR-SVD low-rank approximation job (§3.4).
     pub fn qr_svd(a: Mat<f32>, qr_kind: QrKind, cfg: RgsqrfConfig) -> Job {
-        Job::QrSvd(QrSvdProblem { a, qr_kind, cfg })
+        Job::custom(QrSvdProblem { a, qr_kind, cfg })
     }
 
-    /// LU-with-iterative-refinement job.
+    /// LU-with-iterative-refinement job on a square system.
     pub fn lu_ir(a: Mat<f64>, b: Vec<f64>, cfg: LuIrConfig) -> Job {
-        Job::LuIr(LuIrProblem { a, b, cfg })
+        Job::custom(LuIrProblem { a, b, cfg })
     }
 
-    /// Wrap any [`Solver`] workload as a job.
+    /// Wrap any [`Solver`] workload as a job: the extension point that lets
+    /// new solvers run on the batch scheduler and the serve front-end.
     pub fn custom(solver: impl Solver + 'static) -> Job {
-        Job::Custom(Box::new(solver))
+        Job(Box::new(solver))
     }
 
     /// The workload behind this job — the single dispatch surface shared
     /// with the serve front-end.
     pub fn solver(&self) -> &dyn Solver {
-        match self {
-            Job::Rgsqrf(p) => p,
-            Job::Lls(p) => p,
-            Job::QrSvd(p) => p,
-            Job::LuIr(p) => p,
-            Job::Custom(s) => s.as_ref(),
-        }
+        self.0.as_ref()
     }
 
     /// Stable job-kind label for reports and trace events.

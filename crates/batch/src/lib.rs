@@ -11,10 +11,10 @@
 //!   sharing one [`tensor_engine::EngineConfig`] / performance model, with
 //!   per-engine fault plans and precision overrides (each tenant keeps its
 //!   own recovery ladder);
-//! - [`Job`] / [`BatchJob`] — heterogeneous job descriptors (`Rgsqrf`,
-//!   `Lls`, `QrSvd`, `LuIr`, plus [`Job::Custom`] for any other
-//!   [`tcqr_core::Solver`]) that dispatch through the shared
-//!   [`tcqr_core::Solver`] trait and return typed
+//! - [`Job`] / [`BatchJob`] — heterogeneous job descriptors (built by
+//!   [`Job::rgsqrf`], [`Job::lls`], [`Job::qr_svd`], [`Job::lu_ir`], or
+//!   [`Job::custom`] for any other [`tcqr_core::Solver`]) that dispatch
+//!   through the shared [`tcqr_core::Solver`] trait and return typed
 //!   [`tcqr_core::TcqrError`]s per job;
 //! - [`BatchScheduler`] — drains a job queue over scoped threads, one
 //!   engine-owning lane at a time per thread, returning per-job

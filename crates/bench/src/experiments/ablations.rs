@@ -19,7 +19,7 @@ use tcqr_core::lls::{cgls_qr, lsqr_qr, rgsqrf_scaled, RefineConfig};
 use tcqr_core::mgs::{cgs_qr, mgs_qr};
 use tcqr_core::rgsqrf::{rgsqrf, RgsqrfConfig};
 use tensor_engine::perf::rgsqrf_flops;
-use tensor_engine::{EngineConfig, GpuSim, HalfKind};
+use tensor_engine::{EngineConfig, GpuSim, HalfKind, PrecisionOverride};
 
 /// Run all ablations.
 pub fn all(scale: Scale) -> Vec<Table> {
@@ -276,10 +276,10 @@ pub fn fp16_vs_bf16(scale: Scale) -> Table {
                 *v *= input_scale;
             }
             let a32: Mat<f32> = a64.convert();
-            let eng = GpuSim::new(EngineConfig {
-                half,
-                ..EngineConfig::default()
-            });
+            let eng = GpuSim::default();
+            if half == HalfKind::Bf16 {
+                eng.set_precision_override(Some(PrecisionOverride::Bf16));
+            }
             // Deliberately *without* the scaling safeguard.
             let f = rgsqrf(&eng, a32.as_ref(), &cfg);
             let be = qr_backward_error(

@@ -80,8 +80,8 @@ pub fn getrf_tc(
                 // The TensorCore trailing update. Unlike the QR recursion,
                 // both operands change every outer iteration (A21 is a new
                 // panel, A12 was just solved), so there is nothing to cache
-                // across calls — the engine's pooled workspace still makes
-                // the per-call rounding allocation-free.
+                // across calls — the engine stages the per-call rounding in
+                // the per-thread scratch pool, so it allocates nothing.
                 eng.gemm_f32(
                     Phase::Update,
                     -1.0,

@@ -33,12 +33,13 @@
 //! computing its outputs exactly as one thread would (see
 //! [`crate::par::both`]).
 //!
-//! The pack buffers come from a per-thread arena (`par.rs`) that grows to
-//! the largest call's shape and is reused by every later call; each buffer
-//! is written before it is read. Rust does not reassociate floating point,
-//! so every kernel keeps its SIMD lanes on *independent* accumulators (rows
-//! of C for NN/NT, k-lanes for TN) and the blocking never changes any C
-//! element's order of operations.
+//! The pack buffers come from the per-thread scratch pool
+//! ([`crate::par::Scratch`]), which grows each buffer to the largest shape
+//! it has served and reuses it in every later call; each buffer is written
+//! before it is read. Rust does not reassociate floating point, so every
+//! kernel keeps its SIMD lanes on *independent* accumulators (rows of C for
+//! NN/NT, k-lanes for TN) and the blocking never changes any C element's
+//! order of operations.
 //!
 //! Every kernel runs in the host's tier (see `fma.rs`), dispatched once per
 //! NN/NT call and once per TN leaf. The portable and AVX2+FMA tiers compile
@@ -47,8 +48,6 @@
 //! explicit 512-bit tiles (module `x86`) instead: the whole `2 MR x 12`
 //! packed tile for NN/NT, and for TN 4-row tiles over k blocks whose packed
 //! B block and A stream fit L1. Every tier returns the same bits.
-
-use core::mem::MaybeUninit;
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::par::{both, Scratch};
@@ -161,17 +160,6 @@ fn scale_c<T: Real>(beta: T, mut c: MatMut<'_, T>) {
     }
 }
 
-/// `buf` as the `T`s it holds once every element is written.
-///
-/// # Safety
-/// Every element of `buf` must be initialized.
-#[inline(always)]
-unsafe fn assume_init<T>(buf: &[MaybeUninit<T>]) -> &[T] {
-    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and the caller vouches that
-    // every element holds a `T`.
-    unsafe { &*(buf as *const [MaybeUninit<T>] as *const [T]) }
-}
-
 /// The NN/NT kernel [`gemm`] runs: [`nn_body`] compiled for AVX2+FMA, or
 /// [`x86::nn_wide`] with the explicit 512-bit tile, by the host's tier.
 fn nn_dispatch<T: Real>(alpha: T, a: MatRef<'_, T>, op_b: Op, b: MatRef<'_, T>, c: MatMut<'_, T>) {
@@ -228,7 +216,7 @@ fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
     let kc_max = KC.min(k);
     let a_len = mp * kc_max;
     let b_len = kc_max * NC.min(n).next_multiple_of(NR);
-    let mut scratch = Scratch::take::<T>(a_len + b_len);
+    let mut scratch = Scratch::take();
     let (a_buf, b_buf) = scratch.slice::<T>(a_len + b_len).split_at_mut(a_len);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -261,12 +249,7 @@ fn nn_blocks<T: Real, const MR: usize, const WIDE: bool>(
 /// nc` for NoTrans, `nc x kc` for Trans) into `ceil(nc / NR)` micro-panels
 /// of `kc` rows of `NR`, zero-padded past column `nc`, and return them.
 #[inline(always)]
-fn pack_b<'s, T: Real>(
-    alpha: T,
-    op_b: Op,
-    b: MatRef<'_, T>,
-    buf: &'s mut [MaybeUninit<T>],
-) -> &'s [T] {
+fn pack_b<'s, T: Real>(alpha: T, op_b: Op, b: MatRef<'_, T>, buf: &'s mut [T]) -> &'s [T] {
     let (kc, nc) = op_dims(op_b, b);
     let buf = &mut buf[..kc * nc.next_multiple_of(NR)];
     // The pad columns of an edge micro-panel read zeros (times alpha: no C
@@ -286,7 +269,7 @@ fn pack_b<'s, T: Real>(
                 });
                 for (l, row) in pan.chunks_exact_mut(NR).enumerate() {
                     for (p, col) in row.iter_mut().zip(&cols) {
-                        p.write(alpha * col[l]);
+                        *p = alpha * col[l];
                     }
                 }
             }
@@ -294,32 +277,28 @@ fn pack_b<'s, T: Real>(
                 for (l, row) in pan.chunks_exact_mut(NR).enumerate() {
                     let (head, pad) = row.split_at_mut(w);
                     for (p, &x) in head.iter_mut().zip(&b.col(l)[j0..j0 + w]) {
-                        p.write(alpha * x);
+                        *p = alpha * x;
                     }
-                    pad.fill(MaybeUninit::new(T::ZERO));
+                    pad.fill(T::ZERO);
                 }
             }
         }
     }
-    // SAFETY: every row of every micro-panel was written above.
-    unsafe { assume_init(buf) }
+    buf
 }
 
 /// Pack the `mc x kc` block `a` (`mc <= mp`) into one micro-panel of `kc`
 /// columns of `mp` rows, zero-padded past row `mc`, and return it.
 #[inline(always)]
-fn pack_a<'s, T: Real>(mp: usize, a: MatRef<'_, T>, buf: &'s mut [MaybeUninit<T>]) -> &'s [T] {
+fn pack_a<'s, T: Real>(mp: usize, a: MatRef<'_, T>, buf: &'s mut [T]) -> &'s [T] {
     let (mc, kc) = (a.nrows(), a.ncols());
     let buf = &mut buf[..mp * kc];
     for (l, dst) in buf.chunks_exact_mut(mp).enumerate() {
         let (head, pad) = dst.split_at_mut(mc);
-        for (d, &x) in head.iter_mut().zip(a.col(l)) {
-            d.write(x);
-        }
-        pad.fill(MaybeUninit::new(T::ZERO));
+        head.copy_from_slice(a.col(l));
+        pad.fill(T::ZERO);
     }
-    // SAFETY: every column of the micro-panel was written above.
-    unsafe { assume_init(buf) }
+    buf
 }
 
 /// Up to `2 MR` rows of C from one packed A micro-panel `ap` against every
@@ -647,8 +626,9 @@ fn lanes<T: Real>(col: &[T], chunks: usize) -> &[[T; LANES]] {
 /// The f32 TN tiles walk k in blocks of [`TK`] outermost, so a packed
 /// block of B and the A columns of a tile stay in L1 while the tiles run
 /// down C, and a k block of A serves every column block; their lanes are
-/// stored in the arena between blocks and reloaded exactly. They keep `tn_tile`'s lanes, its `k mod 8` tail summed from
-/// zero, its tree ([`tn_tree`]) and `c + alpha * s`.
+/// stored in a pooled scratch buffer between blocks and reloaded exactly.
+/// They keep `tn_tile`'s lanes, its `k mod 8` tail summed from zero, its
+/// tree ([`tn_tree`]) and `c + alpha * s`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{nn_accum, tn_accum, Op, Scratch, LANES, NR};
@@ -1008,14 +988,11 @@ mod x86 {
         // The packed block, then every tile's lanes between k blocks.
         let pk_len = blk * 8 * LANES;
         let lanes_len = if chunks > blk { rows * nj * LANES } else { 0 };
-        let mut scratch = Scratch::take::<f32>(pk_len + lanes_len);
+        let mut scratch = Scratch::take();
         let (pk, lanes) = scratch
             .slice::<f32>(pk_len + lanes_len)
             .split_at_mut(pk_len);
-        let (pk, lanes) = (
-            pk.as_mut_ptr().cast::<f32>(),
-            lanes.as_mut_ptr().cast::<f32>(),
-        );
+        let (pk, lanes) = (pk.as_mut_ptr(), lanes.as_mut_ptr());
         for kb in tn_blocks(chunks, blk) {
             for j0 in (0..nj).step_by(8) {
                 // SAFETY: the caller vouches for the host and the shapes,

@@ -1,5 +1,5 @@
-//! Two-way splits onto one parked helper thread, and the per-thread pack
-//! arena.
+//! Two-way splits onto one parked helper thread, and the per-thread
+//! scratch pool.
 //!
 //! [`both`] is the one place the workspace's kernels hand work to a second
 //! thread: gemm's large products, gemv on large matrices and the CAQR
@@ -15,13 +15,14 @@
 //! slot is taken runs both halves inline: a split nested in a half, or one
 //! made by a second thread while the helper serves the first.
 //!
-//! gemm's pack buffers come from a per-thread arena (`Scratch`) that grows
-//! to the largest call's shape and is reused by every later call. The
-//! helper keeps its own arena for the life of the process, so a repeated
-//! split allocates nothing.
+//! [`Scratch`] is the workspace's one per-thread scratch pool: gemm's pack
+//! buffers and the engine's staged (rounded or hi/lo split) operands are
+//! taken from it and given back on drop, so a steady loop of calls reuses
+//! the same allocations. The helper keeps its own pool for the life of the
+//! process, so a repeated split allocates nothing.
 
-use core::cell::{Cell, UnsafeCell};
-use core::mem::MaybeUninit;
+use core::any::TypeId;
+use core::cell::{RefCell, UnsafeCell};
 use core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -29,48 +30,52 @@ use std::sync::OnceLock;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// One cache line of arena memory.
+/// One cache line of pool memory.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct Line([u8; 64]);
 
+/// Upper bound on buffers kept per thread; anything beyond is freed. One
+/// error-corrected GEMM holds five at once: four staged operands and
+/// gemm's pack buffer.
+const MAX_POOLED: usize = 8;
+
 thread_local! {
-    /// This thread's arena: the largest pack buffer a call has needed yet.
-    static ARENA: Cell<Vec<MaybeUninit<Line>>> = const { Cell::new(Vec::new()) };
+    /// This thread's free buffers, the last one given back on top.
+    static POOL: RefCell<Vec<Vec<Line>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A pack buffer taken from this thread's arena and given back on drop, so
-/// later calls reuse it. A call made while one is out gets a fresh one.
-pub(crate) struct Scratch(Vec<MaybeUninit<Line>>);
+/// A scratch buffer taken from this thread's pool and given back on drop
+/// (the pool keeps up to 8), so later calls reuse it. Buffers taken while
+/// others are out are distinct.
+pub struct Scratch(Vec<Line>);
 
 impl Scratch {
-    /// The arena's buffer, grown to hold `len` elements of `T` if it holds
-    /// fewer. Growing leaves the new memory uninitialized.
-    pub(crate) fn take<T>(len: usize) -> Self {
-        let bytes = len
-            .checked_mul(core::mem::size_of::<T>())
-            .expect("Scratch: length overflows");
-        let mut lines = ARENA.try_with(Cell::take).unwrap_or_default();
-        if lines.len() < bytes.div_ceil(64) {
-            lines.resize(bytes.div_ceil(64), MaybeUninit::uninit());
-        }
-        Scratch(lines)
+    /// The buffer on top of this thread's pool, or an empty one.
+    pub fn take() -> Self {
+        let pooled = POOL.try_with(|p| p.borrow_mut().pop()).ok().flatten();
+        Scratch(pooled.unwrap_or_default())
     }
 
-    /// The first `len` elements of `T`, 64-byte aligned and uninitialized:
-    /// a caller writes what it reads.
-    pub(crate) fn slice<T>(&mut self, len: usize) -> &mut [MaybeUninit<T>] {
+    /// The first `len` elements of `T` (`f32` or `f64`), 64-byte aligned,
+    /// growing the buffer with zeros only if it is shorter. The elements
+    /// hold whatever the buffer's previous user left there: a caller
+    /// writes what it reads.
+    pub fn slice<T: 'static>(&mut self, len: usize) -> &mut [T] {
         assert!(
-            core::mem::align_of::<T>() <= 64,
-            "Scratch: over-aligned element"
+            TypeId::of::<T>() == TypeId::of::<f32>() || TypeId::of::<T>() == TypeId::of::<f64>(),
+            "Scratch: only f32 and f64"
         );
-        assert!(
-            len.checked_mul(core::mem::size_of::<T>())
-                .is_some_and(|bytes| bytes <= self.0.len() * 64),
-            "Scratch: taken too small"
-        );
-        // SAFETY: the buffer holds at least `len * size_of::<T>()` bytes,
-        // aligned for `T`, and `MaybeUninit<T>` is valid for any bytes.
+        let lines = len
+            .checked_mul(core::mem::size_of::<T>())
+            .expect("Scratch: length overflows")
+            .div_ceil(64);
+        if self.0.len() < lines {
+            self.0.resize(lines, Line([0; 64]));
+        }
+        // SAFETY: the buffer holds at least `len * size_of::<T>()`
+        // initialized bytes, aligned for `T`, and every bit pattern is an
+        // `f32` or an `f64`.
         unsafe { core::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), len) }
     }
 }
@@ -78,8 +83,17 @@ impl Scratch {
 impl Drop for Scratch {
     fn drop(&mut self) {
         let lines = core::mem::take(&mut self.0);
-        // A thread whose arena is already gone just frees the buffer.
-        let _ = ARENA.try_with(|a| a.set(lines));
+        // A buffer never grown is not worth a slot.
+        if lines.capacity() == 0 {
+            return;
+        }
+        // A thread whose pool is already gone just frees the buffer.
+        let _ = POOL.try_with(|p| {
+            let mut pool = p.borrow_mut();
+            if pool.len() < MAX_POOLED {
+                pool.push(lines);
+            }
+        });
     }
 }
 
@@ -199,7 +213,7 @@ fn wait_for(mut ready: impl FnMut() -> bool) {
 ///
 /// This thread runs `f` itself, after `g`, if the helper has not begun it
 /// by then, and runs both inline when the helper is busy (a split nested in
-/// a half, or another thread's split). The helper packs into its own arena;
+/// a half, or another thread's split). The helper packs into its own pool;
 /// in this crate's unit tests it runs the caller's kernel tier. Once `f`
 /// is posted, a panic in either half resumes on this thread after both
 /// halves have finished (`g`'s if both panicked).
@@ -297,6 +311,89 @@ mod tests {
         while !flag.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(1) {
             core::hint::spin_loop();
         }
+    }
+
+    /// Run `f` on a new thread, whose pool starts empty.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        thread::scope(|s| {
+            s.spawn(f)
+                .join()
+                .unwrap_or_else(|panic| resume_unwind(panic))
+        });
+    }
+
+    /// The number of buffers in this thread's pool.
+    fn pooled() -> usize {
+        POOL.with(|p| p.borrow().len())
+    }
+
+    #[test]
+    fn buffers_are_recycled_not_reallocated() {
+        on_fresh_thread(|| {
+            // Warm the pool, remember the allocation, and check the next take
+            // on this thread hands the same allocation back.
+            let ptr = Scratch::take().slice::<f32>(4096).as_ptr();
+            let again = Scratch::take().slice::<f32>(4096).as_ptr();
+            assert_eq!(again, ptr, "steady state must not allocate");
+            let shorter = Scratch::take().slice::<f32>(100).as_ptr();
+            assert_eq!(shorter, ptr, "a shorter use reuses it too");
+        });
+    }
+
+    #[test]
+    fn pool_is_bounded() {
+        on_fresh_thread(|| {
+            let bufs: Vec<Scratch> = (0..2 * MAX_POOLED)
+                .map(|_| {
+                    let mut b = Scratch::take();
+                    b.slice::<f32>(1);
+                    b
+                })
+                .collect();
+            drop(bufs);
+            assert_eq!(pooled(), MAX_POOLED);
+        });
+    }
+
+    #[test]
+    fn a_buffer_grown_for_f32_serves_f64_aligned_in_place() {
+        on_fresh_thread(|| {
+            let p32 = Scratch::take().slice::<f32>(1000).as_ptr() as usize;
+            assert_eq!(p32 % 64, 0);
+            // 500 f64 fill the same 4000 bytes.
+            let p64 = Scratch::take().slice::<f64>(500).as_ptr() as usize;
+            assert_eq!(p64, p32, "the f32 buffer is reused for f64");
+        });
+    }
+
+    #[test]
+    fn nested_takes_get_distinct_buffers_that_all_return() {
+        on_fresh_thread(|| {
+            // One error-corrected GEMM: four staged operands, then gemm's
+            // pack buffer, all out at once.
+            let nest = || {
+                let mut bufs: Vec<Scratch> = (0..5).map(|_| Scratch::take()).collect();
+                let mut ptrs: Vec<usize> = bufs
+                    .iter_mut()
+                    .map(|b| b.slice::<f32>(1024).as_ptr() as usize)
+                    .collect();
+                assert!(ptrs.iter().all(|p| p % 64 == 0));
+                ptrs.sort_unstable();
+                ptrs.dedup();
+                assert_eq!(ptrs.len(), 5, "nested takes share a buffer");
+                drop(bufs);
+                assert_eq!(pooled(), 5);
+                ptrs
+            };
+            let first = nest();
+            assert_eq!(nest(), first, "the second nest reuses the first's buffers");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Scratch: only f32 and f64")]
+    fn scratch_refuses_other_element_types() {
+        Scratch::take().slice::<u32>(1);
     }
 
     #[test]

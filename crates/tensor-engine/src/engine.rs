@@ -49,7 +49,7 @@ use crate::counters::{Counters, Ledger, Phase};
 use crate::fault::{self, FaultKind, FaultPlan, FaultState, FaultStats};
 use crate::halfmat::{CachedOperand, HalfMat};
 use crate::perf::{Class, PerfModel};
-use crate::workspace::WorkBuf;
+use densemat::par::Scratch;
 use densemat::{gemm, Mat, MatMut, MatRef, Op};
 use halfsim::{Bf16Format, Fp16Format, HalfFormat, RoundStats};
 use std::collections::BTreeSet;
@@ -77,8 +77,6 @@ pub enum HalfKind {
 /// bar): TensorCore in the trailing update, full FP32 in the panel.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Input format of the simulated tensor cores.
-    pub half: HalfKind,
     /// Use TensorCore for trailing-update GEMMs.
     pub tc_update: bool,
     /// Use TensorCore inside panel factorizations.
@@ -88,7 +86,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            half: HalfKind::Fp16,
             tc_update: true,
             tc_panel: false,
         }
@@ -100,7 +97,6 @@ impl EngineConfig {
     /// rightmost bars of Figure 7.
     pub fn no_tensorcore() -> Self {
         EngineConfig {
-            half: HalfKind::Fp16,
             tc_update: false,
             tc_panel: false,
         }
@@ -109,7 +105,6 @@ impl EngineConfig {
     /// TensorCore everywhere — the leftmost bars of Figure 7.
     pub fn tensorcore_everywhere() -> Self {
         EngineConfig {
-            half: HalfKind::Fp16,
             tc_update: true,
             tc_panel: true,
         }
@@ -281,9 +276,6 @@ pub struct GpuSim {
     avail_armed: AtomicBool,
     /// Availability-fault state (plan, op counter, campaign counters).
     avail: Mutex<Option<AvailState>>,
-    /// Latched by a [`EngineCrash`]: a dead engine refuses every further
-    /// op until [`GpuSim::reset_in_place`] revives it.
-    dead: AtomicBool,
 }
 
 impl Default for GpuSim {
@@ -323,7 +315,6 @@ impl GpuSim {
             precision_override: AtomicU8::new(precision),
             avail_armed: AtomicBool::new(false),
             avail: Mutex::new(None),
-            dead: AtomicBool::new(false),
         }
     }
 
@@ -367,7 +358,6 @@ impl GpuSim {
     pub fn set_avail_plan(&self, plan: Option<EngineFaultPlan>) {
         let armed = plan.as_ref().is_some_and(EngineFaultPlan::is_active);
         *self.avail.lock().unwrap() = plan.map(AvailState::new);
-        self.dead.store(false, Ordering::Release);
         self.avail_armed.store(armed, Ordering::Release);
     }
 
@@ -410,7 +400,6 @@ impl GpuSim {
         }
         *self.avail.lock().unwrap() = None;
         self.avail_armed.store(false, Ordering::Release);
-        self.dead.store(false, Ordering::Release);
         // Back to the ambient precision: a tenant's escalation is dropped,
         // but a process-global override (how `repro --precision` configures
         // a whole run) is what a freshly built engine would start with.
@@ -423,7 +412,7 @@ impl GpuSim {
 
     /// Order-sensitive FNV-1a fingerprint of the engine's *scrubbable*
     /// state: per-phase ledger seconds, every counter, fault-campaign
-    /// stats, availability stats, the dead flag, and the precision
+    /// stats, availability stats (a crash included), and the precision
     /// override. Identity (`id`/`generation`) and installed-but-unfired
     /// plans are deliberately excluded — two clean engines fingerprint
     /// identically regardless of what campaigns they are armed with.
@@ -436,7 +425,6 @@ impl GpuSim {
         fp.push_u64(av.slowed_ops);
         fp.push_f64(av.stall_secs);
         fp.push_u64(av.crashed_at.map_or(0, |a| a.wrapping_add(1)));
-        fp.push_u64(self.dead.load(Ordering::Relaxed) as u64);
         fp.push_u64(self.precision_override.load(Ordering::Relaxed) as u64);
         fp.finish()
     }
@@ -481,7 +469,6 @@ impl GpuSim {
             AvailAction::Stall(s) => (s, 1.0),
             AvailAction::Slow(f) => (0.0, f),
             AvailAction::Crash { at_op } => {
-                self.dead.store(true, Ordering::Release);
                 if self.tracer.enabled() {
                     self.tracer.warn(
                         "engine.crash",
@@ -525,17 +512,16 @@ impl GpuSim {
         }
     }
 
-    /// The half format TC operands are rounded through right now: the
-    /// configured one, unless a [`PrecisionOverride::Bf16`] escalation is
-    /// applied. The error-corrected mode always splits through binary16
-    /// (the technique is specific to fp16 tensor cores — its hi part *is*
-    /// the fp16 rounding), and the `Fp32` escalation disables TC via
-    /// [`GpuSim::uses_tc`] instead.
+    /// The half format TC operands are rounded through right now: bfloat16
+    /// under a [`PrecisionOverride::Bf16`] override, else binary16. The
+    /// error-corrected mode splits through binary16 (the technique is
+    /// specific to fp16 tensor cores — its hi part *is* the fp16 rounding),
+    /// and the `Fp32` override disables TC via [`GpuSim::uses_tc`] instead.
     fn effective_half(&self) -> HalfKind {
-        match self.precision_override.load(Ordering::Relaxed) {
-            OVERRIDE_BF16 => HalfKind::Bf16,
-            OVERRIDE_EC => HalfKind::Fp16,
-            _ => self.cfg.half,
+        if self.precision_override.load(Ordering::Relaxed) == OVERRIDE_BF16 {
+            HalfKind::Bf16
+        } else {
+            HalfKind::Fp16
         }
     }
 
@@ -711,8 +697,8 @@ impl GpuSim {
     }
 
     /// Stage one operand of a TensorCore product: its cached payload when
-    /// it carries one, else a rounding of its raw view into the pooled
-    /// `hi` buffer, converting each column as it is copied. With `lo`
+    /// it carries one, else a rounding of its raw view into the scratch
+    /// buffer `hi`, converting each column as it is copied. With `lo`
     /// (error-corrected mode) a raw view is split into fp16 hi/lo parts in
     /// the same pass, and a cached operand hands over its lo payload too.
     /// The returned events are those of the rounding this call performed —
@@ -724,8 +710,8 @@ impl GpuSim {
     fn stage_operand<'a>(
         &self,
         x: CachedOperand<'a>,
-        hi: &'a mut WorkBuf,
-        lo: Option<&'a mut WorkBuf>,
+        hi: &'a mut Scratch,
+        lo: Option<&'a mut Scratch>,
     ) -> (MatRef<'a, f32>, Option<MatRef<'a, f32>>, RoundStats) {
         if let Some(h) = x.half {
             self.validate_half(h.tag);
@@ -733,8 +719,8 @@ impl GpuSim {
             return (h.view, lo, RoundStats::default());
         }
         let (m, n) = (x.raw.nrows(), x.raw.ncols());
-        let hv = hi.slice_mut(m * n);
-        let mut lv = lo.map(|l| l.slice_mut(m * n));
+        let hv = hi.slice::<f32>(m * n);
+        let mut lv = lo.map(|l| l.slice::<f32>(m * n));
         let stats = stage(x.raw, self.effective_half(), hv, lv.as_deref_mut());
         let view = |v: &'a [f32]| MatRef::from_col_major_slice(v, m, n);
         (view(hv), lv.map(|l| view(l)), stats)
@@ -882,7 +868,8 @@ impl GpuSim {
     /// over time charging. Operands that carry a [`HalfMat`] skip the
     /// per-call rounding on the TensorCore path (their rounding was counted
     /// once at [`GpuSim::cache_operand`] time); operands without one are
-    /// rounded into a pooled workspace buffer. On the FP32 path the raw
+    /// rounded into a buffer of the per-thread scratch pool
+    /// ([`densemat::par::Scratch`]). On the FP32 path the raw
     /// views are multiplied directly. Either way the result is
     /// bit-identical to the uncached [`GpuSim::gemm_f32`]. The flops
     /// charged are the same; so is the time, except in error-corrected
@@ -935,8 +922,8 @@ impl GpuSim {
             .sum();
         let mut armed_outcome: Option<ArmedOutcome> = None;
         if use_tc {
-            let (mut buf_a, mut buf_b) = (WorkBuf::take(), WorkBuf::take());
-            let (mut lo_a, mut lo_b) = (ec.then(WorkBuf::take), ec.then(WorkBuf::take));
+            let (mut buf_a, mut buf_b) = (Scratch::take(), Scratch::take());
+            let (mut lo_a, mut lo_b) = (ec.then(Scratch::take), ec.then(Scratch::take));
             let (ah, al, stats_a) = self.stage_operand(a, &mut buf_a, lo_a.as_mut());
             let (bh, bl, stats_b) = self.stage_operand(b, &mut buf_b, lo_b.as_mut());
             round.merge(stats_a);
@@ -1567,10 +1554,8 @@ mod tests {
         // Column-wise staging of views with ld > nrows, at every row offset
         // of an 8-lane vector and across the vector-body/scalar-tail seam,
         // against rounding (or splitting) a dense copy.
-        let bf16 = GpuSim::new(EngineConfig {
-            half: HalfKind::Bf16,
-            ..EngineConfig::default()
-        });
+        let bf16 = GpuSim::default();
+        bf16.set_precision_override(Some(PrecisionOverride::Bf16));
         let specials = [70000.0, -65520.0, 1e-7, -3e-39, f32::NAN, -0.0, 1.0 + 2.0f32.powi(-11)];
         for eng in [GpuSim::default(), bf16, ec_engine()] {
             for m in 0..=17 {
@@ -1603,7 +1588,7 @@ mod tests {
                     assert_eq!(bits_of(shell.as_ref()), bits_of(hi.as_ref()), "{what} cols");
                     assert_eq!(shell.stats(), want, "{what} cols");
 
-                    // The GEMM path stages the view through the workspace:
+                    // The GEMM path stages the view through the scratch pool:
                     // same product and events as from the dense copy.
                     let gemm_of = |a: MatRef<'_, f32>| {
                         eng.reset();
@@ -1704,10 +1689,8 @@ mod tests {
 
     #[test]
     fn bf16_engine_does_not_overflow_at_that_scale() {
-        let eng = GpuSim::new(EngineConfig {
-            half: HalfKind::Bf16,
-            ..EngineConfig::default()
-        });
+        let eng = GpuSim::default();
+        eng.set_precision_override(Some(PrecisionOverride::Bf16));
         let a = small(4, 4, 70000.0);
         let b = small(4, 4, 1.0);
         let mut c = Mat::zeros(4, 4);
@@ -1908,7 +1891,7 @@ mod tests {
             .expect("payload is an EngineCrash");
         assert_eq!(crash.at_op, 1);
         assert_eq!(crash.engine_id, eng.id);
-        assert!(eng.dead.load(Ordering::Relaxed));
+        assert!(eng.avail_stats().crashed_at.is_some());
         // The crashed op never landed in the ledger, and accounting on the
         // corpse stays readable (the state mutex was not poisoned).
         assert_eq!(eng.clock(), clock_before);
@@ -1973,13 +1956,13 @@ mod tests {
             eng.charge_secs(Phase::Other, 1.0);
             eng.charge_secs(Phase::Other, 1.0);
         }));
-        assert!(eng.dead.load(Ordering::Relaxed));
+        assert!(eng.avail_stats().crashed_at.is_some());
         assert_ne!(eng.state_fingerprint(), fresh_fp);
 
         // Scrub-in-place: clean bill of health, engine revived and usable.
         assert!(eng.reset_in_place(), "scrubbed state matches a fresh engine");
         assert_eq!(eng.state_fingerprint(), fresh_fp);
-        assert!(!eng.dead.load(Ordering::Relaxed));
+        assert_eq!(eng.avail_stats().crashed_at, None);
         assert!(!eng.avail_armed(), "tenant's availability plan is dropped");
         assert_eq!(eng.precision_override(), None);
         eng.charge_secs(Phase::Solve, 1.0);

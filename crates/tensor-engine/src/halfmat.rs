@@ -101,7 +101,8 @@ pub(crate) struct HalfView<'a> {
 /// form. Cheap to copy (a few pointers).
 ///
 /// - On a TensorCore path the engine uses the cache when present and
-///   otherwise rounds `raw` into a pooled workspace buffer.
+///   otherwise rounds `raw` into a buffer of the per-thread scratch pool
+///   ([`densemat::par::Scratch`]).
 /// - On an FP32 path the engine multiplies `raw` directly, so a
 ///   `CachedOperand` built with [`CachedOperand::new`] is bit-identical to
 ///   the uncached [`crate::GpuSim::gemm_f32`] whether or not TensorCore is
@@ -114,7 +115,7 @@ pub struct CachedOperand<'a> {
 
 impl<'a> CachedOperand<'a> {
     /// An operand with no cache: the engine rounds it per call (into a
-    /// pooled buffer) when TensorCore applies.
+    /// [`densemat::par::Scratch`] buffer) when TensorCore applies.
     pub fn fresh(raw: MatRef<'a, f32>) -> Self {
         CachedOperand { raw, half: None }
     }

@@ -45,7 +45,6 @@ pub mod engine;
 pub mod fault;
 pub mod halfmat;
 pub mod perf;
-mod workspace;
 
 pub use avail::{AvailStats, EngineCrash, EngineFaultKind, EngineFaultPlan, PlannedEngineFault};
 pub use counters::{Counters, Ledger, Phase};

@@ -9,7 +9,7 @@ use tcqr_repro::halfsim::F16;
 use tcqr_repro::tcqr::lls::rgsqrf_scaled;
 use tcqr_repro::tcqr::rgsqrf::{rgsqrf, RgsqrfConfig};
 use tcqr_repro::tcqr::scaling::{compute_column_scaling, scale_columns, unscale_r};
-use tcqr_repro::tensor_engine::{EngineConfig, GpuSim, HalfKind};
+use tcqr_repro::tensor_engine::{EngineConfig, GpuSim, PrecisionOverride};
 
 fn cfg() -> RgsqrfConfig {
     RgsqrfConfig {
@@ -113,10 +113,8 @@ fn q_factor_is_invariant_under_column_scaling() {
 fn bf16_survives_the_same_input_without_scaling() {
     // The range/resolution trade-off of §2.1: bfloat16 absorbs 12 decades.
     let (a64, a32) = nasty(3);
-    let eng = GpuSim::new(EngineConfig {
-        half: HalfKind::Bf16,
-        ..EngineConfig::default()
-    });
+    let eng = GpuSim::default();
+    eng.set_precision_override(Some(PrecisionOverride::Bf16));
     let f = rgsqrf(&eng, a32.as_ref(), &cfg());
     assert_eq!(eng.counters().round.overflow, 0);
     let be = qr_backward_error(

@@ -126,10 +126,8 @@ fn bf16_engine_trades_accuracy_for_range() {
     let a = gen::rand_svd(512, 64, Spectrum::Arithmetic { cond: 10.0 }, &mut rng(22));
     let fp16 = GpuSim::default();
     let (be16, _) = factor_errors(&a, &fp16, &small_cfg());
-    let bf16 = GpuSim::new(EngineConfig {
-        half: tcqr_repro::tensor_engine::HalfKind::Bf16,
-        ..EngineConfig::default()
-    });
+    let bf16 = GpuSim::default();
+    bf16.set_precision_override(Some(tcqr_repro::tensor_engine::PrecisionOverride::Bf16));
     let (bebf, _) = factor_errors(&a, &bf16, &small_cfg());
     assert!(
         bebf > 2.0 * be16,
