@@ -92,7 +92,7 @@ pub mod ticket;
 pub use fleet::{EngineReport, FleetReport, JobReport};
 pub use job::{output_fingerprint, result_fingerprint, BatchJob, Job, JobOutput, LlsMethod};
 pub use pool::{EngineHealth, EnginePool};
-pub use scheduler::{batch_rgsqrf, batch_solve, execute, BatchOutcome, BatchScheduler};
+pub use scheduler::{execute, BatchOutcome, BatchScheduler};
 pub use ticket::{
     place, rehome, Claim, Counters, FleetMark, Priority, Refusal, Step, TicketLedger,
 };

@@ -36,11 +36,11 @@
 //! thread count either.
 
 use crate::fleet::{EngineReport, FleetReport, JobReport};
-use crate::job::{BatchJob, Job, JobOutput};
+use crate::job::{BatchJob, JobOutput};
 use crate::pool::EnginePool;
 use crate::ticket::{place, rehome, Claim, TicketLedger};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use tcqr_core::{QrFactors, RgsqrfConfig, TcqrError};
+use tcqr_core::TcqrError;
 use tensor_engine::EngineCrash;
 
 /// Drains a queue of [`BatchJob`]s across an [`EnginePool`], running the
@@ -345,47 +345,13 @@ fn run_lane(lane: &mut Lane, pool: &EnginePool, jobs: &[BatchJob]) {
     }
 }
 
-/// Batched QR: factor every `(a, cfg)` problem across the pool.
-///
-/// Convenience wrapper over [`BatchScheduler::run`] with default recovery
-/// policies; results come back in submission order.
-pub fn batch_rgsqrf(
-    pool: &EnginePool,
-    problems: Vec<(densemat::Mat<f32>, RgsqrfConfig)>,
-) -> (Vec<Result<QrFactors, TcqrError>>, FleetReport) {
-    let jobs: Vec<BatchJob> = problems
-        .into_iter()
-        .map(|(a, cfg)| BatchJob::from(Job::rgsqrf(a, cfg)))
-        .collect();
-    let out = BatchScheduler::new().run(pool, &jobs);
-    let factors = out
-        .results
-        .into_iter()
-        .map(|r| {
-            r.map(|o| match o {
-                JobOutput::Qr(f) => f,
-                _ => unreachable!("rgsqrf jobs produce QR factors"),
-            })
-        })
-        .collect();
-    (factors, out.report)
-}
-
-/// Batched heterogeneous solve: drain `jobs` across the pool with
-/// [`BatchScheduler::new`].
-pub fn batch_solve(
-    pool: &EnginePool,
-    jobs: &[BatchJob],
-) -> (Vec<Result<JobOutput, TcqrError>>, FleetReport) {
-    let out = BatchScheduler::new().run(pool, jobs);
-    (out.results, out.report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Job;
     use crate::jobgen::{self, JobMixConfig};
     use densemat::gen::{rng, uniform_pm1};
+    use tcqr_core::RgsqrfConfig;
     use tensor_engine::EngineConfig;
 
     #[test]
@@ -428,13 +394,20 @@ mod tests {
             caqr_width: 4,
             ..RgsqrfConfig::default()
         };
-        let problems = (0..4)
-            .map(|i| (uniform_pm1(40, 10, &mut rng(100 + i)).convert(), cfg))
+        let jobs: Vec<BatchJob> = (0..4)
+            .map(|i| {
+                BatchJob::from(Job::rgsqrf(
+                    uniform_pm1(40, 10, &mut rng(100 + i)).convert(),
+                    cfg,
+                ))
+            })
             .collect();
-        let (factors, report) = batch_rgsqrf(&pool, problems);
-        assert_eq!(factors.len(), 4);
-        for f in &factors {
-            let f = f.as_ref().expect("well-posed problems factor");
+        let BatchOutcome { results, report, .. } = BatchScheduler::new().run(&pool, &jobs);
+        assert_eq!(results.len(), 4);
+        for r in &results {
+            let Ok(JobOutput::Qr(f)) = r else {
+                panic!("well-posed problems factor into QR factors");
+            };
             assert_eq!(f.q.ncols(), 10);
             assert_eq!(f.r.nrows(), 10);
         }
@@ -596,7 +569,7 @@ mod tests {
             RgsqrfConfig::default(),
         );
         let jobs = vec![BatchJob::from(good), BatchJob::from(bad)];
-        let (results, report) = batch_solve(&pool, &jobs);
+        let BatchOutcome { results, report, .. } = BatchScheduler::new().run(&pool, &jobs);
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],

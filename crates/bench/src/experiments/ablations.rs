@@ -19,7 +19,7 @@ use tcqr_core::lls::{cgls_qr, lsqr_qr, rgsqrf_scaled, RefineConfig};
 use tcqr_core::mgs::{cgs_qr, mgs_qr};
 use tcqr_core::rgsqrf::{rgsqrf, RgsqrfConfig};
 use tensor_engine::perf::rgsqrf_flops;
-use tensor_engine::{EngineConfig, GpuSim, HalfKind, PrecisionOverride};
+use tensor_engine::{EngineConfig, GpuSim, PrecisionOverride};
 
 /// Run all ablations.
 pub fn all(scale: Scale) -> Vec<Table> {
@@ -84,7 +84,7 @@ pub fn rounding_bounds() -> Table {
 /// Haidar et al.) vs this paper's QR + CGLS, on square systems.
 pub fn lu_vs_qr(scale: Scale) -> Table {
     use tcqr_core::lls::{cgls_qr, RefineConfig};
-    use tcqr_core::lu_ir::{cost_lu_ir, try_lu_ir_solve, LuIrConfig};
+    use tcqr_core::lu_ir::{try_lu_ir_solve, LuIrConfig};
 
     let (_, n) = scale.lls_size();
     let n = n.max(96);
@@ -131,9 +131,9 @@ pub fn lu_vs_qr(scale: Scale) -> Table {
     // on the fast part of the calibration like theirs.
     let big = 32768usize;
     let lu_eng = GpuSim::default();
-    cost_lu_ir(&lu_eng, big, 512, 10);
+    cost::lu_ir(&lu_eng, big, 512, 10);
     let qr_eng = GpuSim::default();
-    tcqr_core::cost::cgls_qr(&qr_eng, big, big, &qr_cfg, 10);
+    cost::cgls_qr(&qr_eng, big, big, &qr_cfg, 10);
     t.note(format!(
         "modeled V100 time at {big}x{big} (block 512, 10 refinement iters each): LU-IR {:.0} ms vs QR+CGLS {:.0} ms — LU does ~1/3 of the flops and is cheaper when it works; QR survives higher cond.",
         lu_eng.clock() * 1e3,
@@ -269,7 +269,7 @@ pub fn fp16_vs_bf16(scale: Scale) -> Table {
     );
     t.note("fp16: better resolution, overflows at 65504. bf16: f32 range, ~8x coarser.");
     let cfg = RgsqrfConfig::default();
-    for half in [HalfKind::Fp16, HalfKind::Bf16] {
+    for (label, half) in [("Fp16", None), ("Bf16", Some(PrecisionOverride::Bf16))] {
         for input_scale in [1.0f64, 1e6] {
             let mut a64 = gen::gaussian(m, n, &mut rng(400));
             for v in a64.data_mut().iter_mut() {
@@ -277,9 +277,8 @@ pub fn fp16_vs_bf16(scale: Scale) -> Table {
             }
             let a32: Mat<f32> = a64.convert();
             let eng = GpuSim::default();
-            if half == HalfKind::Bf16 {
-                eng.set_precision_override(Some(PrecisionOverride::Bf16));
-            }
+            // Set even `None`, so a global override cannot relabel the fp16 rows.
+            eng.set_precision_override(half);
             // Deliberately *without* the scaling safeguard.
             let f = rgsqrf(&eng, a32.as_ref(), &cfg);
             let be = qr_backward_error(
@@ -288,7 +287,7 @@ pub fn fp16_vs_bf16(scale: Scale) -> Table {
                 f.r.convert::<f64>().as_ref(),
             );
             t.row(vec![
-                format!("{half:?}"),
+                label.to_string(),
                 sci(input_scale),
                 if be.is_finite() { sci(be) } else { "inf/nan".into() },
                 eng.counters().round.overflow.to_string(),

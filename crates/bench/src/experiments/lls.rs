@@ -9,7 +9,7 @@ use densemat::Mat;
 use tcqr_core::cost;
 use tcqr_core::lls::{cgls_qr, dcusolve, rgsqrf_direct, scusolve, RefineConfig};
 use tcqr_core::rgsqrf::RgsqrfConfig;
-use tensor_engine::GpuSim;
+use tensor_engine::{Class, GpuSim};
 
 /// The eight matrix classes of Figure 8's subplots (a)-(h): the paper's five
 /// generator types, with the spectrum-controlled ones at two condition
@@ -99,9 +99,9 @@ pub fn fig8(scale: Scale) -> Table {
             let rgs = GpuSim::default();
             cost::cgls_qr(&rgs, m, n, &cfg, out.iterations);
             let s = GpuSim::default();
-            cost::scusolve(&s, m, n);
+            cost::cusolve(&s, Class::Fp32, m, n);
             let d = GpuSim::default();
-            cost::dcusolve(&d, m, n);
+            cost::cusolve(&d, Class::Fp64, m, n);
             t.row(vec![
                 label.to_string(),
                 m.to_string(),

@@ -43,7 +43,7 @@ pub fn cholqr(eng: &GpuSim, a: &Mat<f32>) -> Result<QrFactors, NotPositiveDefini
     );
     // R = chol(G); numerically tiny next to the GEMM.
     potrf_upper(g.as_mut())?;
-    eng.charge_gemm(Phase::Panel, Class::Fp32, n, n, n / 3 + 1);
+    eng.charge_gemm(Phase::Panel, Class::Fp32, n, n, n / 3 + 1, 0);
     // Q = A R^{-1}.
     let mut q = a.clone();
     trsm_right_upper(1.0, Op::NoTrans, g.as_ref(), q.as_mut());
@@ -64,8 +64,7 @@ pub fn cholqr2(eng: &GpuSim, a: &Mat<f32>) -> Result<QrFactors, NotPositiveDefin
     // R = R2 R1.
     let mut r = first.r;
     trmm_left_upper(1.0, Op::NoTrans, second.r.as_ref(), r.as_mut());
-    let n = r.ncols();
-    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, (n / 2).max(1));
+    crate::cost::r_product(eng, r.ncols());
     Ok(QrFactors { q: second.q, r })
 }
 

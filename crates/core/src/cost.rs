@@ -1,14 +1,16 @@
-//! Charge-only replays of the algorithms, for paper-scale performance
-//! figures.
+//! The one charge schedule: every engine charge sequence that a real solver
+//! and its charge-only replay both make, written once.
 //!
 //! The accuracy experiments run real numerics at reduced sizes (error
 //! behaviour depends on precision and conditioning, not absolute size), but
 //! the performance figures quote 32768x16384-class matrices whose emulated
-//! numerics would take hours on a CPU. These functions replay the *exact*
-//! sequence of engine charges the real implementations make — same
-//! recursion, same GEMM shapes, same panel calls — without touching any
-//! data. A consistency test pins charge-only and real execution to the same
-//! modeled clock at sizes where both run.
+//! numerics would take hours on a CPU. The replays here walk the real
+//! solvers' recursions and loops without touching data, and both sides
+//! charge through the same steps of this module (`panel`, `refine_iter`,
+//! `lu_block`, ...); the engine prices routed and charge-only GEMMs through
+//! one function. So a replay makes its solver's charges by construction
+//! under every precision override, and a test pins the two to bit-equal
+//! per-phase ledgers at sizes where both run.
 
 use crate::rgsqrf::{PanelKind, RgsqrfConfig};
 use tensor_engine::{Class, GpuSim, Phase};
@@ -21,31 +23,46 @@ pub fn rgsqrf(eng: &GpuSim, m: usize, n: usize, cfg: &RgsqrfConfig) {
 
 fn rec(eng: &GpuSim, m: usize, n: usize, cfg: &RgsqrfConfig) {
     if n <= cfg.cutoff {
-        match cfg.panel {
-            PanelKind::Caqr => eng.charge_caqr_panel(m, n),
-            PanelKind::Sgeqrf => eng.charge_sgeqrf(Phase::Panel, m, n),
-        }
+        panel(eng, cfg.panel, m, n);
         return;
     }
     let h = n / 2;
     rec(eng, m, h, cfg);
-    let class = if eng.uses_tc(Phase::Update) {
-        Class::TensorCore
-    } else {
-        Class::Fp32
-    };
+    // Q1 comes from the rounded-Q shadow; A2 and R12 are staged fresh.
     // R12 = Q1^T A2: (h x m)(m x (n-h)).
-    eng.charge_gemm(Phase::Update, class, h, n - h, m);
+    update_gemm(eng, h, n - h, m, m * (n - h));
     // A2 -= Q1 R12: (m x h)(h x (n-h)).
-    eng.charge_gemm(Phase::Update, class, m, n - h, h);
+    update_gemm(eng, m, n - h, h, h * (n - h));
     rec(eng, m, n - h, cfg);
+}
+
+/// An RGSQRF leaf panel, charged once whatever its internal GEMMs did.
+pub(crate) fn panel(eng: &GpuSim, kind: PanelKind, m: usize, n: usize) {
+    match kind {
+        PanelKind::Caqr => eng.charge_caqr_panel(m, n),
+        PanelKind::Sgeqrf => sgeqrf(eng, m, n),
+    }
+}
+
+/// A trailing-update GEMM a real solver routes through the engine, which
+/// stages `fresh_elems` operand elements itself.
+fn update_gemm(eng: &GpuSim, cm: usize, cn: usize, k: usize, fresh_elems: usize) {
+    let tc = eng.uses_tc(Phase::Update);
+    let class = if tc { Class::TensorCore } else { Class::Fp32 };
+    eng.charge_gemm(Phase::Update, class, cm, cn, k, fresh_elems);
 }
 
 /// Charge-only replay of [`crate::reortho::rgsqrf_reortho`].
 pub fn rgsqrf_reortho(eng: &GpuSim, m: usize, n: usize, cfg: &RgsqrfConfig) {
     rgsqrf(eng, m, n, cfg);
     rgsqrf(eng, m, n, cfg);
-    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, (n / 2).max(1));
+    r_product(eng, n);
+}
+
+/// `R <- R2 R` after a second pass (re-orthogonalization, CholeskyQR2):
+/// `n^3/3` useful flops, charged as a (cheap) FP32 GEMM of that size.
+pub(crate) fn r_product(eng: &GpuSim, n: usize) {
+    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, (n / 2).max(1), 0);
 }
 
 /// Charge-only cuSOLVER `SGEQRF` on `m x n`.
@@ -54,48 +71,71 @@ pub fn sgeqrf(eng: &GpuSim, m: usize, n: usize) {
 }
 
 /// Charge-only `SGEQRF` + explicit Q via `SORGQR` — the Figure 5 baseline
-/// for orthogonalization.
+/// for orthogonalization and the Householder side of QR-SVD.
 pub fn sgeqrf_orgqr(eng: &GpuSim, m: usize, n: usize) {
-    eng.charge_sgeqrf(Phase::Panel, m, n);
+    sgeqrf(eng, m, n);
     eng.charge_orgqr(Phase::Other, Class::Fp32, m, n);
 }
 
-/// Charge-only single precision direct LLS solve
-/// (`SGEQRF + SORMQR + STRSM`).
-pub fn scusolve(eng: &GpuSim, m: usize, n: usize) {
-    eng.charge_sgeqrf(Phase::Panel, m, n);
-    eng.charge_ormqr(Phase::Solve, Class::Fp32, m, n, 1);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+/// QR-SVD's one-sided Jacobi SVD of the `n x n` R: ~10 n^3-class flops,
+/// charged as an n^3 FP32 GEMM pair.
+pub(crate) fn jacobi_svd(eng: &GpuSim, n: usize) {
+    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, 5 * n, 0);
 }
 
-/// Charge-only double precision direct LLS solve.
-pub fn dcusolve(eng: &GpuSim, m: usize, n: usize) {
-    eng.charge_dgeqrf(Phase::Panel, m, n);
-    eng.charge_ormqr(Phase::Solve, Class::Fp64, m, n, 1);
-    eng.charge_trsv(Phase::Solve, Class::Fp64, n);
+/// `xGEQRF` of a cuSOLVER-style LLS baseline in `class` (FP32 or FP64).
+pub(crate) fn geqrf(eng: &GpuSim, class: Class, m: usize, n: usize) {
+    match class {
+        Class::Fp64 => eng.charge_dgeqrf(Phase::Panel, m, n),
+        _ => sgeqrf(eng, m, n),
+    }
+}
+
+/// `xORMQR + xTRSM`: a baseline's `Q^T b` and back-solve after [`geqrf`].
+pub(crate) fn ormqr_trsv(eng: &GpuSim, class: Class, m: usize, n: usize) {
+    eng.charge_ormqr(Phase::Solve, class, m, n, 1);
+    eng.charge_trsv(Phase::Solve, class, n);
+}
+
+/// Charge-only cuSOLVER-style direct LLS solve (`xGEQRF + xORMQR +
+/// xTRSM`) in `class`: [`crate::lls::scusolve`] with FP32,
+/// [`crate::lls::dcusolve`] with FP64.
+pub fn cusolve(eng: &GpuSim, class: Class, m: usize, n: usize) {
+    geqrf(eng, class, m, n);
+    ormqr_trsv(eng, class, m, n);
+}
+
+/// The RGSQRF direct solver's FP32 tail: `Q^T b` and the back-solve.
+pub(crate) fn direct_solve(eng: &GpuSim, m: usize, n: usize) {
+    eng.charge_gemv(Phase::Solve, Class::Fp32, m, n);
+    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
 }
 
 /// Charge-only RGSQRF direct LLS solve (factor + `Q^T b` + back-solve).
 pub fn rgsqrf_direct(eng: &GpuSim, m: usize, n: usize, cfg: &RgsqrfConfig) {
     rgsqrf(eng, m, n, cfg);
-    eng.charge_gemv(Phase::Solve, Class::Fp32, m, n);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+    direct_solve(eng, m, n);
 }
 
-/// Charge-only RGSQRF + CGLS refinement with a measured iteration count
-/// (iteration counts come from a real reduced-size run of the same spectrum;
-/// per-iteration cost is two GEMVs, two triangular solves and a few streamed
-/// vectors in FP64 — identical to the charges made by the real
-/// [`crate::lls::cgls_qr`]).
+/// One CGLS/LSQR iteration (or the setup before the loop): two GEMVs with
+/// A, two triangular solves with R, and a few streamed vectors, all FP64.
+pub(crate) fn refine_iter(eng: &GpuSim, m: usize, n: usize) {
+    eng.charge_gemv(Phase::Refine, Class::Fp64, m, n); // A t
+    eng.charge_gemv(Phase::Refine, Class::Fp64, m, n); // A^T r
+    eng.charge_trsv(Phase::Refine, Class::Fp64, n); // R t = p
+    eng.charge_trsv(Phase::Refine, Class::Fp64, n); // R^T s = z
+    eng.charge_vec(Phase::Refine, Class::Fp64, 3 * m + 3 * n);
+}
+
+/// Charge-only RGSQRF + CGLS with an iteration count measured on a real
+/// reduced-size run of the same spectrum. It leaves out the data-dependent
+/// §3.5 scaling pass the real [`crate::lls::cgls_qr`] may charge to
+/// [`Phase::Other`].
 pub fn cgls_qr(eng: &GpuSim, m: usize, n: usize, cfg: &RgsqrfConfig, iterations: usize) {
     rgsqrf(eng, m, n, cfg);
+    // +1: the setup residual evaluation before the loop.
     for _ in 0..iterations + 1 {
-        // +1: the setup residual evaluation before the loop.
-        eng.charge_gemv(Phase::Refine, Class::Fp64, m, n);
-        eng.charge_gemv(Phase::Refine, Class::Fp64, m, n);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-        eng.charge_vec(Phase::Refine, Class::Fp64, 3 * m + 3 * n);
+        refine_iter(eng, m, n);
     }
 }
 
@@ -104,81 +144,238 @@ pub fn qr_svd(eng: &GpuSim, m: usize, n: usize, rgs: bool, cfg: &RgsqrfConfig) {
     if rgs {
         rgsqrf(eng, m, n, cfg);
     } else {
-        eng.charge_sgeqrf(Phase::Panel, m, n);
-        eng.charge_orgqr(Phase::Other, Class::Fp32, m, n);
+        sgeqrf_orgqr(eng, m, n);
     }
-    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, 5 * n);
+    jacobi_svd(eng, n);
+}
+
+/// Block column `k..k + nb` of an `n x n` blocked LU: the panel at the
+/// (memory-bound) panel rate, then the FP32 TRSM of any trailing U block.
+pub(crate) fn lu_block(eng: &GpuSim, n: usize, k: usize, nb: usize) {
+    let panel_flops = (n - k) as f64 * nb as f64 * nb as f64;
+    let rate = eng.perf().sgeqrf_tflops(n - k, nb) * 1e12;
+    eng.charge_secs(Phase::Panel, panel_flops / rate);
+    if k + nb < n {
+        eng.charge_trsm(Phase::Update, Class::Fp32, nb, n - k - nb);
+    }
+}
+
+/// LU-IR's initial solve with the widened factors: two FP32 triangular
+/// solves.
+pub(crate) fn lu_solve(eng: &GpuSim, n: usize) {
+    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+}
+
+/// One LU-IR refinement step: the FP64 residual, then the correction's two
+/// triangular solves.
+pub(crate) fn lu_refine_iter(eng: &GpuSim, n: usize) {
+    eng.charge_gemv(Phase::Refine, Class::Fp64, n, n);
+    eng.charge_trsv(Phase::Refine, Class::Fp64, n);
+    eng.charge_trsv(Phase::Refine, Class::Fp64, n);
+}
+
+/// Charge-only replay of [`crate::lu_ir::lu_ir_solve`] with LU block width
+/// `block` and a measured iteration count.
+pub fn lu_ir(eng: &GpuSim, n: usize, block: usize, iterations: usize) {
+    for k in (0..n).step_by(block) {
+        let nb = block.min(n - k);
+        lu_block(eng, n, k, nb);
+        let trailing = n - k - nb;
+        if trailing > 0 {
+            // A22 -= A21 A12, both operands staged fresh.
+            update_gemm(eng, trailing, trailing, nb, 2 * trailing * nb);
+        }
+    }
+    lu_solve(eng, n);
+    for _ in 0..iterations {
+        lu_refine_iter(eng, n);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lls::RefineConfig;
+    use crate::lowrank::QrKind;
+    use crate::lu_ir::LuIrConfig;
+    use crate::RecoveryPolicy;
     use densemat::gen::{self, rng};
     use densemat::Mat;
-    use tensor_engine::{EngineConfig, GpuSim};
+    use tensor_engine::{EngineConfig, GpuSim, PrecisionOverride};
 
-    /// The load-bearing property: the replay charges the exact same clock
-    /// as the real implementation.
-    #[test]
-    fn replay_matches_real_rgsqrf_clock() {
-        let (m, n) = (1024usize, 256usize);
-        let a: Mat<f32> = gen::gaussian(m, n, &mut rng(1)).convert();
-        for cfg in [
-            RgsqrfConfig::default(),
-            RgsqrfConfig::with_sgeqrf_panel(),
-            RgsqrfConfig {
-                cutoff: 64,
-                caqr_width: 16,
-                caqr_block_rows: 128,
-                ..RgsqrfConfig::default()
-            },
-        ] {
-            let real = GpuSim::default();
-            let _ = crate::rgsqrf::rgsqrf(&real, a.as_ref(), &cfg);
-            let replay = GpuSim::default();
-            rgsqrf(&replay, m, n, &cfg);
-            let (tr, tp) = (real.clock(), replay.clock());
-            assert!(
-                ((tr - tp) / tr).abs() < 1e-12,
-                "clock mismatch for {cfg:?}: real {tr} vs replay {tp}"
-            );
+    /// One replay case: the real solver, run on its engine (returning the
+    /// iteration count a replay needs, 0 for direct methods), its replay,
+    /// and the `m x n` shape of the §3.5 column-scaling pass the real run
+    /// charges to [`Phase::Other`] and the replay leaves out, if any.
+    struct Case {
+        name: &'static str,
+        real: Box<dyn Fn(&GpuSim) -> usize>,
+        replay: Box<Replay>,
+        scaling_pass: Option<(usize, usize)>,
+    }
+
+    type Replay = dyn Fn(&GpuSim, usize);
+
+    fn case(
+        name: &'static str,
+        real: impl Fn(&GpuSim) -> usize + 'static,
+        replay: impl Fn(&GpuSim, usize) + 'static,
+    ) -> Case {
+        Case {
+            name,
+            real: Box::new(real),
+            replay: Box::new(replay),
+            scaling_pass: None,
         }
     }
 
-    #[test]
-    fn replay_matches_real_reortho_clock() {
-        let (m, n) = (512usize, 128usize);
-        let a: Mat<f32> = gen::gaussian(m, n, &mut rng(2)).convert();
-        let cfg = RgsqrfConfig::default();
-        let real = GpuSim::default();
-        let _ = crate::reortho::rgsqrf_reortho(&real, a.as_ref(), &cfg);
-        let replay = GpuSim::default();
-        rgsqrf_reortho(&replay, m, n, &cfg);
-        assert!(((real.clock() - replay.clock()) / real.clock()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replay_matches_real_cgls_clock() {
-        let (m, n) = (512usize, 64usize);
-        let a = gen::rand_svd(m, n, gen::Spectrum::Arithmetic { cond: 100.0 }, &mut rng(3));
-        let b: Vec<f64> = (0..m).map(|i| (i as f64).sin()).collect();
-        let cfg = RgsqrfConfig {
+    fn small_cfg() -> RgsqrfConfig {
+        RgsqrfConfig {
             cutoff: 32,
             caqr_width: 8,
             caqr_block_rows: 64,
             ..RgsqrfConfig::default()
-        };
-        let real = GpuSim::default();
-        let out = crate::lls::cgls_qr(&real, &a, &b, &cfg, &crate::lls::RefineConfig::default());
-        let replay = GpuSim::default();
-        cgls_qr(&replay, m, n, &cfg, out.iterations);
-        let (tr, tp) = (real.clock(), replay.clock());
-        // The real path may also charge a scaling pass; allow 5%.
-        assert!(
-            ((tr - tp) / tr).abs() < 0.05,
-            "clock mismatch: real {tr} vs replay {tp} ({} iters)",
-            out.iterations
-        );
+        }
+    }
+
+    fn cases() -> Vec<Case> {
+        let (m, n) = (512usize, 128usize);
+        // Every column's largest entry already lies in [0.5, 1), so the
+        // scaled pipelines (qr_svd, rgsqrf_direct) charge no scaling pass.
+        let a: Mat<f32> = gen::uniform_pm1(m, n, &mut rng(1)).convert();
+        let b: Vec<f32> = (0..m).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut out = Vec::new();
+        for cfg in [
+            RgsqrfConfig::default(),
+            RgsqrfConfig::with_sgeqrf_panel(),
+            small_cfg(),
+        ] {
+            let a = a.clone();
+            out.push(case(
+                "rgsqrf",
+                move |e| {
+                    crate::rgsqrf::rgsqrf(e, a.as_ref(), &cfg);
+                    0
+                },
+                move |e, _| rgsqrf(e, m, n, &cfg),
+            ));
+        }
+        let cfg = small_cfg();
+        let a1 = a.clone();
+        out.push(case(
+            "rgsqrf_reortho",
+            move |e| {
+                crate::reortho::rgsqrf_reortho(e, a1.as_ref(), &cfg);
+                0
+            },
+            move |e, _| rgsqrf_reortho(e, m, n, &cfg),
+        ));
+        for (kind, rgs) in [(QrKind::Rgsqrf, true), (QrKind::Sgeqrf, false)] {
+            let a = a.clone();
+            out.push(case(
+                "qr_svd",
+                move |e| {
+                    crate::lowrank::qr_svd(e, &a, kind, &cfg);
+                    0
+                },
+                move |e, _| qr_svd(e, m, n, rgs, &cfg),
+            ));
+        }
+        let (a1, b1) = (a.clone(), b.clone());
+        out.push(case(
+            "rgsqrf_direct",
+            move |e| {
+                crate::lls::rgsqrf_direct(e, &a1, &b1, &cfg);
+                0
+            },
+            move |e, _| rgsqrf_direct(e, m, n, &cfg),
+        ));
+        let (a1, b1) = (a.clone(), b.clone());
+        out.push(case(
+            "scusolve",
+            move |e| {
+                crate::lls::scusolve(e, &a1, &b1);
+                0
+            },
+            move |e, _| cusolve(e, Class::Fp32, m, n),
+        ));
+        let (a64, b64): (Mat<f64>, Vec<f64>) = (a.convert(), b.iter().map(|&v| v as f64).collect());
+        let (a1, b1) = (a64.clone(), b64.clone());
+        out.push(case(
+            "dcusolve",
+            move |e| {
+                crate::lls::dcusolve(e, &a1, &b1);
+                0
+            },
+            move |e, _| cusolve(e, Class::Fp64, m, n),
+        ));
+        let spec = gen::Spectrum::Arithmetic { cond: 100.0 };
+        let (sq, rhs) = (gen::rand_svd(96, 96, spec, &mut rng(6)), b64[..96].to_vec());
+        let lu_cfg = LuIrConfig::default();
+        out.push(case(
+            "lu_ir",
+            move |e| {
+                let policy = RecoveryPolicy::default();
+                crate::lu_ir::try_lu_ir_solve(e, &sq, &rhs, &lu_cfg, &policy)
+                    .expect("well-posed system")
+                    .iterations
+            },
+            move |e, it| lu_ir(e, 96, lu_cfg.block, it),
+        ));
+        // This input is scaled: the real run charges the scaling pass.
+        let ls = gen::rand_svd(m, 64, spec, &mut rng(3));
+        out.push(Case {
+            scaling_pass: Some((m, 64)),
+            ..case(
+                "cgls_qr",
+                move |e| {
+                    crate::lls::cgls_qr(e, &ls, &b64, &cfg, &RefineConfig::default()).iterations
+                },
+                move |e, it| cgls_qr(e, m, 64, &cfg, it),
+            )
+        });
+        out
+    }
+
+    /// The load-bearing property: under every precision override, each
+    /// replay makes the same charges as its real solver — bit-equal
+    /// per-phase ledgers and equal flops per class. Where the real run
+    /// scales its input, its `Other` phase holds exactly that one
+    /// data-dependent pass more.
+    #[test]
+    fn replays_charge_like_the_real_solvers() {
+        let overrides = [
+            None,
+            Some(PrecisionOverride::ErrorCorrected),
+            Some(PrecisionOverride::Bf16),
+            Some(PrecisionOverride::Fp32),
+        ];
+        let cases = cases();
+        for o in overrides {
+            for c in &cases {
+                let (real, replay) = (GpuSim::default(), GpuSim::default());
+                real.set_precision_override(o);
+                replay.set_precision_override(o);
+                let iterations = (c.real)(&real);
+                (c.replay)(&replay, iterations);
+                let what = format!("{} under {o:?}", c.name);
+                for p in Phase::ALL {
+                    let (r, mut q) = (real.ledger().get(p), replay.ledger().get(p));
+                    if let (Some((sm, sn)), Phase::Other) = (c.scaling_pass, p) {
+                        q += replay.perf().gemv_secs(Class::Fp32, sm, sn);
+                    }
+                    assert_eq!(
+                        r.to_bits(),
+                        q.to_bits(),
+                        "{what}: {p:?} real {r} vs replay {q}"
+                    );
+                }
+                let (r, q) = (real.counters(), replay.counters());
+                let flops = |c: &tensor_engine::Counters| (c.tc_flops, c.fp32_flops, c.fp64_flops);
+                assert_eq!(flops(&r), flops(&q), "{what}: flops per class");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   the typed errors the `try_*` solver entry points return;
 //! - [`cholqr`] — the CholeskyQR/CholeskyQR2 related-work baseline (§5);
 //! - [`perf_est`] — the paper's analytic performance formulas (4)/(7) and
-//!   the Table 2 hybrid pipeline model.
+//!   the Table 2 hybrid pipeline model;
+//! - [`cost`] — the one charge schedule: every modeled charge sequence a
+//!   solver and its paper-scale charge-only replay both make, written once
+//!   and called by both.
 //!
 //! Each operation has one body and one way in: a solver's `try_*` function
 //! returns `Result<_, TcqrError>`, and its plain name (`cgls_qr`,

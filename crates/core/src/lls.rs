@@ -19,6 +19,7 @@
 //! [`normal_equations`] (Cholesky on `A^T A`) is included as the classic
 //! fast-but-unstable contrast used in the examples.
 
+use crate::cost;
 use crate::error::TcqrError;
 use crate::recovery::{run_with_recovery, RecoveryPolicy};
 use crate::reortho::reorthogonalize;
@@ -309,9 +310,8 @@ pub fn try_rgsqrf_direct(
     })?;
     let mut x = vec![0.0f32; n];
     gemv(1.0, Op::Trans, f.q.as_ref(), b, 0.0, &mut x);
-    eng.charge_gemv(Phase::Solve, Class::Fp32, m, n);
     trsv_upper(Op::NoTrans, f.r.as_ref(), &mut x);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+    cost::direct_solve(eng, m, n);
     Ok(x)
 }
 
@@ -325,27 +325,33 @@ pub fn scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Vec<f32> {
 /// off-engine, so no recovery policy applies. A rank-deficient `A` whose R
 /// has an exactly-zero diagonal entry returns [`TcqrError::Singular`].
 pub fn try_scusolve(eng: &GpuSim, a: &Mat<f32>, b: &[f32]) -> Result<Vec<f32>, TcqrError> {
-    let (m, n) = (a.nrows(), a.ncols());
-    TcqrError::check_lls_shape("scusolve", m, n, b.len())?;
-    let h = Householder::factor(a.clone());
-    eng.charge_sgeqrf(Phase::Panel, m, n);
-    check_householder_r("scusolve", &h)?;
-    let x = h.solve_lls(b);
-    eng.charge_ormqr(Phase::Solve, Class::Fp32, m, n, 1);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
-    Ok(x)
+    try_cusolve(eng, "scusolve", Class::Fp32, a, b)
 }
 
-/// `Singular` when the Householder R of a direct baseline solve has an
-/// exactly-zero diagonal entry, which its triangular solve would divide by.
-fn check_householder_r<T: Real>(op: &'static str, h: &Householder<T>) -> Result<(), TcqrError> {
-    match h.r_diagonal().position(|d| d == T::ZERO) {
-        None => Ok(()),
-        Some(j) => Err(TcqrError::Singular {
+/// The one body of the cuSOLVER-style baselines, charged in `class`:
+/// Householder QR, then `Singular` if R has an exactly-zero diagonal entry
+/// (which the triangular solve would divide by), then `Q^T b` and the
+/// back-solve.
+fn try_cusolve<T: Real>(
+    eng: &GpuSim,
+    op: &'static str,
+    class: Class,
+    a: &Mat<T>,
+    b: &[T],
+) -> Result<Vec<T>, TcqrError> {
+    let (m, n) = (a.nrows(), a.ncols());
+    TcqrError::check_lls_shape(op, m, n, b.len())?;
+    let h = Householder::factor(a.clone());
+    cost::geqrf(eng, class, m, n);
+    if let Some(j) = h.r_diagonal().position(|d| d == T::ZERO) {
+        return Err(TcqrError::Singular {
             op,
             detail: format!("R diagonal entry {j} is zero; A is rank-deficient"),
-        }),
+        });
     }
+    let x = h.solve_lls(b);
+    cost::ormqr_trsv(eng, class, m, n);
+    Ok(x)
 }
 
 /// cuSOLVER-style double precision direct solver:
@@ -357,15 +363,7 @@ pub fn dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Vec<f64> {
 /// Typed-error variant of [`dcusolve`], with [`try_scusolve`]'s
 /// [`TcqrError::Singular`] check.
 pub fn try_dcusolve(eng: &GpuSim, a: &Mat<f64>, b: &[f64]) -> Result<Vec<f64>, TcqrError> {
-    let (m, n) = (a.nrows(), a.ncols());
-    TcqrError::check_lls_shape("dcusolve", m, n, b.len())?;
-    let h = Householder::factor(a.clone());
-    eng.charge_dgeqrf(Phase::Panel, m, n);
-    check_householder_r("dcusolve", &h)?;
-    let x = h.solve_lls(b);
-    eng.charge_ormqr(Phase::Solve, Class::Fp64, m, n, 1);
-    eng.charge_trsv(Phase::Solve, Class::Fp64, n);
-    Ok(x)
+    try_cusolve(eng, "dcusolve", Class::Fp64, a, b)
 }
 
 /// The front end every iterative LLS solver shares: check the shape and
@@ -468,16 +466,6 @@ impl Stagnation {
     }
 }
 
-/// Charge one CGLS/LSQR iteration's modeled device time: two GEMVs with A,
-/// two triangular solves with R, and a few streamed vectors, all in FP64.
-fn charge_refine_iter(eng: &GpuSim, m: usize, n: usize) {
-    eng.charge_gemv(Phase::Refine, Class::Fp64, m, n); // A t
-    eng.charge_gemv(Phase::Refine, Class::Fp64, m, n); // A^T r
-    eng.charge_trsv(Phase::Refine, Class::Fp64, n); // R t = p
-    eng.charge_trsv(Phase::Refine, Class::Fp64, n); // R^T s = z
-    eng.charge_vec(Phase::Refine, Class::Fp64, 3 * m + 3 * n);
-}
-
 /// Algorithm 3: CGLS with the RGSQRF `R` factor as right preconditioner.
 ///
 /// The QR factorization runs in mixed precision on the engine; the
@@ -544,7 +532,7 @@ fn cgls_inner(
     let mut s = vec![0.0f64; n];
     gemv(1.0, Op::Trans, a.as_ref(), &res, 0.0, &mut s);
     trsv_upper(Op::Trans, r_pre.as_ref(), &mut s);
-    charge_refine_iter(eng, m, n); // setup costs ~one iteration
+    cost::refine_iter(eng, m, n); // setup costs ~one iteration
 
     let norm_s0 = nrm2(&s);
     if norm_s0 == 0.0 {
@@ -573,7 +561,7 @@ fn cgls_inner(
         // s = R^{-T} A^T r
         gemv(1.0, Op::Trans, a.as_ref(), &res, 0.0, &mut s);
         trsv_upper(Op::Trans, r_pre.as_ref(), &mut s);
-        charge_refine_iter(eng, m, n);
+        cost::refine_iter(eng, m, n);
 
         let norm_s = nrm2(&s);
         let rel = norm_s / norm_s0;
@@ -719,7 +707,7 @@ fn lsqr_inner(
     if alpha > 0.0 {
         densemat::blas1::scal(1.0 / alpha, &mut v);
     }
-    charge_refine_iter(eng, m, n);
+    cost::refine_iter(eng, m, n);
 
     let mut w = v.clone();
     let mut y = vec![0.0f64; n];
@@ -754,7 +742,7 @@ fn lsqr_inner(
         if alpha > 0.0 {
             densemat::blas1::scal(1.0 / alpha, &mut v);
         }
-        charge_refine_iter(eng, m, n);
+        cost::refine_iter(eng, m, n);
 
         // Givens rotation eliminating beta.
         let rho = (rho_bar * rho_bar + beta * beta).sqrt();

@@ -8,6 +8,7 @@
 //! result — the paper's Table 4 shows identical error columns for
 //! RGSQRF-SVD and SGEQRF-SVD, with a 6.4x time gap.
 
+use crate::cost;
 use crate::error::TcqrError;
 use crate::lls::try_rgsqrf_scaled;
 use crate::recovery::RecoveryPolicy;
@@ -17,7 +18,7 @@ use densemat::lapack::Householder;
 use densemat::svd::jacobi_svd;
 use densemat::{gemm, Mat, Op};
 use tcqr_trace::Value;
-use tensor_engine::{Class, GpuSim, Phase};
+use tensor_engine::GpuSim;
 
 /// Which QR algorithm feeds the QR-SVD pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,16 +118,14 @@ pub fn try_qr_svd(
         }
         QrKind::Sgeqrf => {
             let h = Householder::factor(a.clone());
-            eng.charge_sgeqrf(Phase::Panel, m, n);
             // Forming the explicit Q costs another ORGQR pass.
-            eng.charge_orgqr(Phase::Other, Class::Fp32, m, n);
+            cost::sgeqrf_orgqr(eng, m, n);
             (h.q(), h.r())
         }
     };
-    // Jacobi SVD of R: ~10 n^3-class flops; charge as an n^3 GEMM pair.
     let r64: Mat<f64> = r.convert();
     let svd = jacobi_svd(r64.as_ref());
-    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, 5 * n);
+    cost::jacobi_svd(eng, n);
     Ok(QrSvd {
         q,
         u: svd.u,

@@ -16,12 +16,13 @@
 //! it, §3.5), so the half-precision factors degrade faster with the
 //! condition number, and refinement stalls earlier than CGLS-on-`R` does.
 
+use crate::cost;
 use crate::error::TcqrError;
 use crate::recovery::{run_with_recovery, RecoveryPolicy};
 use densemat::lu::{apply_pivots, SingularLu};
 use densemat::tri::{trsm_left_unit_lower, trsv_unit_lower, trsv_upper};
 use densemat::{gemv, Mat, Op};
-use tensor_engine::{Class, GpuSim, Phase};
+use tensor_engine::{GpuSim, Phase};
 
 /// Configuration for [`lu_ir_solve`].
 #[derive(Clone, Copy, Debug)]
@@ -63,36 +64,31 @@ pub fn getrf_tc(
     while k < n {
         let nb = block.min(n - k);
         densemat::lu::getrf_panel_range(a.as_mut(), k, nb, &mut piv)?;
-        // Panel cost: LU panel flops at the (memory-bound) panel rate.
-        let panel_flops = (n - k) as f64 * nb as f64 * nb as f64;
-        let rate = eng.perf().sgeqrf_tflops(n - k, nb) * 1e12;
-        eng.charge_secs(Phase::Panel, panel_flops / rate);
-        if k + nb < n {
-            let trailing = n - k - nb;
-            {
-                let (head, tail) = a.as_mut().split_at_col_mut(k + nb);
-                let l11 = head.as_ref().submatrix(k, k, nb, nb);
-                let a21 = head.as_ref().submatrix(k + nb, k, trailing, nb);
-                let tail_rows = tail.submatrix_mut(k, 0, n - k, trailing);
-                let (mut a12, a22) = tail_rows.split_at_row_mut(nb);
-                trsm_left_unit_lower(1.0, l11, a12.rb());
-                eng.charge_trsm(Phase::Update, Class::Fp32, nb, trailing);
-                // The TensorCore trailing update. Unlike the QR recursion,
-                // both operands change every outer iteration (A21 is a new
-                // panel, A12 was just solved), so there is nothing to cache
-                // across calls — the engine stages the per-call rounding in
-                // the per-thread scratch pool, so it allocates nothing.
-                eng.gemm_f32(
-                    Phase::Update,
-                    -1.0,
-                    Op::NoTrans,
-                    a21,
-                    Op::NoTrans,
-                    a12.as_ref(),
-                    1.0,
-                    a22,
-                );
-            }
+        let trailing = n - k - nb;
+        let (head, tail) = a.as_mut().split_at_col_mut(k + nb);
+        let l11 = head.as_ref().submatrix(k, k, nb, nb);
+        let a21 = head.as_ref().submatrix(k + nb, k, trailing, nb);
+        let (mut a12, a22) = tail
+            .submatrix_mut(k, 0, n - k, trailing)
+            .split_at_row_mut(nb);
+        trsm_left_unit_lower(1.0, l11, a12.rb());
+        cost::lu_block(eng, n, k, nb);
+        if trailing > 0 {
+            // The TensorCore trailing update. Unlike the QR recursion, both
+            // operands change every outer iteration (A21 is a new panel,
+            // A12 was just solved), so there is nothing to cache across
+            // calls — the engine stages the per-call rounding in the
+            // per-thread scratch pool, so it allocates nothing.
+            eng.gemm_f32(
+                Phase::Update,
+                -1.0,
+                Op::NoTrans,
+                a21,
+                Op::NoTrans,
+                a12.as_ref(),
+                1.0,
+                a22,
+            );
         }
         k += nb;
     }
@@ -184,8 +180,7 @@ pub fn try_lu_ir_solve(
     // Initial solve.
     let mut x = b.to_vec();
     solve(&mut x);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
+    cost::lu_solve(eng, n);
 
     let norm_b = densemat::blas1::nrm2(b);
     if norm_b == 0.0 {
@@ -200,11 +195,9 @@ pub fn try_lu_ir_solve(
         // r = b - A x in working (f64) precision.
         r.copy_from_slice(b);
         gemv(-1.0, Op::NoTrans, a.as_ref(), &x, 1.0, &mut r);
-        eng.charge_gemv(Phase::Refine, Class::Fp64, n, n);
         let mut d = r.clone();
         solve(&mut d);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
+        cost::lu_refine_iter(eng, n);
         let norm_d = densemat::blas1::nrm2(&d);
         let norm_x = densemat::blas1::nrm2(&x).max(1e-300);
         densemat::blas1::axpy(1.0, &d, &mut x);
@@ -230,35 +223,6 @@ pub fn try_lu_ir_solve(
         best = best.min(rel);
     }
     Ok(RefineOutcome::new(x, cfg.max_iters, false, false, history))
-}
-
-/// Charge-only replay of [`lu_ir_solve`] for paper-scale comparisons.
-pub fn cost_lu_ir(eng: &GpuSim, n: usize, block: usize, iterations: usize) {
-    let class = if eng.uses_tc(Phase::Update) {
-        Class::TensorCore
-    } else {
-        Class::Fp32
-    };
-    let mut k = 0;
-    while k < n {
-        let nb = block.min(n - k);
-        let panel_flops = (n - k) as f64 * nb as f64 * nb as f64;
-        let rate = eng.perf().sgeqrf_tflops(n - k, nb) * 1e12;
-        eng.charge_secs(Phase::Panel, panel_flops / rate);
-        if k + nb < n {
-            let trailing = n - k - nb;
-            eng.charge_trsm(Phase::Update, Class::Fp32, nb, trailing);
-            eng.charge_gemm(Phase::Update, class, trailing, trailing, nb);
-        }
-        k += nb;
-    }
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
-    eng.charge_trsv(Phase::Solve, Class::Fp32, n);
-    for _ in 0..iterations {
-        eng.charge_gemv(Phase::Refine, Class::Fp64, n, n);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-        eng.charge_trsv(Phase::Refine, Class::Fp64, n);
-    }
 }
 
 #[cfg(test)]
@@ -360,20 +324,6 @@ mod tests {
             !lu.converged || lu_err > 10.0 * qr_err,
             "LU-IR unexpectedly kept up: lu_err {lu_err} (converged: {}), qr_err {qr_err}",
             lu.converged
-        );
-    }
-
-    #[test]
-    fn cost_replay_matches_real_clock() {
-        let (a, b, _) = system(96, 10.0, 6);
-        let real = GpuSim::default();
-        let out = lu_ir_solve(&real, &a, &b, &LuIrConfig::default());
-        let replay = GpuSim::default();
-        cost_lu_ir(&replay, 96, LuIrConfig::default().block, out.iterations);
-        let (tr, tp) = (real.clock(), replay.clock());
-        assert!(
-            ((tr - tp) / tr).abs() < 0.02,
-            "clock mismatch: {tr} vs {tp}"
         );
     }
 

@@ -9,11 +9,12 @@
 //! `RGSQRF-Reortho` (Figures 4 and 5): `Q = Q2 R2`, then the corrected
 //! factors are `Q <- Q2` and `R <- R2 R`.
 
+use crate::cost;
 use crate::rgsqrf::{factor_in_place, rgsqrf, QrFactors, RgsqrfConfig};
 use densemat::tri::trmm_left_upper;
 use densemat::{Mat, MatRef, Op};
 use tcqr_trace::Value;
-use tensor_engine::{Class, GpuSim, Phase};
+use tensor_engine::GpuSim;
 
 /// Re-orthogonalize existing factors in place: `(Q, R) <- (Q2, R2 R)`.
 ///
@@ -32,11 +33,9 @@ pub fn reorthogonalize(eng: &GpuSim, factors: &mut QrFactors, cfg: &RgsqrfConfig
     // the reortho pipeline rounds every Q panel once per pass, not per GEMM.
     let q = std::mem::replace(&mut factors.q, Mat::zeros(0, 0));
     let second = factor_in_place(eng, q, cfg);
-    // R <- R2 * R: triangular-triangular product, n^3/3 useful flops;
-    // charge it as a (cheap) FP32 GEMM of that size.
-    let n = factors.r.ncols();
+    // R <- R2 * R.
     trmm_left_upper(1.0, Op::NoTrans, second.r.as_ref(), factors.r.as_mut());
-    eng.charge_gemm(Phase::Other, Class::Fp32, n, n, (n / 2).max(1));
+    cost::r_product(eng, factors.r.ncols());
     factors.q = second.q;
     // Health monitor (off by default): "twice is enough" should put this
     // at working precision regardless of cond(A) — Figure 4's flat line.

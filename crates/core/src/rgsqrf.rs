@@ -20,6 +20,7 @@
 //! ([`PanelKind::Sgeqrf`], Figure 6's right bars).
 
 use crate::caqr::{tsqr, TsqrKernel, DEFAULT_BLOCK_ROWS};
+use crate::cost;
 use crate::error::TcqrError;
 use densemat::{lapack, Mat, MatMut, MatRef, Op};
 use tcqr_trace::Value;
@@ -307,7 +308,6 @@ fn panel_factor(eng: &GpuSim, cfg: &RgsqrfConfig, mut q: MatMut<'_, f32>, mut r:
             }
             let qx = lapack::orgqr(f.as_ref(), &tau, lapack::DEFAULT_BLOCK);
             q.copy_from(qx.as_ref());
-            eng.charge_sgeqrf(Phase::Panel, m, n);
         }
         PanelKind::Caqr => {
             // Recursive GS down to the CAQR leaf width; all numerics run
@@ -322,9 +322,9 @@ fn panel_factor(eng: &GpuSim, cfg: &RgsqrfConfig, mut q: MatMut<'_, f32>, mut r:
                 None
             };
             caqr_gs(eng, cfg, q, r, &mut pshadow, 0);
-            eng.charge_caqr_panel(m, n);
         }
     }
+    cost::panel(eng, cfg.panel, m, n);
     drop(span);
 }
 

@@ -62,15 +62,6 @@ use tcqr_trace::{Fingerprint, Tracer, Value};
 /// engine that created them.
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Which 16-bit format the simulated tensor cores ingest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HalfKind {
-    /// IEEE binary16 (NVIDIA TensorCore). Narrow range, 11-bit significand.
-    Fp16,
-    /// bfloat16 (TPU / Cooper Lake). f32 range, 8-bit significand.
-    Bf16,
-}
-
 /// Engine configuration: where TensorCore is allowed to run.
 ///
 /// The default matches the paper's chosen operating point (Figure 7's middle
@@ -512,17 +503,14 @@ impl GpuSim {
         }
     }
 
-    /// The half format TC operands are rounded through right now: bfloat16
-    /// under a [`PrecisionOverride::Bf16`] override, else binary16. The
+    /// Whether TC operands are rounded through bfloat16 right now (under a
+    /// [`PrecisionOverride::Bf16`] override) rather than binary16. The
     /// error-corrected mode splits through binary16 (the technique is
     /// specific to fp16 tensor cores — its hi part *is* the fp16 rounding),
     /// and the `Fp32` override disables TC via [`GpuSim::uses_tc`] instead.
-    fn effective_half(&self) -> HalfKind {
-        if self.precision_override.load(Ordering::Relaxed) == OVERRIDE_BF16 {
-            HalfKind::Bf16
-        } else {
-            HalfKind::Fp16
-        }
+    #[inline]
+    fn bf16_active(&self) -> bool {
+        self.precision_override.load(Ordering::Relaxed) == OVERRIDE_BF16
     }
 
     /// Whether the error-corrected GEMM path is active.
@@ -705,8 +693,8 @@ impl GpuSim {
     /// none for a cached operand; a split records its hi rounding only, so
     /// `round.*` counters stay comparable across precision modes.
     ///
-    /// Panics if the operand's cache was built by a different engine,
-    /// before the last reset, or through a different half format.
+    /// Panics if the operand's cache was built by a different engine, or
+    /// before its last reset or precision change.
     fn stage_operand<'a>(
         &self,
         x: CachedOperand<'a>,
@@ -721,7 +709,7 @@ impl GpuSim {
         let (m, n) = (x.raw.nrows(), x.raw.ncols());
         let hv = hi.slice::<f32>(m * n);
         let mut lv = lo.map(|l| l.slice::<f32>(m * n));
-        let stats = stage(x.raw, self.effective_half(), hv, lv.as_deref_mut());
+        let stats = stage(x.raw, self.bf16_active(), hv, lv.as_deref_mut());
         let view = |v: &'a [f32]| MatRef::from_col_major_slice(v, m, n);
         (view(hv), lv.map(|l| view(l)), stats)
     }
@@ -763,7 +751,6 @@ impl GpuSim {
             data: Mat::zeros(m, n),
             lo: self.ec_active().then(|| Mat::zeros(m, n)),
             stats: RoundStats::default(),
-            kind: self.effective_half(),
             engine_id: self.id,
             generation: self.generation.load(Ordering::Relaxed),
         })
@@ -793,7 +780,7 @@ impl GpuSim {
         // window (the main payload) and its lo window.
         let window = m * j0..m * (j0 + w);
         let lo = cache.lo.as_mut().map(|lo| &mut lo.data_mut()[window.clone()]);
-        let stats = stage(cols, self.effective_half(), &mut cache.data.data_mut()[window], lo);
+        let stats = stage(cols, self.bf16_active(), &mut cache.data.data_mut()[window], lo);
         cache.stats.merge(stats);
         self.commit(
             OpRecord {
@@ -811,14 +798,10 @@ impl GpuSim {
         );
     }
 
-    /// Panic unless `h` was created by this engine since its last reset.
+    /// Panic unless `h` was created by this engine since its last reset or
+    /// precision change ([`GpuSim::set_precision_override`] bumps the
+    /// generation too, so a live cache is always in the current format).
     fn validate_half(&self, h: &HalfMat) {
-        let half = self.effective_half();
-        assert_eq!(
-            h.kind, half,
-            "HalfMat was rounded through {:?} but this engine ingests {:?}",
-            h.kind, half
-        );
         assert_eq!(
             h.engine_id, self.id,
             "HalfMat belongs to another engine (id {} != {})",
@@ -874,8 +857,9 @@ impl GpuSim {
     /// bit-identical to the uncached [`GpuSim::gemm_f32`]. The flops
     /// charged are the same; so is the time, except in error-corrected
     /// mode, where operand-split traffic is charged only for operands this
-    /// call actually split (a cached operand's split was paid once when the
-    /// cache was built).
+    /// call actually split. A cached operand's split is charged nowhere:
+    /// [`GpuSim::cache_cols`] records its rounding as an uncharged op.
+    /// [`GpuSim::charge_gemm`] prices its GEMMs the same way.
     ///
     /// `charge = false` executes the numerics (including half rounding when
     /// TensorCore applies) and updates the call and rounding counters, but
@@ -883,8 +867,8 @@ impl GpuSim {
     /// whose time is charged once as an aggregate, the way the paper
     /// benchmarks its hand-written panel as a unit.
     ///
-    /// Panics if a supplied cache was built by a different engine, before
-    /// the last [`GpuSim::reset`], or through a different half format.
+    /// Panics if a supplied cache was built by a different engine, or
+    /// before its last [`GpuSim::reset`] or precision change.
     #[allow(clippy::too_many_arguments)]
     pub fn gemm_f32_cached(
         &self,
@@ -906,16 +890,13 @@ impl GpuSim {
         };
         let use_tc = self.uses_tc(phase);
         let ec = use_tc && self.ec_active();
-        // An error-corrected GEMM runs three TC products (hi·hi plus the
-        // two hi·lo corrections), so it performs — and is charged — 6mnk.
-        let flops = if ec { 6.0 } else { 2.0 } * cm as f64 * cn as f64 * k as f64;
         let class = if use_tc { Class::TensorCore } else { Class::Fp32 };
         // Only the rounding performed *by this call* lands in its record;
         // cached operands were already counted when the cache was built.
         let mut round = RoundStats::default();
         // Likewise EC split traffic: an operand split once into a cache is
         // not re-charged by every consuming GEMM.
-        let split_elems: usize = [&a, &b]
+        let fresh_elems: usize = [&a, &b]
             .iter()
             .filter(|x| x.half.is_none())
             .map(|x| x.raw.nrows() * x.raw.ncols())
@@ -942,19 +923,18 @@ impl GpuSim {
         // Flops and time are only tallied for charged operations so
         // composite kernels (whose aggregate charge already counts them)
         // don't double-count.
+        let (secs, flops) = if charge {
+            self.price_gemm(class, cm, cn, k, fresh_elems)
+        } else {
+            (0.0, 0.0)
+        };
         self.commit(
             OpRecord {
                 name: "gemm",
                 phase,
                 class: Some(class),
-                secs: if !charge {
-                    0.0
-                } else if ec {
-                    self.pm.ec_gemm_charge_secs(cm, cn, k, split_elems)
-                } else {
-                    self.pm.gemm_secs(class, cm, cn, k)
-                },
-                flops: if charge { flops } else { 0.0 },
+                secs,
+                flops,
                 charged: charge,
                 gemm_call: true,
                 panel_call: false,
@@ -1028,14 +1008,13 @@ impl GpuSim {
                 let i = (p.r[0] % m as u64) as usize;
                 let j = (p.r[1] % k as u64) as usize;
                 // Exponent bits only: the loud corruptions ABFT exists for.
-                let bit = match self.effective_half() {
-                    HalfKind::Fp16 => 10 + (p.r[2] % 5) as u32,
-                    HalfKind::Bf16 => 7 + (p.r[2] % 8) as u32,
-                };
+                let bf16 = self.bf16_active();
+                let bit = if bf16 { 7 + (p.r[2] % 8) as u32 } else { 10 + (p.r[2] % 5) as u32 };
                 let orig = if a_trans { ah.col(i)[j] } else { ah.col(j)[i] };
-                let flipped = match self.effective_half() {
-                    HalfKind::Fp16 => halfsim::flip_f16_bit(orig, bit),
-                    HalfKind::Bf16 => halfsim::flip_bf16_bit(orig, bit),
+                let flipped = if bf16 {
+                    halfsim::flip_bf16_bit(orig, bit)
+                } else {
+                    halfsim::flip_f16_bit(orig, bit)
                 };
                 // Flipping Â[i,j] pre-GEMM perturbs row i of C by
                 // α·Δ·op(B̂)[j,·] — apply that rank-1 row update, which is
@@ -1160,18 +1139,42 @@ impl GpuSim {
         );
     }
 
+    /// Modeled seconds and flops of a `C(cm x cn) += A(cm x k) B(k x cn)`
+    /// GEMM of `class` that stages `fresh` operand elements itself: the one
+    /// price of routed and charge-only GEMMs. An error-corrected TensorCore
+    /// GEMM runs three TC products (hi·hi plus the two hi·lo corrections),
+    /// so it performs — and is charged — 6mnk, plus the split traffic of
+    /// its fresh operands.
+    #[inline]
+    fn price_gemm(&self, class: Class, cm: usize, cn: usize, k: usize, fresh: usize) -> (f64, f64) {
+        let ec = class == Class::TensorCore && self.ec_active();
+        let flops = if ec { 6.0 } else { 2.0 } * cm as f64 * cn as f64 * k as f64;
+        let secs = if ec {
+            self.pm.ec_gemm_charge_secs(cm, cn, k, fresh)
+        } else {
+            self.pm.gemm_secs(class, cm, cn, k)
+        };
+        (secs, flops)
+    }
+
     /// Charge a GEMM's modeled time without executing numerics (for
-    /// baselines whose numerics run elsewhere).
-    pub fn charge_gemm(&self, phase: Phase, class: Class, cm: usize, cn: usize, k: usize) {
-        let flops = 2.0 * cm as f64 * cn as f64 * k as f64;
+    /// baselines whose numerics run elsewhere, and the charge-only replays
+    /// of `tcqr_core::cost`). `fresh` counts the operand elements a routed
+    /// call would stage itself rather than read from a [`HalfMat`] (0 for
+    /// FP32 GEMMs): under the error-corrected override a TensorCore GEMM is
+    /// then priced exactly like the routed one.
+    pub fn charge_gemm(
+        &self,
+        phase: Phase,
+        class: Class,
+        cm: usize,
+        cn: usize,
+        k: usize,
+        fresh: usize,
+    ) {
+        let (secs, flops) = self.price_gemm(class, cm, cn, k, fresh);
         self.commit(
-            OpRecord::charge(
-                "charge_gemm",
-                phase,
-                class,
-                self.pm.gemm_secs(class, cm, cn, k),
-                flops,
-            ),
+            OpRecord::charge("charge_gemm", phase, class, secs, flops),
             &[("m", cm), ("n", cn), ("k", k)],
         );
     }
@@ -1333,14 +1336,14 @@ fn recompose_mat(hi: MatRef<'_, f32>, lo: MatRef<'_, f32>) -> Mat<f32> {
     out
 }
 
-/// Round `a` through `half` — or, when `lo` is given, split it into fp16
-/// hi/lo parts — into the dense column-major `hi` (and `lo`), converting
-/// each column as it is copied: one pass, whatever `a`'s leading dimension.
-/// The events are those of the (hi) rounding, the same as a rounding pass
-/// over a dense copy of `a`.
+/// Round `a` through binary16 (bfloat16 with `bf16`) — or, when `lo` is
+/// given, split it into fp16 hi/lo parts — into the dense column-major `hi`
+/// (and `lo`), converting each column as it is copied: one pass, whatever
+/// `a`'s leading dimension. The events are those of the (hi) rounding, the
+/// same as a rounding pass over a dense copy of `a`.
 fn stage(
     a: MatRef<'_, f32>,
-    half: HalfKind,
+    bf16: bool,
     hi: &mut [f32],
     mut lo: Option<&mut [f32]>,
 ) -> RoundStats {
@@ -1350,10 +1353,10 @@ fn stage(
     for j in 0..n {
         let (src, col) = (a.col(j), m * j..m * (j + 1));
         let dst = &mut hi[col.clone()];
-        stats.merge(match (lo.as_deref_mut(), half) {
-            (Some(lo), _) => halfsim::split_f16_slice(src, dst, &mut lo[col]),
-            (None, HalfKind::Fp16) => Fp16Format::round_into(src, dst),
-            (None, HalfKind::Bf16) => Bf16Format::round_into(src, dst),
+        stats.merge(match lo.as_deref_mut() {
+            Some(lo) => halfsim::split_f16_slice(src, dst, &mut lo[col]),
+            None if bf16 => Bf16Format::round_into(src, dst),
+            None => Fp16Format::round_into(src, dst),
         });
     }
     stats
@@ -1565,15 +1568,15 @@ mod tests {
                         _ => ((i * 7 + j) as f32 * 0.37).sin() * 2.0f32.powi((i % 9) as i32 - 4),
                     });
                     let view = big.as_ref().submatrix(off, 1, m, 4);
-                    let what = format!("{:?} m={m} off={off}", eng.effective_half());
+                    let what = format!("{:?} m={m} off={off}", eng.precision_override());
                     let dense = view.to_owned();
                     let (mut hi, mut lo) = (dense.clone(), dense.clone());
                     let want = if eng.ec_active() {
                         halfsim::split_f16_slice(dense.data(), hi.data_mut(), lo.data_mut())
-                    } else if eng.effective_half() == HalfKind::Fp16 {
-                        Fp16Format::round_slice(hi.data_mut())
-                    } else {
+                    } else if eng.bf16_active() {
                         Bf16Format::round_slice(hi.data_mut())
+                    } else {
+                        Fp16Format::round_slice(hi.data_mut())
                     };
 
                     let whole = eng.cache_operand(Phase::Update, view).unwrap();
@@ -1713,8 +1716,8 @@ mod tests {
         let tc = GpuSim::default();
         let no = GpuSim::new(EngineConfig::no_tensorcore());
         // Charge identical large updates on both engines.
-        tc.charge_gemm(Phase::Update, Class::TensorCore, 32768, 4096, 4096);
-        no.charge_gemm(Phase::Update, Class::Fp32, 32768, 4096, 4096);
+        tc.charge_gemm(Phase::Update, Class::TensorCore, 32768, 4096, 4096, 0);
+        no.charge_gemm(Phase::Update, Class::Fp32, 32768, 4096, 4096, 0);
         assert!(tc.clock() < no.clock() / 5.0);
     }
 
@@ -1866,7 +1869,7 @@ mod tests {
     fn ledger_separates_phases() {
         let eng = GpuSim::default();
         eng.charge_caqr_panel(32768, 128);
-        eng.charge_gemm(Phase::Update, Class::TensorCore, 32768, 8192, 8192);
+        eng.charge_gemm(Phase::Update, Class::TensorCore, 32768, 8192, 8192, 0);
         let l = eng.ledger();
         assert!(l.get(Phase::Panel) > 0.0);
         assert!(l.get(Phase::Update) > 0.0);
@@ -2071,6 +2074,32 @@ mod tests {
         assert_eq!(eng.counters().tc_flops, 3.0 * base.counters().tc_flops);
         assert_eq!(eng.counters().round, base.counters().round);
         assert_eq!(eng.counters().gemm_calls, 1);
+    }
+
+    #[test]
+    fn charge_gemm_prices_like_a_routed_gemm_under_every_override() {
+        let (a, b) = (small(12, 8, 1.0), small(8, 10, 0.5));
+        let overrides = [
+            None,
+            Some(PrecisionOverride::ErrorCorrected),
+            Some(PrecisionOverride::Bf16),
+            Some(PrecisionOverride::Fp32),
+        ];
+        for o in overrides {
+            let (routed, charged) = (GpuSim::default(), GpuSim::default());
+            routed.set_precision_override(o);
+            charged.set_precision_override(o);
+            let mut c = Mat::zeros(12, 10);
+            let (na, nb) = (a.as_ref(), b.as_ref());
+            routed.gemm_f32(Phase::Update, 1.0, Op::NoTrans, na, Op::NoTrans, nb, 0.0, c.as_mut());
+            let tc = charged.uses_tc(Phase::Update);
+            let class = if tc { Class::TensorCore } else { Class::Fp32 };
+            // A routed call stages both operands itself: 12x8 + 8x10 fresh elements.
+            charged.charge_gemm(Phase::Update, class, 12, 10, 8, 12 * 8 + 8 * 10);
+            assert_eq!(routed.clock().to_bits(), charged.clock().to_bits(), "{o:?}");
+            let (r, q) = (routed.counters(), charged.counters());
+            assert_eq!((r.tc_flops, r.fp32_flops), (q.tc_flops, q.fp32_flops), "{o:?}");
+        }
     }
 
     #[test]

@@ -21,8 +21,6 @@
 use densemat::{Mat, MatRef};
 use halfsim::RoundStats;
 
-use crate::engine::HalfKind;
-
 /// A matrix rounded once through an engine's half format, with the
 /// statistics of that rounding. Created whole by
 /// [`crate::GpuSim::cache_operand`], or allocated empty by
@@ -31,8 +29,9 @@ use crate::engine::HalfKind;
 /// panel once per factorization rather than once per trailing update).
 #[derive(Clone, Debug)]
 pub struct HalfMat {
-    /// Rounded payload: every value exactly representable in `kind`,
-    /// widened back to f32 (the storage the simulated tensor cores ingest).
+    /// Rounded payload: every value exactly representable in the engine's
+    /// half format at creation time, widened back to f32 (the storage the
+    /// simulated tensor cores ingest).
     /// Under the error-corrected mode this is the *hi* half of the
     /// Ootomo–Yokota split (identical to plain rounding).
     pub(crate) data: Mat<f32>,
@@ -43,8 +42,6 @@ pub struct HalfMat {
     pub(crate) lo: Option<Mat<f32>>,
     /// Accumulated events of every rounding pass into this cache.
     pub(crate) stats: RoundStats,
-    /// The format the payload was rounded through.
-    pub(crate) kind: HalfKind,
     /// Id of the [`crate::GpuSim`] that created this cache.
     pub(crate) engine_id: u64,
     /// The engine's reset-generation at creation time.
@@ -68,11 +65,6 @@ impl HalfMat {
         self.lo.as_ref().map(Mat::as_ref)
     }
 
-    /// The half format the payload is representable in.
-    pub fn kind(&self) -> HalfKind {
-        self.kind
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.data.nrows()
@@ -93,7 +85,7 @@ pub(crate) struct HalfView<'a> {
     /// Matching residual window, when the cache carries a *lo* payload
     /// (error-corrected mode). Always the same window as `view`.
     pub(crate) lo: Option<MatRef<'a, f32>>,
-    /// The cache the window borrows from (carries kind / engine / generation).
+    /// The cache the window borrows from (carries engine / generation).
     pub(crate) tag: &'a HalfMat,
 }
 

@@ -49,7 +49,7 @@ pub mod perf;
 pub use avail::{AvailStats, EngineCrash, EngineFaultKind, EngineFaultPlan, PlannedEngineFault};
 pub use counters::{Counters, Ledger, Phase};
 pub use engine::{
-    global_precision, set_global_precision, EngineConfig, GlobalPrecisionGuard, GpuSim, HalfKind,
+    global_precision, set_global_precision, EngineConfig, GlobalPrecisionGuard, GpuSim,
     PrecisionOverride,
 };
 pub use fault::{FaultKind, FaultPlan, FaultStats, GlobalPlanGuard};

@@ -91,8 +91,10 @@ impl PerfModel {
     /// error-corrected GEMM (arXiv 2203.03341): every element is read once
     /// in f32 and written back as two fp16 halves — 4 + 2·2 = 8 bytes
     /// through HBM per element. The engine charges this only for operands
-    /// actually split by a call; an operand split once into a cache
-    /// (`GpuSim::cache_operand`) is not re-charged per consuming GEMM.
+    /// a GEMM splits itself. An operand split into a cache
+    /// (`GpuSim::cache_operand`) pays no split traffic at all: the cache
+    /// records its rounding as an uncharged op, and the GEMMs that consume
+    /// it charge none.
     pub fn ec_split_elems_secs(&self, elems: usize) -> f64 {
         elems as f64 * 8.0 / HBM_BYTES_PER_SEC
     }

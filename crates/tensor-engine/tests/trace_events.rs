@@ -57,7 +57,7 @@ fn every_charge_method_emits_one_event_matching_the_ledger() {
         0.0,
         c.as_mut(),
     );
-    eng.charge_gemm(Phase::Update, Class::TensorCore, 1024, 256, 256);
+    eng.charge_gemm(Phase::Update, Class::TensorCore, 1024, 256, 256, 0);
     eng.charge_sgeqrf(Phase::Panel, 2048, 128);
     eng.charge_dgeqrf(Phase::Panel, 2048, 128);
     eng.charge_caqr_panel(2048, 128);

@@ -8,7 +8,7 @@ use tcqr_repro::tcqr::cost;
 use tcqr_repro::tcqr::perf_est::{magma_hybrid_tflops, rgsqrf_tflops, EstPanel};
 use tcqr_repro::tcqr::rgsqrf::RgsqrfConfig;
 use tcqr_repro::tensor_engine::perf::{householder_qr_flops, rgsqrf_flops};
-use tcqr_repro::tensor_engine::{EngineConfig, GpuSim};
+use tcqr_repro::tensor_engine::{Class, EngineConfig, GpuSim};
 
 /// Abstract: "QR 3.0x-14.6x speedup compared to cuSOLVER".
 #[test]
@@ -166,9 +166,9 @@ fn lls_speedup_band() {
         let r = GpuSim::default();
         cost::cgls_qr(&r, m, n, &cfg, iters);
         let s = GpuSim::default();
-        cost::scusolve(&s, m, n);
+        cost::cusolve(&s, Class::Fp32, m, n);
         let d = GpuSim::default();
-        cost::dcusolve(&d, m, n);
+        cost::cusolve(&d, Class::Fp64, m, n);
         hi_s = hi_s.max(s.clock() / r.clock());
         hi_d = hi_d.max(d.clock() / r.clock());
     }
