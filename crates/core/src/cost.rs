@@ -194,7 +194,7 @@ pub fn lu_ir(eng: &GpuSim, n: usize, block: usize, iterations: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lls::RefineConfig;
     use crate::lowrank::QrKind;
@@ -339,19 +339,22 @@ mod tests {
     }
 
     /// The load-bearing property: under every precision override, each
-    /// replay makes the same charges as its real solver — bit-equal
-    /// per-phase ledgers and equal flops per class. Where the real run
-    /// scales its input, its `Other` phase holds exactly that one
-    /// data-dependent pass more.
-    #[test]
-    fn replays_charge_like_the_real_solvers() {
+    /// replay of a case named in `names` makes the same charges as its
+    /// real solver — bit-equal per-phase ledgers and equal flops per
+    /// class. Where the real run scales its input, its `Other` phase holds
+    /// exactly that one data-dependent pass more.
+    pub(crate) fn assert_replays_charge_like_real(names: &[&str]) {
         let overrides = [
             None,
             Some(PrecisionOverride::ErrorCorrected),
             Some(PrecisionOverride::Bf16),
             Some(PrecisionOverride::Fp32),
         ];
-        let cases = cases();
+        let cases: Vec<Case> = cases()
+            .into_iter()
+            .filter(|c| names.contains(&c.name))
+            .collect();
+        assert!(!cases.is_empty(), "no replay case named in {names:?}");
         for o in overrides {
             for c in &cases {
                 let (real, replay) = (GpuSim::default(), GpuSim::default());
@@ -376,6 +379,30 @@ mod tests {
                 assert_eq!(flops(&r), flops(&q), "{what}: flops per class");
             }
         }
+    }
+
+    /// rgsqrf in its three configurations (default, sgeqrf panel, small
+    /// blocks).
+    #[test]
+    fn replay_matches_real_rgsqrf_clock() {
+        assert_replays_charge_like_real(&["rgsqrf"]);
+    }
+
+    #[test]
+    fn replay_matches_real_reortho_clock() {
+        assert_replays_charge_like_real(&["rgsqrf_reortho"]);
+    }
+
+    /// CGLS: every phase bit-equal, `Other` off by exactly the scaling pass.
+    #[test]
+    fn replay_matches_real_cgls_clock() {
+        assert_replays_charge_like_real(&["cgls_qr"]);
+    }
+
+    /// The cases the tests above and `lu_ir`'s replay test leave.
+    #[test]
+    fn replays_charge_like_the_real_solvers() {
+        assert_replays_charge_like_real(&["qr_svd", "rgsqrf_direct", "scusolve", "dcusolve"]);
     }
 
     #[test]

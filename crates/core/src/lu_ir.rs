@@ -249,6 +249,13 @@ mod tests {
         system_spec(n, Spectrum::Geometric { cond }, seed)
     }
 
+    /// The real solve and `cost::lu_ir`'s replay make bit-equal charges
+    /// under every precision override.
+    #[test]
+    fn cost_replay_matches_real_clock() {
+        cost::tests::assert_replays_charge_like_real(&["lu_ir"]);
+    }
+
     #[test]
     fn getrf_tc_matches_plain_lu_without_tensorcore() {
         let eng = GpuSim::new(EngineConfig::no_tensorcore());
