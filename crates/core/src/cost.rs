@@ -240,17 +240,23 @@ pub(crate) mod tests {
     }
 
     fn cases() -> Vec<Case> {
-        let (m, n) = (512usize, 128usize);
-        // Every column's largest entry already lies in [0.5, 1), so the
-        // scaled pipelines (qr_svd, rgsqrf_direct) charge no scaling pass.
-        let a: Mat<f32> = gen::uniform_pm1(m, n, &mut rng(1)).convert();
-        let b: Vec<f32> = (0..m).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut out = Vec::new();
+        // 1024 x 256 with n above every configuration's cutoff, so each
+        // recurses at least once: update GEMMs and the rounded-Q shadow
+        // under every override.
+        let (m, n) = (1024usize, 256usize);
+        let a: Mat<f32> = gen::gaussian(m, n, &mut rng(1)).convert();
         for cfg in [
             RgsqrfConfig::default(),
             RgsqrfConfig::with_sgeqrf_panel(),
-            small_cfg(),
+            RgsqrfConfig {
+                cutoff: 64,
+                caqr_width: 16,
+                caqr_block_rows: 128,
+                ..RgsqrfConfig::default()
+            },
         ] {
+            assert!(n > cfg.cutoff);
             let a = a.clone();
             out.push(case(
                 "rgsqrf",
@@ -261,16 +267,24 @@ pub(crate) mod tests {
                 move |e, _| rgsqrf(e, m, n, &cfg),
             ));
         }
+        let (m, n) = (512usize, 128usize);
+        let a: Mat<f32> = gen::gaussian(m, n, &mut rng(2)).convert();
+        for cfg in [RgsqrfConfig::default(), small_cfg()] {
+            let a = a.clone();
+            out.push(case(
+                "rgsqrf_reortho",
+                move |e| {
+                    crate::reortho::rgsqrf_reortho(e, a.as_ref(), &cfg);
+                    0
+                },
+                move |e, _| rgsqrf_reortho(e, m, n, &cfg),
+            ));
+        }
+        // Every column's largest entry already lies in [0.5, 1), so the
+        // scaled pipelines (qr_svd, rgsqrf_direct) charge no scaling pass.
+        let a: Mat<f32> = gen::uniform_pm1(m, n, &mut rng(1)).convert();
+        let b: Vec<f32> = (0..m).map(|i| (i as f32 * 0.37).sin()).collect();
         let cfg = small_cfg();
-        let a1 = a.clone();
-        out.push(case(
-            "rgsqrf_reortho",
-            move |e| {
-                crate::reortho::rgsqrf_reortho(e, a1.as_ref(), &cfg);
-                0
-            },
-            move |e, _| rgsqrf_reortho(e, m, n, &cfg),
-        ));
         for (kind, rgs) in [(QrKind::Rgsqrf, true), (QrKind::Sgeqrf, false)] {
             let a = a.clone();
             out.push(case(
@@ -301,17 +315,15 @@ pub(crate) mod tests {
             move |e, _| cusolve(e, Class::Fp32, m, n),
         ));
         let (a64, b64): (Mat<f64>, Vec<f64>) = (a.convert(), b.iter().map(|&v| v as f64).collect());
-        let (a1, b1) = (a64.clone(), b64.clone());
         out.push(case(
             "dcusolve",
             move |e| {
-                crate::lls::dcusolve(e, &a1, &b1);
+                crate::lls::dcusolve(e, &a64, &b64);
                 0
             },
             move |e, _| cusolve(e, Class::Fp64, m, n),
         ));
-        let spec = gen::Spectrum::Arithmetic { cond: 100.0 };
-        let (sq, rhs) = (gen::rand_svd(96, 96, spec, &mut rng(6)), b64[..96].to_vec());
+        let (sq, rhs, _) = crate::lu_ir::tests::system(96, 10.0, 6);
         let lu_cfg = LuIrConfig::default();
         out.push(case(
             "lu_ir",
@@ -324,13 +336,15 @@ pub(crate) mod tests {
             move |e, it| lu_ir(e, 96, lu_cfg.block, it),
         ));
         // This input is scaled: the real run charges the scaling pass.
+        let spec = gen::Spectrum::Arithmetic { cond: 100.0 };
         let ls = gen::rand_svd(m, 64, spec, &mut rng(3));
+        let rhs: Vec<f64> = (0..m).map(|i| (i as f64).sin()).collect();
         out.push(Case {
             scaling_pass: Some((m, 64)),
             ..case(
                 "cgls_qr",
                 move |e| {
-                    crate::lls::cgls_qr(e, &ls, &b64, &cfg, &RefineConfig::default()).iterations
+                    crate::lls::cgls_qr(e, &ls, &rhs, &cfg, &RefineConfig::default()).iterations
                 },
                 move |e, it| cgls_qr(e, m, 64, &cfg, it),
             )
@@ -382,7 +396,7 @@ pub(crate) mod tests {
     }
 
     /// rgsqrf in its three configurations (default, sgeqrf panel, small
-    /// blocks).
+    /// blocks), each recursing on 1024 x 256.
     #[test]
     fn replay_matches_real_rgsqrf_clock() {
         assert_replays_charge_like_real(&["rgsqrf"]);

@@ -64,31 +64,32 @@ pub fn getrf_tc(
     while k < n {
         let nb = block.min(n - k);
         densemat::lu::getrf_panel_range(a.as_mut(), k, nb, &mut piv)?;
-        let trailing = n - k - nb;
-        let (head, tail) = a.as_mut().split_at_col_mut(k + nb);
-        let l11 = head.as_ref().submatrix(k, k, nb, nb);
-        let a21 = head.as_ref().submatrix(k + nb, k, trailing, nb);
-        let (mut a12, a22) = tail
-            .submatrix_mut(k, 0, n - k, trailing)
-            .split_at_row_mut(nb);
-        trsm_left_unit_lower(1.0, l11, a12.rb());
         cost::lu_block(eng, n, k, nb);
-        if trailing > 0 {
-            // The TensorCore trailing update. Unlike the QR recursion, both
-            // operands change every outer iteration (A21 is a new panel,
-            // A12 was just solved), so there is nothing to cache across
-            // calls — the engine stages the per-call rounding in the
-            // per-thread scratch pool, so it allocates nothing.
-            eng.gemm_f32(
-                Phase::Update,
-                -1.0,
-                Op::NoTrans,
-                a21,
-                Op::NoTrans,
-                a12.as_ref(),
-                1.0,
-                a22,
-            );
+        if k + nb < n {
+            let trailing = n - k - nb;
+            {
+                let (head, tail) = a.as_mut().split_at_col_mut(k + nb);
+                let l11 = head.as_ref().submatrix(k, k, nb, nb);
+                let a21 = head.as_ref().submatrix(k + nb, k, trailing, nb);
+                let tail_rows = tail.submatrix_mut(k, 0, n - k, trailing);
+                let (mut a12, a22) = tail_rows.split_at_row_mut(nb);
+                trsm_left_unit_lower(1.0, l11, a12.rb());
+                // The TensorCore trailing update. Unlike the QR recursion,
+                // both operands change every outer iteration (A21 is a new
+                // panel, A12 was just solved), so there is nothing to cache
+                // across calls — the engine stages the per-call rounding in
+                // the per-thread scratch pool, so it allocates nothing.
+                eng.gemm_f32(
+                    Phase::Update,
+                    -1.0,
+                    Op::NoTrans,
+                    a21,
+                    Op::NoTrans,
+                    a12.as_ref(),
+                    1.0,
+                    a22,
+                );
+            }
         }
         k += nb;
     }
@@ -226,7 +227,7 @@ pub fn try_lu_ir_solve(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rgsqrf::RgsqrfConfig;
     use densemat::gen::{self, rng, Spectrum};
@@ -245,7 +246,7 @@ mod tests {
         (a, b, xtrue)
     }
 
-    fn system(n: usize, cond: f64, seed: u64) -> (Mat<f64>, Vec<f64>, Vec<f64>) {
+    pub(crate) fn system(n: usize, cond: f64, seed: u64) -> (Mat<f64>, Vec<f64>, Vec<f64>) {
         system_spec(n, Spectrum::Geometric { cond }, seed)
     }
 
